@@ -138,8 +138,10 @@ type Options struct {
 	Approx string
 	// Func overrides Approx with a custom approximation function.
 	Func ApproxFunc
-	// Epsilon is the approximation threshold ε ≥ 0; a DC is an ADC when
-	// 1 − f(D, Sϕ) ≤ ε (Definition 4.4). 0 mines valid DCs.
+	// Epsilon is the approximation threshold, 0 ≤ ε < 1; a DC is an ADC
+	// when 1 − f(D, Sϕ) ≤ ε (Definition 4.4). 0 mines valid DCs. Mine
+	// rejects ε ≥ 1, which every DC satisfies (the only minimal one is
+	// the empty DC), and NaN.
 	Epsilon float64
 	// SampleFraction mines from a uniform sample of this fraction of
 	// tuples (0 or ≥1 mines the full relation). Section 7.
@@ -235,8 +237,8 @@ func Mine(rel *Relation, opts Options) (*Result, error) {
 	if rel.NumRows() < 2 {
 		return nil, fmt.Errorf("adc: relation %q needs at least 2 rows", rel.Name)
 	}
-	if opts.Epsilon < 0 {
-		return nil, fmt.Errorf("adc: negative epsilon %v", opts.Epsilon)
+	if !(opts.Epsilon >= 0 && opts.Epsilon < 1) {
+		return nil, fmt.Errorf("adc: epsilon %v outside [0, 1)", opts.Epsilon)
 	}
 
 	f := opts.Func

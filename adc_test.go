@@ -1,6 +1,7 @@
 package adc_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -206,11 +207,19 @@ func TestMineErrors(t *testing.T) {
 		{Algorithm: "bogus"},
 		{Evidence: "bogus"},
 		{Epsilon: -0.5},
+		// ε outside [0, 1): NaN would pass a plain "< 0" check and mine
+		// nothing, and ε ≥ 1 yields only the empty DC not().
+		{Epsilon: math.NaN()},
+		{Epsilon: math.Inf(1)},
+		{Epsilon: 1},
 	}
 	for i, opts := range cases {
 		if _, err := adc.Mine(rel, opts); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
+	}
+	if _, err := adc.Mine(rel, adc.Options{Epsilon: 0.99}); err != nil {
+		t.Errorf("epsilon 0.99: %v", err)
 	}
 	if _, err := adc.Mine(nil, adc.Options{}); err == nil {
 		t.Error("nil relation: want error")

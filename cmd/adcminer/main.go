@@ -34,7 +34,7 @@ func run() int {
 		saveSnap  = flag.String("save-snapshot", "", "after mining, save the relation and built indexes to this snapshot file")
 		header    = flag.Bool("header", true, "first CSV record is the header")
 		fn        = flag.String("approx", "f1", "approximation function: f1, f2, or f3")
-		eps       = flag.Float64("eps", 0.01, "approximation threshold ε (0 mines valid DCs)")
+		eps       = flag.Float64("eps", 0.01, "approximation threshold ε, 0 ≤ ε < 1 (0 mines valid DCs)")
 		sampleF   = flag.Float64("sample", 1.0, "fraction of tuples to sample (Section 7)")
 		alpha     = flag.Float64("alpha", 0, "confidence α for the sample-threshold correction (f1 only)")
 		algorithm = flag.String("algorithm", "adcenum", "enumerator: adcenum, searchmc, or mmcs")

@@ -6,6 +6,14 @@
 // predicate IDs and the subsets to hit are the distinct evidence sets,
 // weighted by multiplicity.
 //
+// Both enumerators run on one bookkeeping kernel. The pseudo-code's
+// uncov and crit are two bitsets over the distinct evidence sets: U, the
+// sets no element of the current hitting set S hits, and O, the sets
+// exactly one element of S hits; the crit set of u ∈ S is O ∩ occ[u],
+// where occ[u] is the bitset of evidence sets containing u, built once
+// per enumeration. Adding or removing an element is a few word-wise
+// passes over ⌈sets/64⌉ words.
+//
 // ADCEnum runs either as the classic sequential recursion or, with
 // Options.Workers, as a parallel enumeration: the search tree is cut
 // into subtrees identified by their move sequence from the root, and a
@@ -109,7 +117,7 @@ func EnumerateADC(ev *evidence.Set, opts Options, emit func(hs bitset.Bits)) Sta
 		}
 	}
 	if workers <= 1 {
-		st := newState(ev, opts)
+		st := newState(ev, opts, buildOcc(ev))
 		st.emit = emit
 		st.adcEnum()
 		return st.stats
@@ -122,70 +130,65 @@ func EnumerateADC(ev *evidence.Set, opts Options, emit func(hs bitset.Bits)) Sta
 // minimal valid DC's complement set). The bitset passed to emit is
 // reused; clone it to retain.
 func EnumerateMinimal(ev *evidence.Set, opts Options, emit func(hs bitset.Bits)) Stats {
-	st := newState(ev, opts)
+	st := newState(ev, opts, buildOcc(ev))
 	st.emit = emit
 	st.mmcs()
 	return st.stats
 }
 
-// state carries the shared bookkeeping of Figures 3 and 4: uncov, cand,
-// crit, canHit, and the growing hitting set S, all with undo logs so the
-// recursion restores them exactly as the pseudo-code's "recover" lines
-// require.
+// state carries the bookkeeping of Figures 3 and 4 as bitsets over the
+// distinct evidence sets: uncov (U, the sets no element of the growing
+// hitting set S hits) and once (O, the sets exactly one element of S
+// hits). The pseudo-code's crit[u] for u ∈ S is derived rather than
+// stored: it is O ∩ occ[u], the sets only u hits. Adding an element is
+// one word-wise pass over ⌈sets/64⌉ words (see updateCritUncov), and the
+// covered/stolen words it records are the undo log that restores the
+// state exactly as the pseudo-code's "recover" lines require.
 //
-// Every branch decision below is a pure function of the *set-valued*
-// state (which sets are uncovered, which elements are candidates, which
-// sets each element is critical for) and never of the incidental order
-// the bookkeeping slices ended up in. The parallel enumerator depends on
-// this: a worker replays a move sequence from a fresh root and must make
-// exactly the choices the enqueuing worker made, even though its slices
-// are permuted differently (see parallel.go).
+// Every branch decision below is a pure function of this set-valued
+// state: chooseUncov scans U in index order, and crit checks, losses
+// and canHit flips depend only on which bits are set. The parallel
+// enumerator depends on this: a worker replays a move sequence from a
+// fresh root and must make exactly the choices the enqueuing worker made
+// (see parallel.go).
 type state struct {
 	ev    *evidence.Set
 	opts  Options
 	emit  func(bitset.Bits)
 	stats Stats
 
-	universe int
-	sets     []bitset.Bits
+	sets []bitset.Bits
+	// occ[e] is the set of distinct evidence sets containing element e.
+	// It is built once per enumeration and shared read-only by the
+	// coordinator and every worker of a parallel run.
+	occ []bitset.Bits
 
-	uncov       []int       // indexes of sets not yet hit by S
-	uncovPos    []int       // position of set k in uncov, or -1
-	uncovBits   bitset.Bits // same membership as uncov, for canonical scans
-	uncovWeight int64       // sum of multiplicities over uncov
-	canHit      []bool
-	crit        [][]int // crit[e]: sets for which e is critical
+	uncov       bitset.Bits // U: sets hit by no element of S
+	once        bitset.Bits // O: sets hit by exactly one element of S
+	nUncov      int         // |U|
+	uncovWeight int64       // sum of multiplicities over U
+	canHit      bitset.Bits // sets not yet marked unhittable (Figure 5)
 	cand        bitset.Bits
 	s           []int       // the growing hitting set S
 	sBits       bitset.Bits // same as s, as a bitset
-
-	// occ[e] lists the distinct sets containing element e, so that
-	// adding an element touches only its own occurrences instead of
-	// scanning all of uncov — the O(‖M‖)-per-iteration bound of
-	// Murakami and Uno. For ubiquitous elements updateCritUncov falls
-	// back to scanning uncov and the crit lists, whichever is cheaper.
-	occ [][]int32
-	// critFor[k] is the element set k is critical for, else -1;
-	// critPos[k] is k's position inside crit[critFor[k]].
-	critFor []int32
-	critPos []int32
-	// critTotal is the summed length of all crit lists, maintained so
-	// updateCritUncov can cost its two strategies.
-	critTotal int
 	// logs pools one undo log per recursion depth, reused across the
-	// candidate loop to avoid per-call allocation.
-	logs []addLog
+	// candidate loop to avoid per-call allocation. Pointers keep a log
+	// valid while deeper recursion grows the pool.
+	logs []*addLog
+	// scratch holds the sets a loss evaluation adds to or takes from U:
+	// crit[u] = O ∩ occ[u] in isMinimal, U \ canHit in willCover.
+	scratch bitset.Bits
 
 	// eval evaluates losses of explicit uncovered-set lists; the
 	// fast-path flags below mirror its, for the incremental variants.
 	eval *Evaluator
 	// vioCount/nonzero maintain per-tuple violation participation over
-	// uncov incrementally as sets move in and out (the bookkeeping idea
+	// U incrementally as sets move in and out (the bookkeeping idea
 	// the paper applies to f1 in Section 5), so F2/greedy-F3 losses
 	// avoid rescanning every uncovered set's vios.
 	vioCount []int64
 	nonzero  int // tuples with vioCount > 0
-	// merged is the reusable uncov+extra buffer of the generic loss path.
+	// merged is the reusable U+extra list of the generic loss path.
 	merged []int
 
 	// sink, when set, receives outputs instead of emit — the parallel
@@ -206,34 +209,40 @@ type state struct {
 	undoBuf []moveUndo
 }
 
-func newState(ev *evidence.Set, opts Options) *state {
-	universe := universeSize(ev)
+// buildOcc returns the per-element occurrence bitsets over the distinct
+// sets of ev: bit k of occ[e] is set iff set k contains e.
+func buildOcc(ev *evidence.Set) []bitset.Bits {
+	occ := make([]bitset.Bits, universeSize(ev))
+	for e := range occ {
+		occ[e] = bitset.New(len(ev.Sets))
+	}
+	for k, s := range ev.Sets {
+		s.ForEach(func(e int) { occ[e].Set(k) })
+	}
+	return occ
+}
+
+func newState(ev *evidence.Set, opts Options, occ []bitset.Bits) *state {
+	universe := len(occ)
+	n := len(ev.Sets)
 	st := &state{
-		ev:        ev,
-		opts:      opts,
-		universe:  universe,
-		sets:      ev.Sets,
-		uncovPos:  make([]int, len(ev.Sets)),
-		uncovBits: bitset.New(len(ev.Sets)),
-		canHit:    make([]bool, len(ev.Sets)),
-		crit:      make([][]int, universe),
-		cand:      bitset.New(universe),
-		sBits:     bitset.New(universe),
-		occ:       make([][]int32, universe),
-		critFor:   make([]int32, len(ev.Sets)),
-		critPos:   make([]int32, len(ev.Sets)),
-		eval:      NewEvaluator(ev, opts.Func),
+		ev:      ev,
+		opts:    opts,
+		sets:    ev.Sets,
+		occ:     occ,
+		uncov:   bitset.New(n),
+		once:    bitset.New(n),
+		nUncov:  n,
+		canHit:  bitset.New(n),
+		cand:    bitset.New(universe),
+		sBits:   bitset.New(universe),
+		scratch: bitset.New(n),
+		eval:    NewEvaluator(ev, opts.Func),
 	}
 	for k := range ev.Sets {
-		st.uncov = append(st.uncov, k)
-		st.uncovPos[k] = k
-		st.uncovBits.Set(k)
+		st.uncov.Set(k)
+		st.canHit.Set(k)
 		st.uncovWeight += ev.Counts[k]
-		st.canHit[k] = true
-		st.critFor[k] = -1
-		ev.Sets[k].ForEach(func(e int) {
-			st.occ[e] = append(st.occ[e], int32(k))
-		})
 	}
 	for e := 0; e < universe; e++ {
 		st.cand.Set(e)
@@ -265,153 +274,114 @@ func universeSize(ev *evidence.Set) int {
 	return max
 }
 
-// ---- uncov maintenance -------------------------------------------------
+// ---- U/O maintenance ----------------------------------------------------
 
-func (st *state) uncovRemove(k int) {
-	pos := st.uncovPos[k]
-	last := len(st.uncov) - 1
-	moved := st.uncov[last]
-	st.uncov[pos] = moved
-	st.uncovPos[moved] = pos
-	st.uncov = st.uncov[:last]
-	st.uncovPos[k] = -1
-	st.uncovBits.Clear(k)
-	st.uncovWeight -= st.ev.Counts[k]
+// addLog is the undo record of one updateCritUncov call.
+type addLog struct {
+	covered  bitset.Bits // sets moved from U to O: crit[e] afterwards
+	stolen   bitset.Bits // sets e took out of O (out of some crit[u])
+	nCovered int         // |covered|
+	weight   int64       // multiplicity sum over covered
+}
+
+// logAt returns the pooled undo log for recursion depth d.
+func (st *state) logAt(d int) *addLog {
+	for len(st.logs) <= d {
+		n := len(st.ev.Sets)
+		st.logs = append(st.logs, &addLog{covered: bitset.New(n), stolen: bitset.New(n)})
+	}
+	return st.logs[d]
+}
+
+// updateCritUncov is the subroutine of Figure 3 for adding e to S: the
+// uncovered sets containing e become critical for e, and the sets
+// containing e that were critical for some u ∈ S are hit twice and
+// leave O. Word by word, with m = occ[e]:
+//
+//	covered = U ∩ m, stolen = O ∩ m, U = U \ m, O = (O \ m) ∪ covered
+//
+// The covered and stolen words go to the pooled log for depth d; only
+// covered sets change U's weight and per-tuple counts.
+func (st *state) updateCritUncov(e, d int) *addLog {
+	log := st.logAt(d)
+	occ := st.occ[e]
+	u, o := st.uncov[:len(occ)], st.once[:len(occ)]
+	cov, sto := log.covered[:len(occ)], log.stolen[:len(occ)]
+	n := 0
+	for i, m := range occ {
+		c := u[i] & m
+		cov[i] = c
+		sto[i] = o[i] & m
+		u[i] &^= m
+		o[i] = o[i]&^m | c
+		n += bits.OnesCount64(c)
+	}
+	log.nCovered, log.weight = n, st.weightOf(cov)
+	st.nUncov -= n
+	st.uncovWeight -= log.weight
 	if st.eval.fastTuple {
+		st.shiftVios(cov, -1)
+	}
+	return log
+}
+
+// undoCritUncov reverses updateCritUncov: U = U ∪ covered and
+// O = (O \ covered) ∪ stolen.
+func (st *state) undoCritUncov(log *addLog) {
+	u, o := st.uncov[:len(log.covered)], st.once[:len(log.covered)]
+	sto := log.stolen[:len(log.covered)]
+	for i, c := range log.covered {
+		u[i] |= c
+		o[i] = o[i]&^c | sto[i]
+	}
+	st.nUncov += log.nCovered
+	st.uncovWeight += log.weight
+	if st.eval.fastTuple {
+		st.shiftVios(log.covered, 1)
+	}
+}
+
+// shiftVios moves the per-tuple violation counts of the sets in b out
+// of U (sign −1) or back into it (sign +1).
+func (st *state) shiftVios(b bitset.Bits, sign int64) {
+	b.ForEach(func(k int) {
 		for _, tc := range st.eval.viosList[k] {
-			st.vioCount[tc.t] -= tc.c
-			if st.vioCount[tc.t] == 0 {
+			before := st.vioCount[tc.t]
+			after := before + sign*tc.c
+			st.vioCount[tc.t] = after
+			if before == 0 {
+				st.nonzero++
+			} else if after == 0 {
 				st.nonzero--
 			}
 		}
-	}
+	})
 }
 
-func (st *state) uncovAdd(k int) {
-	st.uncovPos[k] = len(st.uncov)
-	st.uncov = append(st.uncov, k)
-	st.uncovBits.Set(k)
-	st.uncovWeight += st.ev.Counts[k]
-	if st.eval.fastTuple {
-		for _, tc := range st.eval.viosList[k] {
-			if st.vioCount[tc.t] == 0 {
-				st.nonzero++
-			}
-			st.vioCount[tc.t] += tc.c
-		}
-	}
+// weightOf sums the multiplicities of the sets in b.
+func (st *state) weightOf(b bitset.Bits) int64 {
+	var sum int64
+	b.ForEach(func(k int) { sum += st.ev.Counts[k] })
+	return sum
 }
 
-// critChange records the removal of set f from crit[u].
-type critChange struct{ u, f int }
-
-// addLog is the undo record of one UpdateCritUncov call.
-type addLog struct {
-	covered []int // sets moved from uncov to crit[e]
-	stolen  []critChange
-}
-
-// critAppend adds set k to crit[u], maintaining the position index.
-func (st *state) critAppend(u, k int) {
-	st.critFor[k] = int32(u)
-	st.critPos[k] = int32(len(st.crit[u]))
-	st.crit[u] = append(st.crit[u], k)
-	st.critTotal++
-}
-
-// critRemove removes set k from crit[critFor[k]] in O(1).
-func (st *state) critRemove(k int) {
-	u := int(st.critFor[k])
-	pos := int(st.critPos[k])
-	cu := st.crit[u]
-	last := len(cu) - 1
-	moved := cu[last]
-	cu[pos] = moved
-	st.critPos[moved] = int32(pos)
-	st.crit[u] = cu[:last]
-	st.critFor[k] = -1
-	st.critTotal--
-}
-
-// logAt returns the pooled undo log for recursion depth d, emptied.
-func (st *state) logAt(d int) *addLog {
-	for len(st.logs) <= d {
-		st.logs = append(st.logs, addLog{})
+// critOf writes crit[u] = O ∩ occ[u] into the scratch bitset.
+func (st *state) critOf(u int) bitset.Bits {
+	crit := st.scratch
+	for i, m := range st.occ[u] {
+		crit[i] = st.once[i] & m
 	}
-	log := &st.logs[d]
-	log.covered = log.covered[:0]
-	log.stolen = log.stolen[:0]
-	return log
-}
-
-// updateCritUncov is the subroutine of Figure 3: move every uncovered
-// set containing e into crit[e], and remove from crit[u] (u ∈ S) every
-// set containing e. Covered and stolen sets are recorded in the pooled
-// log for depth d. Sets covered twice or more need no bookkeeping at
-// all, so the cheaper of two strategies is used: walking e's occurrence
-// list, or walking uncov plus the current crit lists (better for
-// ubiquitous elements deep in the recursion, where few sets remain
-// uncovered or critical).
-func (st *state) updateCritUncov(e, d int) *addLog {
-	log := st.logAt(d)
-	if len(st.occ[e]) <= len(st.uncov)+st.critTotal {
-		for _, k32 := range st.occ[e] {
-			k := int(k32)
-			if st.uncovPos[k] >= 0 {
-				st.uncovRemove(k)
-				st.critAppend(e, k)
-				log.covered = append(log.covered, k)
-			} else if u := st.critFor[k]; u >= 0 && int(u) != e {
-				st.critRemove(k)
-				log.stolen = append(log.stolen, critChange{int(u), k})
-			}
-		}
-		return log
-	}
-	for i := 0; i < len(st.uncov); {
-		k := st.uncov[i]
-		if st.sets[k].Test(e) {
-			st.uncovRemove(k) // swap-remove: same index now holds a new set
-			st.critAppend(e, k)
-			log.covered = append(log.covered, k)
-			continue
-		}
-		i++
-	}
-	for _, u := range st.s {
-		// Index st.crit[u] directly: critRemove swap-removes in place.
-		for i := 0; i < len(st.crit[u]); {
-			k := st.crit[u][i]
-			if st.sets[k].Test(e) {
-				st.critRemove(k)
-				log.stolen = append(log.stolen, critChange{u, k})
-				continue
-			}
-			i++
-		}
-	}
-	return log
-}
-
-// undoCritUncov reverses updateCritUncov(e, d).
-func (st *state) undoCritUncov(log *addLog) {
-	for i := len(log.stolen) - 1; i >= 0; i-- {
-		c := log.stolen[i]
-		st.critAppend(c.u, c.f)
-	}
-	for i := len(log.covered) - 1; i >= 0; i-- {
-		k := log.covered[i]
-		st.critRemove(k)
-		st.uncovAdd(k)
-	}
+	return crit
 }
 
 // critNonEmptyForAll reports whether every element of S is still
-// critical for at least one set (the minimality precondition of
-// Figure 3, line 9 / Figure 4, line 17).
+// critical for at least one set, i.e. O meets occ[u] for every u ∈ S
+// (the minimality precondition of Figure 3, line 9 / Figure 4, line 17).
+// The element just added is checked by its log: crit[e] is exactly the
+// sets it covered.
 func (st *state) critNonEmptyForAll() bool {
 	for _, u := range st.s {
-		if len(st.crit[u]) == 0 {
+		if !st.once.Intersects(st.occ[u]) {
 			return false
 		}
 	}
@@ -430,21 +400,20 @@ const chooseScanLimit = 64
 // with the max (or min) intersection with cand among a bounded scan.
 // Returns -1 if none qualifies.
 //
-// The scan walks uncovBits in set-index order with ties going to the
-// lowest index, so the choice is a pure function of the uncovered set —
-// not of the incidental order uncov's swap-removes produced. The
+// The scan walks U in set-index order with ties going to the lowest
+// index, so the choice is a pure function of the uncovered set. The
 // parallel enumerator's replay correctness depends on this (the serial
 // enumerator only needs *some* deterministic rule).
 func (st *state) chooseUncov(restrict bool) int {
 	best, bestN := -1, -1
 	scanned := 0
-	for wi, w := range st.uncovBits {
+	for wi, w := range st.uncov {
+		if restrict {
+			w &= st.canHit[wi]
+		}
 		for w != 0 {
 			k := wi*64 + bits.TrailingZeros64(w)
 			w &= w - 1
-			if restrict && !st.canHit[k] {
-				continue
-			}
 			n := st.sets[k].IntersectionCount(st.cand)
 			if best == -1 {
 				best, bestN = k, n
@@ -479,7 +448,7 @@ func (st *state) candidatesIn(k int) []int {
 
 func (st *state) mmcs() {
 	st.stats.Calls++
-	if len(st.uncov) == 0 {
+	if st.nUncov == 0 {
 		st.emitCover()
 		return
 	}
@@ -493,7 +462,7 @@ func (st *state) mmcs() {
 	}
 	for _, e := range c {
 		log := st.updateCritUncov(e, len(st.s))
-		if st.critNonEmptyForAll() && len(st.crit[e]) > 0 {
+		if log.nCovered > 0 && st.critNonEmptyForAll() {
 			variants := st.removeOperatorVariants(e)
 			st.push(e)
 			st.mmcs()
@@ -534,17 +503,13 @@ func (st *state) emitCover() {
 
 // ---- ADCEnum (Figures 4 and 5) -------------------------------------------
 
-// loss evaluates 1 − f(D, S′) for the DC whose uncovered sets are the
-// current uncov plus extra. Pair-counting functions use the maintained
-// uncovWeight and run in O(|extra|).
-func (st *state) loss(extra []int) float64 {
+// loss evaluates 1 − f(D, S′) for the DC whose uncovered sets are U
+// plus the sets in extra (disjoint from U; nil for none). Pair-counting
+// functions add extra's weight to the maintained uncovWeight.
+func (st *state) loss(extra bitset.Bits) float64 {
 	st.stats.LossEvals++
 	if st.eval.fastPair {
-		viol := st.uncovWeight
-		for _, k := range extra {
-			viol += st.ev.Counts[k]
-		}
-		return st.eval.pairLoss(viol)
+		return st.eval.pairLoss(st.uncovWeight + st.weightOf(extra))
 	}
 	if st.eval.fastTuple {
 		return st.tupleLoss(extra)
@@ -552,21 +517,23 @@ func (st *state) loss(extra []int) float64 {
 	// Generic path: LossOf canonicalizes the order, so a custom Func
 	// sees inputs independent of the traversal history and serial and
 	// parallel runs cannot diverge.
-	st.merged = append(st.merged[:0], st.uncov...)
-	st.merged = append(st.merged, extra...)
+	st.merged = st.merged[:0]
+	add := func(k int) { st.merged = append(st.merged, k) }
+	st.uncov.ForEach(add)
+	extra.ForEach(add)
 	return st.eval.LossOf(st.merged)
 }
 
-// tupleLoss computes the F2 or greedy-F3 loss for uncov plus the
-// (disjoint) extra sets from the maintained per-tuple counts, matching
-// approx.F2 / approx.GreedyF3 exactly. The extra deltas are staged in
-// the evaluator's scratch and rolled back through the touched list.
-func (st *state) tupleLoss(extra []int) float64 {
+// tupleLoss computes the F2 or greedy-F3 loss for U plus the (disjoint)
+// extra sets from the maintained per-tuple counts, matching approx.F2 /
+// approx.GreedyF3 exactly. The extra deltas are staged in the
+// evaluator's scratch and rolled back through the touched list.
+func (st *state) tupleLoss(extra bitset.Bits) float64 {
 	e := st.eval
 	n := st.ev.NumRows
 	var touched []int32
 	involved := st.nonzero
-	for _, k := range extra {
+	extra.ForEach(func(k int) {
 		for _, tc := range e.viosList[k] {
 			if st.vioCount[tc.t]+e.scratch[tc.t] == 0 {
 				involved++
@@ -576,7 +543,7 @@ func (st *state) tupleLoss(extra []int) float64 {
 			}
 			e.scratch[tc.t] += tc.c
 		}
-	}
+	})
 	var result float64
 	if !e.isF3 {
 		result = float64(involved) / float64(n)
@@ -593,12 +560,9 @@ func (st *state) tupleLoss(extra []int) float64 {
 // involved tuples by violation participation, take tuples until the
 // covered count reaches the total violating pairs, return |R|/|D|.
 // Assumes the evaluator's scratch already holds the extra deltas.
-func (st *state) greedyF3(extra []int) float64 {
+func (st *state) greedyF3(extra bitset.Bits) float64 {
 	e := st.eval
-	u := st.uncovWeight
-	for _, k := range extra {
-		u += st.ev.Counts[k]
-	}
+	u := st.uncovWeight + st.weightOf(extra)
 	if u == 0 {
 		return 0
 	}
@@ -613,10 +577,11 @@ func (st *state) greedyF3(extra []int) float64 {
 
 // isMinimal is the subroutine of Figure 5: S is minimal iff no single
 // deletion keeps the loss within ε. The uncovered sets of S \ {u} are
-// uncov ∪ crit[u]. Monotonicity makes single deletions sufficient.
+// U ∪ crit[u], with crit[u] = O ∩ occ[u]. Monotonicity makes single
+// deletions sufficient.
 func (st *state) isMinimal() bool {
 	for _, u := range st.s {
-		if st.loss(st.crit[u]) <= st.opts.Epsilon {
+		if st.loss(st.critOf(u)) <= st.opts.Epsilon {
 			return false
 		}
 	}
@@ -625,27 +590,21 @@ func (st *state) isMinimal() bool {
 
 // willCover is the subroutine of Figure 5: the best any extension of S
 // by remaining candidates can do is cover every uncovered set that still
-// intersects cand; the sets that cannot be hit are exactly those marked
-// canHit=false (the caller runs updateCanHit first). If even that loss
-// exceeds ε, monotonicity prunes the branch.
+// intersects cand; the sets that cannot be hit are exactly U \ canHit
+// (the caller runs updateCanHit first). If even that loss exceeds ε,
+// monotonicity prunes the branch.
 func (st *state) willCover() bool {
 	st.stats.LossEvals++
+	unhittable := st.scratch
+	for i, w := range st.uncov {
+		unhittable[i] = w &^ st.canHit[i]
+	}
 	if st.eval.fastPair {
-		var viol int64
-		for _, k := range st.uncov {
-			if !st.canHit[k] {
-				viol += st.ev.Counts[k]
-			}
-		}
-		return st.eval.pairLoss(viol) <= st.opts.Epsilon
+		return st.eval.pairLoss(st.weightOf(unhittable)) <= st.opts.Epsilon
 	}
-	var unhittable []int
-	for _, k := range st.uncov {
-		if !st.canHit[k] {
-			unhittable = append(unhittable, k)
-		}
-	}
-	return st.eval.LossOf(unhittable) <= st.opts.Epsilon
+	st.merged = st.merged[:0]
+	unhittable.ForEach(func(k int) { st.merged = append(st.merged, k) })
+	return st.eval.LossOf(st.merged) <= st.opts.Epsilon
 }
 
 // updateCanHit is UpdateCanCover of Figure 5: mark every uncovered set
@@ -653,10 +612,15 @@ func (st *state) willCover() bool {
 // flipped, for undo.
 func (st *state) updateCanHit() []int {
 	var flipped []int
-	for _, k := range st.uncov {
-		if st.canHit[k] && !st.sets[k].Intersects(st.cand) {
-			st.canHit[k] = false
-			flipped = append(flipped, k)
+	for wi, w := range st.uncov {
+		w &= st.canHit[wi]
+		for w != 0 {
+			k := wi*64 + bits.TrailingZeros64(w)
+			w &= w - 1
+			if !st.sets[k].Intersects(st.cand) {
+				st.canHit.Clear(k)
+				flipped = append(flipped, k)
+			}
 		}
 	}
 	return flipped
@@ -740,7 +704,7 @@ func (st *state) adcEnum() {
 		st.descend(move{take: moveSkip})
 	}
 	for _, k := range flipped {
-		st.canHit[k] = true
+		st.canHit.Set(k)
 	}
 	for _, e := range removedCand {
 		st.cand.Set(e)
@@ -761,7 +725,7 @@ func (st *state) adcEnum() {
 	}
 	for i, e := range c {
 		log := st.updateCritUncov(e, len(st.s))
-		if st.critNonEmptyForAll() && len(st.crit[e]) > 0 {
+		if log.nCovered > 0 && st.critNonEmptyForAll() {
 			variants := st.removeOperatorVariants(e)
 			st.push(e)
 			st.descend(move{take: int32(i), passed: passed})

@@ -2,9 +2,10 @@ package hitset
 
 // Parallel ADCEnum: the search tree of Figure 4 is cut into subtrees,
 // each identified by an explicit node frame — the move sequence from the
-// root — and enumerated by a pool of workers with their own copies of
-// the mutable bookkeeping (uncov/cand/crit/canHit and the loss
-// evaluator's scratch space).
+// root — and enumerated by a pool of workers, each with a private copy
+// of the mutable bookkeeping (U, O, cand, canHit and the loss
+// evaluator's scratch space) over the occurrence bitsets occ, which all
+// workers share read-only.
 //
 // A coordinator first enumerates the shallow nodes sequentially and
 // enqueues the frontier subtrees (every node at depth seedDepth) onto a
@@ -141,12 +142,13 @@ func (p *pool) stats() Stats {
 func enumerateADCParallel(ev *evidence.Set, opts Options, workers int, emit func(hs bitset.Bits)) Stats {
 	p := &pool{workers: workers, emit: emit}
 	p.intern.init()
+	occ := buildOcc(ev)
 
 	// Phase 1: the coordinator enumerates nodes above the frontier and
 	// collects the frontier subtrees. The slice (not the channel) holds
 	// them so an unexpectedly wide frontier cannot block the seeding.
 	var tasks []task
-	seed := newState(ev, opts)
+	seed := newState(ev, opts, occ)
 	seed.sink = p.sink
 	seed.offload = func(m move) bool {
 		if len(seed.path)+1 < seedDepth {
@@ -173,7 +175,7 @@ func enumerateADCParallel(ev *evidence.Set, opts Options, workers int, emit func
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.runWorker(ev, opts)
+			p.runWorker(ev, opts, occ)
 		}()
 	}
 	wg.Wait()
@@ -208,8 +210,8 @@ func cloneMove(m move) move {
 // runWorker owns one private state for the whole run, replaying tasks
 // against it and unwinding them afterwards, so per-task cost is the
 // replay length rather than a full state rebuild.
-func (p *pool) runWorker(ev *evidence.Set, opts Options) {
-	st := newState(ev, opts)
+func (p *pool) runWorker(ev *evidence.Set, opts Options, occ []bitset.Bits) {
+	st := newState(ev, opts, occ)
 	st.sink = p.sink
 	st.path = make([]move, 0, offloadPathCap)
 	st.offload = func(m move) bool {
@@ -244,7 +246,7 @@ type moveUndo struct {
 	c           []int   // take: the node's full candidate list
 	e           int     // take: chosen element
 	variants    []int   // take: operator variants removed from cand
-	log         *addLog // take: the kept crit/uncov log
+	log         *addLog // take: the kept U/O log
 }
 
 // runTask replays the task's move sequence from the root, enumerates the
@@ -310,7 +312,7 @@ func (st *state) applyMove(m move) moveUndo {
 func (st *state) undoMove(u moveUndo) {
 	if u.take == moveSkip {
 		for _, k := range u.flipped {
-			st.canHit[k] = true
+			st.canHit.Set(k)
 		}
 		for _, e := range u.removedCand {
 			st.cand.Set(e)

@@ -87,10 +87,20 @@ func newMetrics() *metrics {
 	}
 }
 
-func (m *metrics) observe(route string, status int, d time.Duration) {
+// arrive counts a request on its route before the handler runs. A
+// handler may stream a large response to the client before it returns,
+// so a count taken afterwards could lag requests the client has already
+// seen answered.
+func (m *metrics) arrive(route string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.requests[route]++
+}
+
+// observe records a finished request's status and latency.
+func (m *metrics) observe(route string, status int, d time.Duration) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.statuses[status]++
 	h := m.latency[route]
 	if h == nil {

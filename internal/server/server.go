@@ -181,6 +181,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	s.mux.Handle(pattern, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		s.met.arrive(pattern)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		h(sw, r)

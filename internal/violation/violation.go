@@ -42,6 +42,7 @@ package violation
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"slices"
 
 	"adc/internal/dataset"
@@ -287,8 +288,8 @@ func Validate(rel *dataset.Relation, specs []predicate.DCSpec, approxName string
 // avoiding a second pair enumeration: losses under every function are
 // part of each DCResult.
 func (r *Report) Validations(approxName string, eps float64) ([]Validation, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("violation: negative epsilon %v", eps)
+	if eps < 0 || math.IsNaN(eps) {
+		return nil, fmt.Errorf("violation: epsilon %v is negative or NaN", eps)
 	}
 	pick, err := lossPicker(approxName)
 	if err != nil {

@@ -181,6 +181,9 @@ func TestValidate(t *testing.T) {
 	if _, err := Validate(rel, specs, "f1", -1, Options{}); err == nil {
 		t.Error("negative epsilon accepted")
 	}
+	if _, err := Validate(rel, specs, "f1", math.NaN(), Options{}); err == nil {
+		t.Error("NaN epsilon accepted")
+	}
 }
 
 func TestRepairRunningExample(t *testing.T) {
