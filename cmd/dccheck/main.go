@@ -84,7 +84,7 @@ func main() {
 	flag.Float64Var(&cfg.eps, "eps", 0, "pass a DC when its loss is at most eps (0 = require no violations); also the mining threshold with -mine")
 	flag.IntVar(&cfg.maxPreds, "max-preds", 4, "maximum predicates per mined DC (-mine)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "mining seed (-mine)")
-	flag.StringVar(&cfg.path, "path", "auto", "execution path: auto (planner), pli, range, scan, or binary")
+	flag.StringVar(&cfg.path, "path", "auto", "execution path: auto (per-DC planner) or scan (refutation scan over all pairs)")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines per DC (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.maxPairs, "max-pairs", 10, "violating pairs shown per DC (0 = all)")
 	flag.IntVar(&cfg.top, "top", 5, "dirtiest tuples shown (0 = none)")

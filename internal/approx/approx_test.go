@@ -23,7 +23,7 @@ func load(t *testing.T) fixture {
 	t.Helper()
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	ev, err := evidence.FastBuilder{}.Build(space, true)
+	ev, err := evidence.NaiveBuilder{}.Build(space, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestNeedsVios(t *testing.T) {
 func TestViosPanicMessage(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	ev, err := evidence.FastBuilder{}.Build(space, false) // no vios
+	ev, err := evidence.NaiveBuilder{}.Build(space, false) // no vios
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,9 +119,9 @@ func (b Bits) Or(o Bits) {
 
 // OrInto writes b ∪ o into dst, which must have at least len(b) words
 // (extra words are left untouched) while o may be shorter than b. It is
-// the allocation-free fused copy+Or of FastBuilder's pair loop: dst is
-// the reused evidence buffer, b the per-row base mask, o the first
-// cross group's operator mask.
+// the allocation-free fused copy+Or of the evidence delta's pair
+// evaluation: dst is the reused evidence buffer, b the per-row base
+// mask, o the first cross group's operator mask.
 func (b Bits) OrInto(o, dst Bits) {
 	n := len(o)
 	if len(b) < n {

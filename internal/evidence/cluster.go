@@ -4,22 +4,30 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 
 	"adc/internal/bitset"
+	"adc/internal/dataset"
+	"adc/internal/par"
 	"adc/internal/pli"
 	"adc/internal/predicate"
 )
 
-// ClusterBuilder constructs the evidence set cluster- and cache-aware,
-// the block-structured successor of FastBuilder:
+// ClusterBuilder constructs the evidence set with bit-level operations
+// over PLI ranks, in the style of DCFinder (the bit-level construction
+// the paper adopts for its evidence component, Section 4.2), made
+// cluster- and cache-aware:
 //
+//   - Single-tuple predicate groups depend only on the first tuple, so
+//     their contribution is a per-row mask computed once. Cross-tuple
+//     groups reduce to a comparison code per tuple (a PLI rank, or a
+//     merged equality code), and the comparison of two codes selects a
+//     precomputed mask of satisfied operators.
 //   - Rows with identical predicate behavior — equal single-tuple masks
-//     and equal PLI codes in every cross-tuple group, in both tuple
-//     roles — are collapsed into one weighted super-row. All w·w' pairs
-//     of a super-row pair share one evidence set, computed once and
-//     counted w·w' times, so equal-heavy relations drop from O(n²)
-//     evidence computations to O(s²) for s distinct signatures.
+//     and equal codes in every cross-tuple group, in both tuple roles —
+//     are collapsed into one weighted super-row. All w·w' pairs of a
+//     super-row pair share one evidence set, computed once and counted
+//     w·w' times, so equal-heavy relations drop from O(n²) evidence
+//     computations to O(s²) for s distinct signatures.
 //   - Super-rows are sorted by PLI rank (lowest-cardinality groups as
 //     the primary keys) and the pair space is processed in cache-sized
 //     tiles. Within a tile, a low-cardinality group contributes one
@@ -28,31 +36,38 @@ import (
 //     per tuple pair. High-cardinality groups take a branch-free
 //     segment pass instead: each column tile is pre-sorted by the
 //     group's rank once (shared by every row tile), splitting each
-//     row's comparisons into three contiguous segments (>, =, <) that
-//     are OR-ed without any per-pair comparison or branch.
+//     row's comparisons into contiguous segments (>, =, <) that are
+//     OR-ed without any per-pair comparison or branch.
 //   - Deduplication runs through an open-addressing intern table keyed
 //     directly on the bitset words (word-level FNV hash, arena-backed,
 //     no string allocation); worker-local tables merge with a
 //     word-level combine instead of re-hashing through Go maps.
 //
-// The result is bit-for-bit identical to NaiveBuilder's (tests and the
-// fuzz corpus enforce this); only the construction cost differs.
+// The result is bit-for-bit identical to NaiveBuilder's up to the order
+// of distinct sets (tests and the fuzz corpus enforce this); for a fixed
+// worker count the order is deterministic.
 type ClusterBuilder struct {
-	// Workers is the number of goroutines; 0 means 1 (single-threaded,
-	// the honest baseline for builder comparisons — AutoBuilder turns
-	// on parallelism when the workload warrants it).
+	// Workers is the number of goroutines. 0 chooses from the data: one
+	// worker below autoSerialPairs super-row pairs, where the goroutine
+	// fan-out costs more than the work, and GOMAXPROCS above.
 	Workers int
 	// TileSize is the tile edge in super-rows; 0 means 64, which keeps
 	// a tile row's evidence L1-resident for typical predicate-space
 	// widths.
 	TileSize int
-	// Indexes optionally shares a per-column PLI cache; see
-	// FastBuilder.Indexes.
+	// Indexes optionally shares a per-column PLI cache (the same store
+	// the violation checker uses) so long-lived callers skip rebuilding
+	// same-attribute indexes. Ignored unless it covers exactly the
+	// relation's columns.
 	Indexes *pli.Store
 }
 
 // Name implements Builder.
 func (ClusterBuilder) Name() string { return "cluster-tiled" }
+
+// autoSerialPairs: below this many super-row pairs a single worker
+// beats the goroutine fan-out cost.
+const autoSerialPairs = 1 << 16
 
 // Build implements Builder.
 func (b ClusterBuilder) Build(space *predicate.Space, withVios bool) (*Set, error) {
@@ -60,54 +75,196 @@ func (b ClusterBuilder) Build(space *predicate.Space, withVios bool) (*Set, erro
 	if n < 2 {
 		return nil, fmt.Errorf("evidence: need at least 2 rows, have %d", n)
 	}
-	workers := b.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	cp := prepareClusters(preparePlan(space, b.Indexes), n, b.TileSize)
-	return cp.run(space, withVios, workers), nil
-}
-
-// AutoBuilder selects the evidence construction strategy from the data:
-// it prepares the shared PLI plan, collapses rows into super-rows, and
-// then applies a cardinality heuristic. When the signature space barely
-// compresses (s ≈ n) and every operator group is high-cardinality (no
-// rank clusters to batch), the block machinery cannot add much over the
-// per-pair fast kernel, but the intern table still wins — so the
-// cluster kernel runs in both regimes and the heuristic only decides
-// the worker count: single-threaded for small super-pair counts (the
-// goroutine fan-out costs more than the work), parallel beyond that.
-type AutoBuilder struct {
-	// Workers bounds the goroutines used when the heuristic goes
-	// parallel; 0 means GOMAXPROCS.
-	Workers int
-	// Indexes optionally shares a per-column PLI cache; see
-	// FastBuilder.Indexes.
-	Indexes *pli.Store
-}
-
-// Name implements Builder.
-func (AutoBuilder) Name() string { return "auto" }
-
-// autoSerialPairs: below this many super-pairs a single worker beats
-// the goroutine fan-out cost.
-const autoSerialPairs = 1 << 16
-
-// Build implements Builder.
-func (b AutoBuilder) Build(space *predicate.Space, withVios bool) (*Set, error) {
-	n := space.Rel.NumRows()
-	if n < 2 {
-		return nil, fmt.Errorf("evidence: need at least 2 rows, have %d", n)
-	}
 	workers := b.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	cp := prepareClusters(preparePlan(space, b.Indexes), n, 0)
-	if int64(cp.s)*int64(cp.s) < autoSerialPairs {
-		workers = 1
+		if int64(cp.s)*int64(cp.s) < autoSerialPairs {
+			workers = 1
+		}
 	}
 	return cp.run(space, withVios, workers), nil
+}
+
+// ---- Plan ----------------------------------------------------------------
+
+// nanCode is the comparison code of a NaN operand. NaN is equal to,
+// below and above nothing, so a pair with a NaN on either side
+// satisfies only ≠ (Operator.EvalNum).
+const nanCode = -1
+
+// crossGroup is a cross-tuple operator group prepared for per-pair
+// evaluation: ranks (or merged equality codes) plus the operator masks.
+type crossGroup struct {
+	ra, rb  []int32
+	card    int32       // number of distinct codes across ra ∪ rb
+	maskLt  bitset.Bits // code a<b: {<, <=, !=}
+	maskEq  bitset.Bits // code a=b: {=, <=, >=}
+	maskGt  bitset.Bits // code a>b: {>, >=, !=}
+	maskNaN bitset.Bits // either code nanCode: {!=}
+}
+
+// plan holds the precomputed per-row masks and cross-group rank/mask
+// tables shared by the cluster builder and the delta path.
+type plan struct {
+	rowMask []bitset.Bits
+	cross   []crossGroup
+	words   int
+}
+
+// preparePlan computes PLI ranks, operator masks, and single-tuple row
+// masks for a predicate space. A non-nil store that covers the
+// relation's columns supplies cached same-attribute indexes (and is
+// populated for columns it has not built yet); otherwise indexes are
+// built locally and discarded with the plan.
+func preparePlan(space *predicate.Space, store *pli.Store) *plan {
+	rel := space.Rel
+	n := rel.NumRows()
+	words := bitset.WordsFor(space.Size())
+
+	if store != nil && !store.Covers(rel.Columns) {
+		store = nil // e.g. a sampled relation: the cache does not apply
+	}
+	// PLI per column: collect the columns same-attribute groups need and
+	// build their indexes in parallel up front.
+	need := []int{} // non-nil: an empty need set must not build all columns
+	for gi := range space.Groups {
+		if g := &space.Groups[gi]; g.Cross && g.A == g.B {
+			need = append(need, g.A)
+		}
+	}
+	var indexes []*pli.Index
+	if store != nil {
+		store.Warm(need, 0)
+	} else {
+		indexes = pli.BuildIndexes(rel.Columns, need, 0)
+	}
+	indexFor := func(col int) *pli.Index {
+		if store != nil {
+			return store.Index(col)
+		}
+		if indexes[col] == nil { // not in need: build on demand
+			indexes[col] = pli.ForColumn(rel.Columns[col])
+		}
+		return indexes[col]
+	}
+
+	p := &plan{words: words, rowMask: make([]bitset.Bits, n)}
+	for i := range p.rowMask {
+		p.rowMask[i] = make(bitset.Bits, words)
+	}
+	for gi := range space.Groups {
+		g := &space.Groups[gi]
+		if !g.Cross {
+			// Single-tuple group: fold into the per-row base masks.
+			for i := 0; i < n; i++ {
+				for _, id := range g.Members {
+					if space.Eval(id, i, 0) { // second row ignored
+						p.rowMask[i].Set(id)
+					}
+				}
+			}
+			continue
+		}
+		cg := crossGroup{
+			maskLt:  make(bitset.Bits, words),
+			maskEq:  make(bitset.Bits, words),
+			maskGt:  make(bitset.Bits, words),
+			maskNaN: make(bitset.Bits, words),
+		}
+		setOp := func(op predicate.Operator, masks ...bitset.Bits) {
+			if id := g.ByOp[op]; id >= 0 {
+				for _, m := range masks {
+					m.Set(id)
+				}
+			}
+		}
+		setOp(predicate.Eq, cg.maskEq)
+		setOp(predicate.Neq, cg.maskLt, cg.maskGt, cg.maskNaN)
+		if g.Numeric {
+			setOp(predicate.Lt, cg.maskLt)
+			setOp(predicate.Leq, cg.maskLt, cg.maskEq)
+			setOp(predicate.Gt, cg.maskGt)
+			setOp(predicate.Geq, cg.maskGt, cg.maskEq)
+		}
+		switch {
+		case g.A == g.B:
+			idx := indexFor(g.A)
+			cg.ra, cg.rb = idx.ClusterOf, idx.ClusterOf
+			cg.card = int32(idx.NumClusters)
+		case g.Numeric:
+			cg.ra, cg.rb = pli.MergedRanks(rel.Columns[g.A], rel.Columns[g.B])
+			cg.card = maxCode(cg.ra, cg.rb) + 1
+		default:
+			cg.ra, cg.rb = pli.MergedCodes(rel.Columns[g.A], rel.Columns[g.B])
+			cg.card = maxCode(cg.ra, cg.rb) + 1
+		}
+		if g.Numeric {
+			// PLI ranks give every NaN its own rank below all numbers,
+			// which would select maskLt or maskGt.
+			cg.ra = withNaNCode(cg.ra, rel.Columns[g.A])
+			if g.A == g.B {
+				cg.rb = cg.ra
+			} else {
+				cg.rb = withNaNCode(cg.rb, rel.Columns[g.B])
+			}
+		}
+		p.cross = append(p.cross, cg)
+	}
+	return p
+}
+
+// withNaNCode returns codes with the code of every NaN row of col
+// replaced by nanCode. codes may alias a shared index, so the
+// replacement writes to a copy; a column without NaN returns codes
+// itself.
+func withNaNCode(codes []int32, col *dataset.Column) []int32 {
+	var out []int32
+	for i, v := range col.Floats { // nil unless a float column
+		if v != v {
+			if out == nil {
+				out = slices.Clone(codes)
+			}
+			out[i] = nanCode
+		}
+	}
+	if out == nil {
+		return codes
+	}
+	return out
+}
+
+// maxCode returns the largest code appearing in either slice (codes are
+// dense, so max+1 is the cardinality of the merged domain).
+func maxCode(ra, rb []int32) int32 {
+	var m int32
+	for _, c := range ra {
+		if c > m {
+			m = c
+		}
+	}
+	for _, c := range rb {
+		if c > m {
+			m = c
+		}
+	}
+	return m
+}
+
+// mask selects the operator mask the group contributes to the ordered
+// pair (i, j).
+func (cg *crossGroup) mask(i, j int) bitset.Bits {
+	a, b := cg.ra[i], cg.rb[j]
+	switch {
+	case a == nanCode || b == nanCode:
+		return cg.maskNaN
+	case a == b:
+		return cg.maskEq
+	case a < b:
+		return cg.maskLt
+	default:
+		return cg.maskGt
+	}
 }
 
 // ---- Cluster plan --------------------------------------------------------
@@ -130,19 +287,20 @@ func sparsify(b bitset.Bits) sparseMask {
 	return m
 }
 
-// groupMasks are a cross group's three sparse comparison masks.
+// groupMasks are a cross group's sparse comparison masks.
 type groupMasks struct {
-	lt, eq, gt sparseMask
+	lt, eq, gt, nan sparseMask
 }
 
 // colTileIndex is one (scattered group, column tile) pre-sorted view:
 // the tile's positions ordered by the group's code, with the codes in
 // that order. Built once per column tile and shared by every row tile,
-// it turns each row's mask selection into two binary searches and three
-// branch-free segment loops.
+// it turns each row's mask selection into two binary searches and
+// branch-free segment loops. nan counts the leading nanCode entries.
 type colTileIndex struct {
 	perm  []int32
 	codes []int32
+	nan   int
 }
 
 // clusterPlan is a plan reorganized around super-rows: rows collapsed
@@ -255,9 +413,10 @@ func prepareClusters(p *plan, n, tileSize int) *clusterPlan {
 		cp.rowCodes[k] = make([]int32, s)
 		cp.colCodes[k] = make([]int32, s)
 		cp.masks[k] = groupMasks{
-			lt: sparsify(p.cross[k].maskLt),
-			eq: sparsify(p.cross[k].maskEq),
-			gt: sparsify(p.cross[k].maskGt),
+			lt:  sparsify(p.cross[k].maskLt),
+			eq:  sparsify(p.cross[k].maskEq),
+			gt:  sparsify(p.cross[k].maskGt),
+			nan: sparsify(p.cross[k].maskNaN),
 		}
 	}
 	for t, src := range ord {
@@ -304,7 +463,11 @@ func prepareClusters(p *plan, n, tileSize int) *clusterPlan {
 			for j, pj := range perm {
 				codes[j] = cc[c0+int(pj)]
 			}
-			idx[ti] = colTileIndex{perm: perm, codes: codes}
+			nan := 0
+			for nan < len(codes) && codes[nan] == nanCode {
+				nan++
+			}
+			idx[ti] = colTileIndex{perm: perm, codes: codes, nan: nan}
 		}
 		cp.colIdx[k] = idx
 	}
@@ -354,36 +517,21 @@ func (a *clusterAcc) vios(idx int32) map[int32]int64 {
 func (cp *clusterPlan) run(space *predicate.Space, withVios bool, workers int) *Set {
 	tileSize := cp.tile
 	numTiles := (cp.s + tileSize - 1) / tileSize
-	if workers > numTiles {
-		workers = numTiles
-	}
+	workers = min(workers, numTiles)
 
+	// Strided static assignment: worker w takes row tiles w, w+W, w+2W,
+	// … — interleaving spreads weight skew across workers while keeping
+	// each worker's visit order (and therefore the merged distinct-set
+	// order) deterministic for a fixed W.
 	accs := make([]*clusterAcc, workers)
-	if workers <= 1 {
-		accs[0] = newClusterAcc(cp.p.words, withVios)
+	par.Do(workers, workers, func(w int) {
+		acc := newClusterAcc(cp.p.words, withVios)
 		buf := make([]uint64, tileSize*tileSize*max(cp.p.words, 1))
-		for rt := 0; rt < numTiles; rt++ {
-			cp.rowTile(accs[0], buf, rt*tileSize, withVios)
+		for rt := w; rt < numTiles; rt += workers {
+			cp.rowTile(acc, buf, rt*tileSize, withVios)
 		}
-	} else {
-		// Strided static assignment: worker w takes row tiles w, w+W,
-		// w+2W, … — interleaving spreads weight skew across workers
-		// while keeping each worker's visit order (and therefore the
-		// merged distinct-set order) deterministic for a fixed W.
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			accs[w] = newClusterAcc(cp.p.words, withVios)
-			wg.Add(1)
-			go func(acc *clusterAcc, w int) {
-				defer wg.Done()
-				buf := make([]uint64, tileSize*tileSize*max(cp.p.words, 1))
-				for rt := w; rt < numTiles; rt += workers {
-					cp.rowTile(acc, buf, rt*tileSize, withVios)
-				}
-			}(accs[w], w)
-		}
-		wg.Wait()
-	}
+		accs[w] = acc
+	})
 
 	base := accs[0]
 	for _, other := range accs[1:] {
@@ -468,6 +616,8 @@ func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, r0, r1, ct int,
 				}
 				var m *sparseMask
 				switch {
+				case a == nanCode || b == nanCode:
+					m = &gm.nan
 				case a == b:
 					m = &gm.eq
 				case a < b:
@@ -484,20 +634,28 @@ func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, r0, r1, ct int,
 
 	// Scattered groups, segment pass, row-major so each tile row's
 	// evidence stays L1-resident across groups. For each row the
-	// sorted column view splits into [0,lo) where the column's code is
-	// below the row's (maskGt), [lo,hi) equal (maskEq), and [hi,cols)
-	// above (maskLt) — no per-pair comparison or branch.
+	// sorted column view splits into the NaN prefix [0,nan) (maskNaN),
+	// [nan,lo) where the column's code is below the row's (maskGt),
+	// [lo,hi) equal (maskEq), and [hi,cols) above (maskLt) — no per-pair
+	// comparison or branch. A NaN row takes maskNaN across the tile.
 	for ti := 0; ti < rows; ti++ {
 		rowBase := ti * cols * words
 		for _, k := range cp.scattered {
 			a := cp.rowCodes[k][r0+ti]
 			idx := &cp.colIdx[k][ct]
 			gm := &cp.masks[k]
+			if a == nanCode {
+				orSegment(buf, rowBase, idx.perm, words, &gm.nan)
+				continue
+			}
+			if idx.nan > 0 {
+				orSegment(buf, rowBase, idx.perm[:idx.nan], words, &gm.nan)
+			}
 			codes := idx.codes
 			// Inlined branchless-ish binary search for the first code
 			// ≥ a (sort.Search's closure call costs as much as the
 			// compare at this trip count).
-			lo, up := 0, len(codes)
+			lo, up := idx.nan, len(codes)
 			for lo < up {
 				mid := int(uint(lo+up) >> 1)
 				if codes[mid] < a {
@@ -510,7 +668,7 @@ func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, r0, r1, ct int,
 			for hi < len(codes) && codes[hi] == a {
 				hi++
 			}
-			orSegment(buf, rowBase, idx.perm[:lo], words, &gm.gt)
+			orSegment(buf, rowBase, idx.perm[idx.nan:lo], words, &gm.gt)
 			orSegment(buf, rowBase, idx.perm[lo:hi], words, &gm.eq)
 			orSegment(buf, rowBase, idx.perm[hi:], words, &gm.lt)
 		}

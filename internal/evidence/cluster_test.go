@@ -2,6 +2,7 @@ package evidence_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"adc/internal/datagen"
@@ -93,18 +94,47 @@ func TestClusterTileSizes(t *testing.T) {
 	}
 }
 
+// TestAutoMatchesNaive covers the zero value's worker rule on both
+// sides of its threshold: the running example's few super-rows run on
+// one worker, stock at 300 rows (near-unique rows, over 2^16 super-row
+// pairs) on GOMAXPROCS. For a fixed worker count the distinct-set order
+// is deterministic, so matching the explicit count's order pins the
+// rule's choice.
 func TestAutoMatchesNaive(t *testing.T) {
-	rel := datagen.RunningExample()
-	space := predicate.Build(rel, predicate.DefaultOptions())
-	naive, err := evidence.NaiveBuilder{}.Build(space, true)
+	stock, err := datagen.ByName("stock", 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := evidence.AutoBuilder{}.Build(space, true)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		rel     *dataset.Relation
+		workers int
+	}{
+		{datagen.RunningExample(), 1},
+		{stock.Rel, runtime.GOMAXPROCS(0)},
+	} {
+		space := predicate.Build(tc.rel, predicate.DefaultOptions())
+		naive, err := evidence.NaiveBuilder{}.Build(space, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auto, err := evidence.ClusterBuilder{}.Build(space, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameEvidence(t, naive, auto, true)
+		explicit, err := evidence.ClusterBuilder{Workers: tc.workers}.Build(space, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if explicit.Distinct() != auto.Distinct() {
+			t.Fatalf("%s: distinct sets %d, want %d", tc.rel.Name, auto.Distinct(), explicit.Distinct())
+		}
+		for k := range explicit.Sets {
+			if !explicit.Sets[k].Equal(auto.Sets[k]) {
+				t.Fatalf("%s: zero value's set order differs from Workers: %d at %d", tc.rel.Name, tc.workers, k)
+			}
+		}
 	}
-	requireSameEvidence(t, naive, auto, true)
 }
 
 // TestClusterAllRowsIdentical exercises total collapse: one super-row,
@@ -140,7 +170,7 @@ func TestClusterAllRowsIdentical(t *testing.T) {
 }
 
 // TestClusterAllRowsDistinct exercises the no-compression path (every
-// signature unique) and AutoBuilder's fast-kernel fallback.
+// signature unique).
 func TestClusterAllRowsDistinct(t *testing.T) {
 	n := 23
 	vals := make([]float64, n)
@@ -163,11 +193,6 @@ func TestClusterAllRowsDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameEvidence(t, naive, cluster, true)
-	auto, err := evidence.AutoBuilder{}.Build(space, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameEvidence(t, naive, auto, true)
 }
 
 func TestClusterTooFewRows(t *testing.T) {
@@ -175,11 +200,10 @@ func TestClusterTooFewRows(t *testing.T) {
 		dataset.NewIntColumn("a", []int64{1}),
 	})
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	if _, err := (evidence.ClusterBuilder{}).Build(space, false); err == nil {
-		t.Error("cluster: want error on single-row relation")
-	}
-	if _, err := (evidence.AutoBuilder{}).Build(space, false); err == nil {
-		t.Error("auto: want error on single-row relation")
+	for _, workers := range []int{0, 1, 4} {
+		if _, err := (evidence.ClusterBuilder{Workers: workers}).Build(space, false); err == nil {
+			t.Errorf("workers=%d: want error on single-row relation", workers)
+		}
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 // property: for any relation, any predicate-space shape, and any split
 // of the rows into a base prefix and an appended suffix, extending the
 // base's evidence with ApplyDelta equals building the full relation's
-// evidence from scratch — sets, counts, and vios. ErrSpaceChanged is
-// the one legal escape, and only when the split genuinely changes the
-// space structure. The seed corpus (testdata/fuzz/FuzzEvidenceDelta)
-// runs on every plain `go test`; `go test -fuzz=FuzzEvidenceDelta`
-// explores further.
+// evidence from scratch with the NaiveBuilder oracle — sets, counts,
+// and vios. ErrSpaceChanged is the one legal escape, and only when the
+// split genuinely changes the space structure. The seed corpus
+// (testdata/fuzz/FuzzEvidenceDelta) runs on every plain `go test`;
+// `go test -fuzz=FuzzEvidenceDelta` explores further.
 func FuzzEvidenceDelta(f *testing.F) {
 	for seed := int64(0); seed < 10; seed++ {
 		f.Add(seed, byte(seed*31), byte(seed*13))
@@ -43,7 +43,7 @@ func FuzzEvidenceDelta(f *testing.F) {
 		fullSpace := predicate.Build(rel, popts)
 		withVios := shape&8 != 0
 
-		prev, err := evidence.FastBuilder{}.Build(baseSpace, withVios)
+		prev, err := evidence.ClusterBuilder{}.Build(baseSpace, withVios)
 		if err != nil {
 			t.Fatalf("base build: %v", err)
 		}
@@ -61,7 +61,7 @@ func FuzzEvidenceDelta(f *testing.F) {
 		if want := 2*k*int64(m) + k*k - k; st.Pairs != want {
 			t.Fatalf("delta pairs = %d, want %d (append %d onto %d)", st.Pairs, want, k, m)
 		}
-		scratch, err := evidence.FastBuilder{}.Build(fullSpace, withVios)
+		scratch, err := evidence.NaiveBuilder{}.Build(fullSpace, withVios)
 		if err != nil {
 			t.Fatalf("scratch build: %v", err)
 		}

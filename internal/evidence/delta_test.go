@@ -51,7 +51,7 @@ func TestDeltaMatchesScratchMultiBatch(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(len(name))))
 			cur := prefix(full.Rel, 100)
-			prev, err := evidence.FastBuilder{}.Build(predicate.Build(cur, popts), true)
+			prev, err := evidence.ClusterBuilder{}.Build(predicate.Build(cur, popts), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestDeltaMatchesScratchMultiBatch(t *testing.T) {
 					t.Fatal(err)
 				}
 				space := predicate.Build(next, popts)
-				scratch, err := evidence.FastBuilder{}.Build(space, true)
+				scratch, err := evidence.ClusterBuilder{}.Build(space, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,10 +133,9 @@ func TestDeltaNewSignaturesAndDictCodes(t *testing.T) {
 }
 
 // TestDeltaNaNNumerics pins the delta path on float columns containing
-// NaN in both the base and the appended rows. The reference is
-// FastBuilder — delta and scratch share the plan machinery, so whatever
-// total order the merged ranks give NaN, both sides must give the same
-// evidence.
+// NaN in both the base and the appended rows against the NaiveBuilder
+// oracle: a pair with a NaN operand satisfies only ≠ in that group,
+// whatever rank the PLI gives the NaN.
 func TestDeltaNaNNumerics(t *testing.T) {
 	nan := math.NaN()
 	base := dataset.MustNewRelation("r", []*dataset.Column{
@@ -144,7 +143,7 @@ func TestDeltaNaNNumerics(t *testing.T) {
 		dataset.NewIntColumn("k", []int64{0, 1, 0, 1, 0, 1}),
 	})
 	popts := predicate.DefaultOptions()
-	prev, err := evidence.FastBuilder{}.Build(predicate.Build(base, popts), true)
+	prev, err := evidence.ClusterBuilder{}.Build(predicate.Build(base, popts), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestDeltaNaNNumerics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := evidence.FastBuilder{}.Build(space, true)
+	scratch, err := evidence.NaiveBuilder{}.Build(space, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestDeltaWithoutVios(t *testing.T) {
 	}
 	popts := predicate.DefaultOptions()
 	cur := prefix(full.Rel, 50)
-	prev, err := evidence.FastBuilder{}.Build(predicate.Build(cur, popts), false)
+	prev, err := evidence.ClusterBuilder{}.Build(predicate.Build(cur, popts), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestDeltaWithoutVios(t *testing.T) {
 	if got.HasVios() {
 		t.Fatal("delta materialized vios from a vios-free base")
 	}
-	scratch, err := evidence.FastBuilder{}.Build(space, false)
+	scratch, err := evidence.ClusterBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +210,7 @@ func TestDeltaSpaceChangedFallback(t *testing.T) {
 	})
 	popts := predicate.DefaultOptions()
 	baseSpace := predicate.Build(base, popts)
-	prev, err := evidence.FastBuilder{}.Build(baseSpace, true)
+	prev, err := evidence.ClusterBuilder{}.Build(baseSpace, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +236,7 @@ func TestDeltaDegenerateBases(t *testing.T) {
 	}
 	popts := predicate.DefaultOptions()
 	space := predicate.Build(full.Rel, popts)
-	prev, err := evidence.FastBuilder{}.Build(space, true)
+	prev, err := evidence.ClusterBuilder{}.Build(space, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,19 +6,17 @@
 // per-tuple participation counts ("vios", Figure 2) that the f2 and
 // greedy-f3 approximation functions consume.
 //
-// Several interchangeable builders are provided, all producing
-// bit-for-bit identical evidence. NaiveBuilder evaluates every
-// predicate on every ordered pair, as in FASTDC (Chu et al.); it is
-// the correctness oracle and the evidence-cost baseline. FastBuilder
-// is in the style of DCFinder (Pena et al.): it reduces each operator
-// group to a small comparison code per pair, computed from PLI ranks,
-// and ORs precomputed bit masks — the bit-level construction the paper
-// adopts for its evidence component (Section 4.2, component 3).
-// ParallelBuilder partitions FastBuilder's pair loop across workers.
-// ClusterBuilder collapses signature-identical rows into weighted
-// super-rows and processes rank-sorted, cache-sized tiles with
-// per-cluster-pair mask selection and an arena-backed intern table;
-// AutoBuilder (the adc.Mine default) wraps it with a worker heuristic.
+// Two builders are provided, producing the same evidence. ClusterBuilder
+// (the adc.Mine default) is the bit-level construction the paper adopts
+// for its evidence component (Section 4.2, component 3), in the style
+// of DCFinder (Pena et al.): each operator group reduces to a comparison
+// code per tuple, computed from PLI ranks, and comparing two codes
+// selects a precomputed bit mask; signature-identical rows collapse into
+// weighted super-rows, processed in rank-sorted, cache-sized tiles.
+// NaiveBuilder evaluates every predicate on every ordered pair, as in
+// FASTDC (Chu et al.); it is the correctness oracle and the
+// evidence-cost baseline. Set.ApplyDelta maintains an evidence set
+// across appends.
 package evidence
 
 import (

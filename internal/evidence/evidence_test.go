@@ -12,18 +12,18 @@ import (
 	"adc/internal/predicate"
 )
 
-func buildBoth(t *testing.T, rel *dataset.Relation, withVios bool) (naive, fast *evidence.Set) {
+func buildBoth(t *testing.T, rel *dataset.Relation, withVios bool) (naive, cluster *evidence.Set) {
 	t.Helper()
 	space := predicate.Build(rel, predicate.DefaultOptions())
 	n, err := evidence.NaiveBuilder{}.Build(space, withVios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := evidence.FastBuilder{}.Build(space, withVios)
+	c, err := evidence.ClusterBuilder{}.Build(space, withVios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, f
+	return n, c
 }
 
 // asMultiset turns an evidence set into a canonical map from bitset key
@@ -37,24 +37,24 @@ func asMultiset(s *evidence.Set) map[string]int64 {
 }
 
 func TestBuildersAgreeOnRunningExample(t *testing.T) {
-	naive, fast := buildBoth(t, datagen.RunningExample(), false)
-	if naive.TotalPairs != 210 || fast.TotalPairs != 210 {
-		t.Fatalf("TotalPairs = %d/%d, want 210", naive.TotalPairs, fast.TotalPairs)
+	naive, cluster := buildBoth(t, datagen.RunningExample(), false)
+	if naive.TotalPairs != 210 || cluster.TotalPairs != 210 {
+		t.Fatalf("TotalPairs = %d/%d, want 210", naive.TotalPairs, cluster.TotalPairs)
 	}
-	nm, fm := asMultiset(naive), asMultiset(fast)
-	if len(nm) != len(fm) {
-		t.Fatalf("distinct sets differ: naive %d, fast %d", len(nm), len(fm))
+	nm, cm := asMultiset(naive), asMultiset(cluster)
+	if len(nm) != len(cm) {
+		t.Fatalf("distinct sets differ: naive %d, cluster %d", len(nm), len(cm))
 	}
 	for k, c := range nm {
-		if fm[k] != c {
-			t.Fatalf("multiplicity mismatch for a distinct evidence set: %d vs %d", c, fm[k])
+		if cm[k] != c {
+			t.Fatalf("multiplicity mismatch for a distinct evidence set: %d vs %d", c, cm[k])
 		}
 	}
 }
 
 func TestCountsSumToTotalPairs(t *testing.T) {
-	naive, fast := buildBoth(t, datagen.RunningExample(), false)
-	for _, s := range []*evidence.Set{naive, fast} {
+	naive, cluster := buildBoth(t, datagen.RunningExample(), false)
+	for _, s := range []*evidence.Set{naive, cluster} {
 		var sum int64
 		for k := 0; k < s.Distinct(); k++ {
 			sum += s.CountOf(k)
@@ -68,7 +68,7 @@ func TestCountsSumToTotalPairs(t *testing.T) {
 func TestViolationCountsMatchPaperExamples(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	set, err := evidence.FastBuilder{}.Build(space, false)
+	set, err := evidence.ClusterBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestViolationCountsMatchPaperExamples(t *testing.T) {
 func TestViolationCountAgreesWithDirectCount(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	set, err := evidence.FastBuilder{}.Build(space, false)
+	set, err := evidence.ClusterBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestViolationCountAgreesWithDirectCount(t *testing.T) {
 }
 
 func TestViosConsistency(t *testing.T) {
-	naive, fast := buildBoth(t, datagen.RunningExample(), true)
-	for _, s := range []*evidence.Set{naive, fast} {
+	naive, cluster := buildBoth(t, datagen.RunningExample(), true)
+	for _, s := range []*evidence.Set{naive, cluster} {
 		if !s.HasVios() {
 			t.Fatal("vios not built")
 		}
@@ -130,9 +130,6 @@ func TestTooFewRows(t *testing.T) {
 	space := predicate.Build(rel, predicate.DefaultOptions())
 	if _, err := (evidence.NaiveBuilder{}).Build(space, false); err == nil {
 		t.Error("naive: want error on single-row relation")
-	}
-	if _, err := (evidence.FastBuilder{}).Build(space, false); err == nil {
-		t.Error("fast: want error on single-row relation")
 	}
 }
 
@@ -168,20 +165,20 @@ func TestQuickBuildersAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fast, err := evidence.FastBuilder{}.Build(space, true)
+		cluster, err := evidence.ClusterBuilder{}.Build(space, true)
 		if err != nil {
 			return false
 		}
-		nm, fm := asMultiset(naive), asMultiset(fast)
-		if len(nm) != len(fm) {
+		nm, cm := asMultiset(naive), asMultiset(cluster)
+		if len(nm) != len(cm) {
 			return false
 		}
 		for k, c := range nm {
-			if fm[k] != c {
+			if cm[k] != c {
 				return false
 			}
 		}
-		return naive.TotalPairs == fast.TotalPairs
+		return naive.TotalPairs == cluster.TotalPairs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -193,7 +190,7 @@ func TestQuickViolationCountMatchesDirect(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		rel := randomRelation(r)
 		space := predicate.Build(rel, predicate.DefaultOptions())
-		set, err := evidence.FastBuilder{}.Build(space, false)
+		set, err := evidence.ClusterBuilder{}.Build(space, false)
 		if err != nil {
 			return false
 		}
@@ -215,7 +212,7 @@ func TestQuickViolationCountMatchesDirect(t *testing.T) {
 func TestUncovered(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	set, err := evidence.FastBuilder{}.Build(space, false)
+	set, err := evidence.ClusterBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +231,7 @@ func TestUncovered(t *testing.T) {
 func ExampleSet_ViolationCount() {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	set, _ := evidence.FastBuilder{}.Build(space, false)
+	set, _ := evidence.ClusterBuilder{}.Build(space, false)
 	phi2, _ := predicate.FromSpecs(space, datagen.Phi2())
 	fmt.Println(set.ViolationCount(phi2.HittingSet()))
 	// Output: 16

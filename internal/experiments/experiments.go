@@ -117,7 +117,7 @@ func Table4(cfg Config) error {
 		"dataset", "rows", "paperRows", "attrs", "golden", "|P|", "|Evi|")
 	for _, d := range cfg.datasets() {
 		space := predicate.Build(d.Rel, predicate.DefaultOptions())
-		ev, err := (evidence.FastBuilder{}).Build(space, false)
+		ev, err := (evidence.ClusterBuilder{}).Build(space, false)
 		if err != nil {
 			return err
 		}

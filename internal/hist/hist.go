@@ -1,13 +1,15 @@
-package loadgen
+// Package hist is the latency histogram shared by dcserved's /metrics
+// (route latency, evidence builds, snapshot restores) and the load
+// generator's reports.
+package hist
 
 import "time"
 
-// histBounds are the latency bucket upper bounds: 1.25x-spaced from
-// 10µs to ~2.5 minutes (75 buckets), the final implicit bucket is +Inf.
-// Finer than the server's serving histogram because a load report's
-// p95/p99 are the headline numbers — a 1.25x grid bounds quantile
-// error at 25% where a 2x grid would allow 100%.
-var histBounds = buildBounds()
+// bounds are the latency bucket upper bounds: 1.25x-spaced from 10µs
+// to ~2.5 minutes (75 buckets), the final implicit bucket is +Inf. A
+// 1.25x grid bounds quantile error at 25% where a 2x grid would allow
+// 100%.
+var bounds = buildBounds()
 
 func buildBounds() []time.Duration {
 	var out []time.Duration
@@ -20,9 +22,9 @@ func buildBounds() []time.Duration {
 }
 
 // Histogram is a fixed-bucket latency histogram with exact count, sum,
-// and max. It is not safe for concurrent use: each load client owns
-// one per op type and the runner merges them after the clients join —
-// no locks on the hot path, and merged results are deterministic.
+// and max. It is not safe for concurrent use: callers either guard it
+// with a lock or give each goroutine its own and Merge them after the
+// goroutines join.
 type Histogram struct {
 	buckets []int64
 	count   int64
@@ -30,20 +32,22 @@ type Histogram struct {
 	max     time.Duration
 }
 
-func newHistogram() *Histogram {
-	return &Histogram{buckets: make([]int64, len(histBounds)+1)}
+// New returns an empty histogram.
+func New() *Histogram {
+	return &Histogram{buckets: make([]int64, len(bounds)+1)}
 }
 
-func (h *Histogram) observe(d time.Duration) {
+// Observe records one latency; negative durations count as zero.
+func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	// Binary search for the bucket: a linear scan over 75 bounds on
 	// every request would dominate the client's bookkeeping cost.
-	lo, hi := 0, len(histBounds)
+	lo, hi := 0, len(bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if d <= histBounds[mid] {
+		if d <= bounds[mid] {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -57,8 +61,8 @@ func (h *Histogram) observe(d time.Duration) {
 	}
 }
 
-// merge folds other into h.
-func (h *Histogram) merge(other *Histogram) {
+// Merge folds other into h.
+func (h *Histogram) Merge(other *Histogram) {
 	for k, c := range other.buckets {
 		h.buckets[k] += c
 	}
@@ -98,8 +102,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	for k, c := range h.buckets {
 		cum += c
 		if cum >= rank {
-			if k < len(histBounds) {
-				d := histBounds[k]
+			if k < len(bounds) {
+				d := bounds[k]
 				if d > h.max {
 					return h.max // tighter: no observation exceeds max
 				}

@@ -1,4 +1,4 @@
-package loadgen
+package hist
 
 import (
 	"math/rand"
@@ -10,28 +10,28 @@ import (
 // comment cannot drift from the code again: 75 explicit 1.25x-spaced
 // bounds from 10µs to under 160s, plus the implicit +Inf bucket.
 func TestHistogramBucketCount(t *testing.T) {
-	if got := len(histBounds); got != 75 {
-		t.Fatalf("len(histBounds) = %d, want 75", got)
+	if got := len(bounds); got != 75 {
+		t.Fatalf("len(bounds) = %d, want 75", got)
 	}
-	if histBounds[0] != 10*time.Microsecond {
-		t.Errorf("first bound = %v, want 10µs", histBounds[0])
+	if bounds[0] != 10*time.Microsecond {
+		t.Errorf("first bound = %v, want 10µs", bounds[0])
 	}
-	last := histBounds[len(histBounds)-1]
+	last := bounds[len(bounds)-1]
 	if last >= 160*time.Second || last < 128*time.Second {
 		t.Errorf("last bound = %v, want in [128s, 160s)", last)
 	}
-	if got := len(newHistogram().buckets); got != 76 {
+	if got := len(New().buckets); got != 76 {
 		t.Errorf("bucket slots = %d, want 76 (75 bounds + overflow)", got)
 	}
 }
 
 func TestHistogramBasics(t *testing.T) {
-	h := newHistogram()
+	h := New()
 	if h.Count() != 0 || h.Quantile(0.99) != 0 || h.Mean() != 0 || h.Max() != 0 {
 		t.Fatalf("empty histogram not zero: %+v", h)
 	}
 	for i := 1; i <= 100; i++ {
-		h.observe(time.Duration(i) * time.Millisecond)
+		h.Observe(time.Duration(i) * time.Millisecond)
 	}
 	if h.Count() != 100 {
 		t.Fatalf("count = %d, want 100", h.Count())
@@ -59,16 +59,16 @@ func TestHistogramBasics(t *testing.T) {
 
 func TestHistogramMergeMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	whole := newHistogram()
-	parts := []*Histogram{newHistogram(), newHistogram(), newHistogram()}
+	whole := New()
+	parts := []*Histogram{New(), New(), New()}
 	for i := 0; i < 5000; i++ {
 		d := time.Duration(rng.Intn(2_000_000_000))
-		whole.observe(d)
-		parts[i%3].observe(d)
+		whole.Observe(d)
+		parts[i%3].Observe(d)
 	}
-	merged := newHistogram()
+	merged := New()
 	for _, p := range parts {
-		merged.merge(p)
+		merged.Merge(p)
 	}
 	if merged.Count() != whole.Count() || merged.Max() != whole.Max() || merged.Mean() != whole.Mean() {
 		t.Fatalf("merge mismatch: count %d/%d max %v/%v mean %v/%v",
@@ -82,9 +82,9 @@ func TestHistogramMergeMatchesSingle(t *testing.T) {
 }
 
 func TestHistogramOverflowBucketReportsExactMax(t *testing.T) {
-	h := newHistogram()
+	h := New()
 	big := 10 * time.Minute // beyond the last bucket bound
-	h.observe(big)
+	h.Observe(big)
 	if got := h.Quantile(0.99); got != big {
 		t.Fatalf("overflow quantile = %v, want exact max %v", got, big)
 	}

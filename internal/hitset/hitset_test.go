@@ -195,7 +195,7 @@ func runningExampleEvidence(t *testing.T) (*evidence.Set, *predicate.Space) {
 	t.Helper()
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	ev, err := evidence.FastBuilder{}.Build(space, true)
+	ev, err := evidence.NaiveBuilder{}.Build(space, true)
 	if err != nil {
 		t.Fatal(err)
 	}

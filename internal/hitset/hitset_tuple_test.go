@@ -185,7 +185,7 @@ func TestGreedyF3MonotoneEmpirically(t *testing.T) {
 func TestFastTuplePathMatchesGenericOnRealData(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	ev, err := evidence.FastBuilder{}.Build(space, true)
+	ev, err := evidence.NaiveBuilder{}.Build(space, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func TestParallelMatchesSerialOnDatasets(t *testing.T) {
 			t.Fatal(err)
 		}
 		space := predicate.Build(d.Rel, predicate.DefaultOptions())
-		ev, err := evidence.FastBuilder{}.Build(space, true)
+		ev, err := evidence.NaiveBuilder{}.Build(space, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestParallelEightWorkersRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	space := predicate.Build(d.Rel, predicate.DefaultOptions())
-	ev, err := evidence.FastBuilder{}.Build(space, false)
+	ev, err := evidence.NaiveBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}

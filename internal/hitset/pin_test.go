@@ -27,7 +27,8 @@ func (d *coverDigest) add(hs bitset.Bits) {
 }
 
 // gateEvidence is the enumeration gate instance of the root benchmarks
-// (BenchmarkEnum*Adult): adult at 80 rows, seed 1, ClusterBuilder evidence.
+// (BenchmarkEnum*Adult): adult at 80 rows, seed 1, single-threaded
+// ClusterBuilder evidence.
 func gateEvidence(t *testing.T) *evidence.Set {
 	t.Helper()
 	d, err := datagen.ByName("adult", 80, 1)
@@ -35,7 +36,7 @@ func gateEvidence(t *testing.T) *evidence.Set {
 		t.Fatal(err)
 	}
 	space := predicate.Build(d.Rel, predicate.DefaultOptions())
-	ev, err := (evidence.ClusterBuilder{}).Build(space, false)
+	ev, err := (evidence.ClusterBuilder{Workers: 1}).Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}

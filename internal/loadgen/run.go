@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"adc/internal/hist"
 )
 
 // pollInterval paces the mine-job polling loop. Polls are counted in
@@ -55,10 +57,10 @@ func (d *baseDataset) observeRows(rows int, hwBefore int64) bool {
 // after the join, so the hot path takes no locks and the merged result
 // does not depend on scheduling.
 type clientStats struct {
-	hist     [numOps]*Histogram // measured (post-warmup) latencies
-	attempts [numOps]int64      // every issued request, warmup included
-	errors   [numOps]int64      // measured-window failures
-	warmup   int64              // ops discarded as warmup
+	hist     [numOps]*hist.Histogram // measured (post-warmup) latencies
+	attempts [numOps]int64           // every issued request, warmup included
+	errors   [numOps]int64           // measured-window failures
+	warmup   int64                   // ops discarded as warmup
 	polls    int64
 	mineJobF int64
 	consViol int64
@@ -72,7 +74,7 @@ func newClientStats() *clientStats {
 		errKinds: make(map[string]int64),
 	}
 	for k := range st.hist {
-		st.hist[k] = newHistogram()
+		st.hist[k] = hist.New()
 	}
 	return st
 }
@@ -270,7 +272,7 @@ func (rs *runState) runClient(id int) (*clientStats, []string) {
 			st.warmup++
 			continue
 		}
-		st.hist[kind].observe(time.Since(opStart))
+		st.hist[kind].Observe(time.Since(opStart))
 		if err != nil {
 			st.errors[kind]++
 		}
@@ -440,14 +442,14 @@ func (rs *runState) buildReport(stats []*clientStats, measureEnd time.Time, soak
 		Statuses:    make(map[string]int64),
 	}
 
-	merged := [numOps]*Histogram{}
+	merged := [numOps]*hist.Histogram{}
 	var attempts, errors [numOps]int64
 	for k := range merged {
-		merged[k] = newHistogram()
+		merged[k] = hist.New()
 	}
 	for _, st := range stats {
 		for k := range merged {
-			merged[k].merge(st.hist[k])
+			merged[k].Merge(st.hist[k])
 			attempts[k] += st.attempts[k]
 			errors[k] += st.errors[k]
 		}

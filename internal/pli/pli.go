@@ -1,7 +1,7 @@
 // Package pli implements Position List Indexes in the style of Pena et
 // al. (DCFinder): for each column, rows are grouped into clusters of
 // equal values, and for numeric columns clusters are ordered by value so
-// that order comparisons reduce to integer rank comparisons. The fast
+// that order comparisons reduce to integer rank comparisons. The
 // evidence-set builder (package evidence) uses these indexes to turn
 // per-pair predicate evaluation into rank lookups and precomputed bit
 // masks, which is what makes evidence construction feasible beyond toy

@@ -14,7 +14,7 @@ func fixture(t *testing.T) (*predicate.Space, *evidence.Set) {
 	t.Helper()
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	ev, err := evidence.FastBuilder{}.Build(space, false)
+	ev, err := evidence.ClusterBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestAgreesWithADCEnum(t *testing.T) {
 func TestRunningExampleAgreement(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	ev, err := evidence.FastBuilder{}.Build(space, false)
+	ev, err := evidence.ClusterBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRunningExampleAgreement(t *testing.T) {
 func TestOutputsAreMinimal(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	ev, err := evidence.FastBuilder{}.Build(space, false)
+	ev, err := evidence.ClusterBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestOutputsAreMinimal(t *testing.T) {
 func TestMaxPredicates(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	ev, err := evidence.FastBuilder{}.Build(space, false)
+	ev, err := evidence.ClusterBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -517,7 +517,8 @@ type checkRequest struct {
 	// Epsilon passes a DC when its loss is at most this (default 0:
 	// require no violations).
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// Path forces the execution path: auto (default), pli, or scan.
+	// Path selects the execution path: auto (default, the planner) or
+	// scan.
 	Path string `json:"path,omitempty"`
 	// Workers is the per-DC goroutine count (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`

@@ -8,6 +8,7 @@ import (
 
 	"adc"
 	"adc/internal/colstore"
+	"adc/internal/hist"
 	"adc/internal/wal"
 )
 
@@ -37,7 +38,7 @@ type session struct {
 	// mining jobs: a latency histogram of the evidence component and
 	// the distinct-set count of the latest built evidence set.
 	evMu       sync.Mutex
-	evHist     *histogram
+	evHist     *hist.Histogram
 	evDistinct int
 
 	// Persistence (nil/zero without a data directory). wal is the
@@ -71,7 +72,7 @@ func newSession(id, name string, rel *adc.Relation, golden []string) *session {
 		golden:  golden,
 		checker: adc.NewChecker(rel),
 		mine:    adc.NewMineCache(),
-		evHist:  newHistogram(),
+		evHist:  hist.New(),
 	}
 	s.refs.Store(1) // the registry's reference
 	return s
@@ -105,7 +106,7 @@ func (s *session) release() {
 func (s *session) observeEvidence(d time.Duration, distinct int) {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()
-	s.evHist.observe(d)
+	s.evHist.Observe(d)
 	s.evDistinct = distinct
 }
 
@@ -121,15 +122,15 @@ type evidenceStats struct {
 func (s *session) evidenceSnapshot() (evidenceStats, bool) {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()
-	if s.evHist.count == 0 {
+	if s.evHist.Count() == 0 {
 		return evidenceStats{}, false
 	}
 	return evidenceStats{
-		Builds:       s.evHist.count,
+		Builds:       s.evHist.Count(),
 		DistinctSets: s.evDistinct,
-		MeanUS:       float64(s.evHist.mean()) / float64(time.Microsecond),
-		P50US:        float64(s.evHist.quantile(0.50)) / float64(time.Microsecond),
-		P99US:        float64(s.evHist.quantile(0.99)) / float64(time.Microsecond),
+		MeanUS:       float64(s.evHist.Mean()) / float64(time.Microsecond),
+		P50US:        float64(s.evHist.Quantile(0.50)) / float64(time.Microsecond),
+		P99US:        float64(s.evHist.Quantile(0.99)) / float64(time.Microsecond),
 	}, true
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"adc"
 	"adc/internal/colstore"
+	"adc/internal/hist"
 	"adc/internal/pli"
 	"adc/internal/storefs"
 	"adc/internal/wal"
@@ -42,7 +43,7 @@ type storage struct {
 	walErrors   int64 // failed WAL opens/appends (each degrades a session)
 	walReplayed int64 // WAL batches replayed into restored sessions
 	walDropped  int64 // torn/corrupt WAL bytes discarded during recovery
-	restoreHist *histogram
+	restoreHist *hist.Histogram
 }
 
 func newStorage(dir string, fsys storefs.FS, walNoSync bool) (*storage, error) {
@@ -55,7 +56,7 @@ func newStorage(dir string, fsys storefs.FS, walNoSync bool) (*storage, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &storage{dir: dir, fsys: fsys, walNoSync: walNoSync, restoreHist: newHistogram()}, nil
+	return &storage{dir: dir, fsys: fsys, walNoSync: walNoSync, restoreHist: hist.New()}, nil
 }
 
 func (st *storage) path(id string) string {
@@ -222,7 +223,7 @@ func (st *storage) restore(id string) (*session, error) {
 		checker: checker,
 		mine:    adc.NewMineCache(),
 		appends: snap.Meta.Appends + applied,
-		evHist:  newHistogram(),
+		evHist:  hist.New(),
 		wal:     sessWAL,
 		store:   st,
 		snap:    snap,
@@ -233,7 +234,7 @@ func (st *storage) restore(id string) (*session, error) {
 	}
 	st.mu.Lock()
 	st.loaded++
-	st.restoreHist.observe(time.Since(start))
+	st.restoreHist.Observe(time.Since(start))
 	st.mu.Unlock()
 	return sess, nil
 }
@@ -373,10 +374,10 @@ func (st *storage) stats(spilledSessions, degradedSessions int) storageStats {
 		DegradedSessions: degradedSessions,
 		SpilledSessions:  spilledSessions,
 		BytesOnDisk:      bytes,
-		Restores:         st.restoreHist.count,
-		RestoreMeanUS:    float64(st.restoreHist.mean()) / float64(time.Microsecond),
-		RestoreP50US:     float64(st.restoreHist.quantile(0.50)) / float64(time.Microsecond),
-		RestoreP99US:     float64(st.restoreHist.quantile(0.99)) / float64(time.Microsecond),
+		Restores:         st.restoreHist.Count(),
+		RestoreMeanUS:    float64(st.restoreHist.Mean()) / float64(time.Microsecond),
+		RestoreP50US:     float64(st.restoreHist.Quantile(0.50)) / float64(time.Microsecond),
+		RestoreP99US:     float64(st.restoreHist.Quantile(0.99)) / float64(time.Microsecond),
 	}
 }
 

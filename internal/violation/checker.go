@@ -194,41 +194,21 @@ func (c *Checker) checkOne(spec predicate.DCSpec, opts Options) (*DCResult, erro
 	if err != nil {
 		return nil, err
 	}
+	// A forced scan builds nothing; the planner builds structures lazily
+	// (see prepareQueryPlan).
 	n := c.cache.rel.NumRows()
-
-	// Shape choice. Structures are only prepared when the chosen (or
-	// forced) path can use them: a forced scan builds nothing, a forced
-	// pli never builds the range probe, and the planner builds lazily
-	// (see prepareQueryPlan). Forcing a path with no usable structure
-	// falls back to the scan, reported in DCResult.Path.
 	var qp *queryPlan
-	switch opts.Path {
-	case PathScan:
+	if opts.Path == PathScan {
 		qp = scanQueryPlan(plan, n)
-	case PathPLI:
-		if pp := plan.pliPlan(c.cache); pp != nil {
-			qp = joinQueryPlan(pp)
-		} else {
-			qp = scanQueryPlan(plan, n)
-		}
-	case PathRange:
-		if rp := plan.rangePlan(c.cache); rp != nil {
-			qp = rangeQueryPlan(rp)
-		} else {
-			qp = scanQueryPlan(plan, n)
-		}
-	case PathBinary:
-		// The historical two-way heuristic, kept selectable so the
-		// planner's wins stay measurable against it.
-		if pp := plan.pliPlan(c.cache); pp != nil && pp.candPairs*pliAdvantage <= int64(n)*int64(n-1) {
-			qp = joinQueryPlan(pp)
-		} else {
-			qp = scanQueryPlan(plan, n)
-		}
-	default: // "", PathAuto, PathPlanner
+	} else {
 		qp = plan.queryPlan(c.cache, n)
 	}
+	return c.execute(spec, plan, qp, opts), nil
+}
 
+// execute runs the query plan chosen for one DC and scores the result.
+func (c *Checker) execute(spec predicate.DCSpec, plan *dcPlan, qp *queryPlan, opts Options) *DCResult {
+	n := c.cache.rel.NumRows()
 	var col *collector
 	switch qp.shape {
 	case ShapeEqJoin, ShapeCrossJoin:
@@ -261,7 +241,7 @@ func (c *Checker) checkOne(spec predicate.DCSpec, opts Options) (*DCResult, erro
 	res.LossF1 = lossF1(col.violations, int64(n)*int64(n-1))
 	res.LossF2 = lossF2(col.counts, n)
 	res.LossF3 = lossF3(col.counts, col.violations, n)
-	return res, nil
+	return res
 }
 
 // Validate scores every DC against the relation and compares the loss

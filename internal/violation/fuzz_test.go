@@ -99,9 +99,9 @@ func fuzzDCSpec(r *rand.Rand, rel *dataset.Relation) predicate.DCSpec {
 
 // FuzzCheckPaths is the cross-executor equivalence property behind the
 // planner: on any relation and well-typed DC, the scan, the forced PLI
-// join, the forced range probe, the greedy planner, and the historical
-// binary heuristic produce identical violation sets, tuple counts, and
-// losses — and all of them match the reference evaluator
+// join, the forced range probe, and the greedy planner produce
+// identical violation sets, tuple counts, and losses — and all of them
+// match the reference evaluator
 // predicate.DC.ViolatingPairs whenever the mined predicate space
 // admits the DC. The seed corpus under testdata/fuzz runs on every
 // plain `go test`; `go test -fuzz=FuzzCheckPaths` explores further.
@@ -130,12 +130,8 @@ func FuzzCheckPaths(f *testing.F) {
 			t.Fatalf("scan: %v", err)
 		}
 		want := base.Results[0]
-		for _, path := range []string{PathPLI, PathRange, PathAuto, PathPlanner, PathBinary} {
-			rep, err := Check(rel, specs, Options{Path: path, Workers: 1 + r.Intn(4)})
-			if err != nil {
-				t.Fatalf("%s: %v", path, err)
-			}
-			got := rep.Results[0]
+		for _, path := range []string{PathPLI, PathRange, PathAuto} {
+			got := checkExec(t, rel, specs[0], path, Options{Workers: 1 + r.Intn(4)})
 			if got.Violations != want.Violations {
 				t.Errorf("%s: %d violations, scan found %d", path, got.Violations, want.Violations)
 			}

@@ -4,10 +4,10 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"adc/internal/dataset"
+	"adc/internal/par"
 	"adc/internal/pli"
 )
 
@@ -100,6 +100,19 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
+// shardRows runs the first-tuple rows [0, n) on up to workers
+// goroutines: worker w scans the contiguous shard [w·n/W, (w+1)·n/W)
+// into its own collector, and the collectors merge in worker order.
+func shardRows(n, workers, cap int, scan func(c *collector, lo, hi int)) *collector {
+	workers = clampWorkers(workers, n)
+	cs := make([]*collector, workers)
+	par.Do(workers, workers, func(w int) {
+		cs[w] = newCollector(n, cap)
+		scan(cs[w], w*n/workers, (w+1)*n/workers)
+	})
+	return mergeCollectors(cs)
+}
+
 // ---- Scan path -----------------------------------------------------------
 
 // scanPairs is the general-case execution path: a refutation scan over
@@ -108,25 +121,9 @@ func clampWorkers(workers, n int) int {
 // refuted by the first evaluation; rows failing the single-tuple mask
 // skip their entire inner loop.
 func scanPairs(n int, mask []bool, preds []compiledPred, workers, cap int) *collector {
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		c := newCollector(n, cap)
-		scanRange(c, 0, n, n, mask, preds)
-		return c
-	}
-	cs := make([]*collector, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		cs[w] = newCollector(n, cap)
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(c *collector, lo, hi int) {
-			defer wg.Done()
-			scanRange(c, lo, hi, n, mask, preds)
-		}(cs[w], lo, hi)
-	}
-	wg.Wait()
-	return mergeCollectors(cs)
+	return shardRows(n, workers, cap, func(c *collector, lo, hi int) {
+		scanRange(c, lo, hi, n, mask, preds)
+	})
 }
 
 func scanRange(c *collector, lo, hi, n int, mask []bool, preds []compiledPred) {
@@ -396,46 +393,28 @@ func crossColJoin(rel *dataset.Relation, a, b int) (probe []int32, build map[int
 }
 
 // runPLI executes a prepared plan: candidate pairs from the equality
-// join, residual predicates checked with early exit. Group work (or the
-// probe side) is distributed across workers via an atomic cursor, so one
-// giant cluster cannot starve the pool.
+// join, residual predicates checked with early exit. Groups are handed
+// to workers through an atomic cursor, so one giant cluster cannot
+// starve the pool; the probe side is sharded by row like the scan.
 func runPLI(plan *pliPlan, n int, mask []bool, workers, cap int) *collector {
-	workers = clampWorkers(workers, n)
 	if plan.build == nil { // same-attribute join (groups may be empty)
 		return runGroups(plan, n, mask, workers, cap)
 	}
-	return runProbe(plan, n, mask, workers, cap)
+	return shardRows(n, workers, cap, func(c *collector, lo, hi int) {
+		probeRange(c, lo, hi, plan, mask)
+	})
 }
 
 func runGroups(plan *pliPlan, n int, mask []bool, workers, cap int) *collector {
-	if workers > len(plan.groups) {
-		workers = len(plan.groups)
-	}
-	if workers <= 1 {
-		c := newCollector(n, cap)
-		for k := range plan.groups {
-			groupPairs(c, plan, k, mask)
-		}
-		return c
-	}
+	workers = max(min(clampWorkers(workers, n), len(plan.groups)), 1)
 	cs := make([]*collector, workers)
 	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	par.Do(workers, workers, func(w int) {
 		cs[w] = newCollector(n, cap)
-		wg.Add(1)
-		go func(c *collector) {
-			defer wg.Done()
-			for {
-				k := int(cursor.Add(1)) - 1
-				if k >= len(plan.groups) {
-					return
-				}
-				groupPairs(c, plan, k, mask)
-			}
-		}(cs[w])
-	}
-	wg.Wait()
+		for k := int(cursor.Add(1)) - 1; k < len(plan.groups); k = int(cursor.Add(1)) - 1 {
+			groupPairs(cs[w], plan, k, mask)
+		}
+	})
 	return mergeCollectors(cs)
 }
 
@@ -500,27 +479,6 @@ func groupPairs(c *collector, plan *pliPlan, k int, mask []bool) {
 	}
 }
 
-func runProbe(plan *pliPlan, n int, mask []bool, workers, cap int) *collector {
-	if workers <= 1 {
-		c := newCollector(n, cap)
-		probeRange(c, 0, n, plan, mask)
-		return c
-	}
-	cs := make([]*collector, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		cs[w] = newCollector(n, cap)
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(c *collector, lo, hi int) {
-			defer wg.Done()
-			probeRange(c, lo, hi, plan, mask)
-		}(cs[w], lo, hi)
-	}
-	wg.Wait()
-	return mergeCollectors(cs)
-}
-
 // ---- Range path ----------------------------------------------------------
 
 // runRange executes a sorted-rank probe plan: each probe row's
@@ -529,25 +487,9 @@ func runProbe(plan *pliPlan, n int, mask []bool, workers, cap int) *collector {
 // residual predicates run per candidate. Sharded by probe row like the
 // scan path.
 func runRange(rp *rangeProbe, n int, mask []bool, workers, cap int) *collector {
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		c := newCollector(n, cap)
-		rangeScan(c, 0, n, rp, mask)
-		return c
-	}
-	cs := make([]*collector, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		cs[w] = newCollector(n, cap)
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(c *collector, lo, hi int) {
-			defer wg.Done()
-			rangeScan(c, lo, hi, rp, mask)
-		}(cs[w], lo, hi)
-	}
-	wg.Wait()
-	return mergeCollectors(cs)
+	return shardRows(n, workers, cap, func(c *collector, lo, hi int) {
+		rangeScan(c, lo, hi, rp, mask)
+	})
 }
 
 func rangeScan(c *collector, lo, hi int, rp *rangeProbe, mask []bool) {

@@ -6,8 +6,45 @@ import (
 	"testing"
 
 	"adc/internal/datagen"
+	"adc/internal/dataset"
 	"adc/internal/predicate"
 )
+
+// checkExec checks one DC on the named executor. Options.Path selects
+// only the planner or the scan, so tests reach the join (PathPLI) and
+// range (PathRange) executors by building their plans directly; a DC
+// without the structure runs the scan, as DCResult.Path then reports.
+// Any other name is passed as Options.Path.
+func checkExec(t testing.TB, rel *dataset.Relation, spec predicate.DCSpec, exec string, opts Options) *DCResult {
+	t.Helper()
+	c := NewChecker(rel)
+	plan, err := c.plan(spec)
+	if err != nil {
+		t.Fatalf("%s: %v", exec, err)
+	}
+	var qp *queryPlan
+	switch exec {
+	case PathPLI:
+		if pp := plan.pliPlan(c.cache); pp != nil {
+			qp = joinQueryPlan(pp)
+		}
+	case PathRange:
+		if rp := plan.rangePlan(c.cache); rp != nil {
+			qp = rangeQueryPlan(rp)
+		}
+	default:
+		opts.Path = exec
+		rep, err := c.Check([]predicate.DCSpec{spec}, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", exec, err)
+		}
+		return &rep.Results[0]
+	}
+	if qp == nil {
+		qp = scanQueryPlan(plan, rel.NumRows())
+	}
+	return c.execute(spec, plan, qp, opts)
+}
 
 // TestPathsAgreeOnGeneratedData dirties generated Table 4 datasets and
 // asserts that, for every golden DC, the PLI cluster-intersection path
@@ -24,10 +61,6 @@ func TestPathsAgreeOnGeneratedData(t *testing.T) {
 		dirty := datagen.AddNoise(d.Rel, datagen.Spread, 0.02, rng)
 		space := predicate.Build(dirty, predicate.DefaultOptions())
 
-		pliRep, err := Check(dirty, d.Golden, Options{Path: PathPLI})
-		if err != nil {
-			t.Fatalf("%s/pli: %v", name, err)
-		}
 		scanRep, err := Check(dirty, d.Golden, Options{Path: PathScan, Workers: 3})
 		if err != nil {
 			t.Fatalf("%s/scan: %v", name, err)
@@ -39,7 +72,8 @@ func TestPathsAgreeOnGeneratedData(t *testing.T) {
 
 		injected := int64(0)
 		for k := range d.Golden {
-			p, s, a := pliRep.Results[k], scanRep.Results[k], autoRep.Results[k]
+			p := checkExec(t, dirty, d.Golden[k], PathPLI, Options{})
+			s, a := scanRep.Results[k], autoRep.Results[k]
 			if !reflect.DeepEqual(p.Pairs, s.Pairs) {
 				t.Errorf("%s: %s: pli %d pairs != scan %d pairs",
 					name, d.Golden[k], len(p.Pairs), len(s.Pairs))

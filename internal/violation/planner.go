@@ -19,6 +19,11 @@ const (
 	ShapeScan      = "scan"      // sharded refutation scan over all pairs
 )
 
+// pliAdvantage is the cost-heuristic margin: the PLI join is chosen when
+// its candidate pairs, scaled by this factor (its per-pair overhead over
+// the scan's), still undercut the n·(n−1) pairs of the full scan.
+const pliAdvantage = 2
+
 // rangeAdvantage mirrors pliAdvantage for the range shape: a sorted-rank
 // probe is chosen only when its candidate pairs, scaled by this per-pair
 // overhead factor, undercut the scan's.
@@ -398,7 +403,7 @@ func specStrings(preds []compiledPred) []string {
 }
 
 // pathName maps a plan shape to the coarse Path name results report
-// (both join shapes are the historical "pli" path).
+// (both join shapes report as "pli").
 func pathName(shape string) string {
 	switch shape {
 	case ShapeEqJoin, ShapeCrossJoin:

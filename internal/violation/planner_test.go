@@ -28,12 +28,8 @@ func TestNaNCrossColumnDifferential(t *testing.T) {
 	// no NaN occurrence equals anything, itself included.
 	want := [][2]int{{1, 4}, {2, 1}}
 
-	for _, path := range []string{PathScan, PathPLI, PathRange, PathBinary, PathAuto, PathPlanner} {
-		rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: path})
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if got := rep.Results[0].Pairs; !reflect.DeepEqual(got, want) {
+	for _, path := range []string{PathScan, PathPLI, PathRange, PathAuto} {
+		if got := checkExec(t, rel, spec, path, Options{}).Pairs; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: pairs = %v, want %v", path, got, want)
 		}
 	}
@@ -68,12 +64,8 @@ func TestNaNSameAttrPaths(t *testing.T) {
 	// Group {0,1,5} under G=1: V 5>3 gives (0,1); row 5's V is NaN, so
 	// it neither dominates nor is dominated.
 	want := [][2]int{{0, 1}}
-	for _, path := range []string{PathScan, PathPLI, PathBinary, PathAuto} {
-		rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: path})
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if got := rep.Results[0].Pairs; !reflect.DeepEqual(got, want) {
+	for _, path := range []string{PathScan, PathPLI, PathAuto} {
+		if got := checkExec(t, rel, spec, path, Options{}).Pairs; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: pairs = %v, want %v", path, got, want)
 		}
 	}
@@ -96,10 +88,10 @@ func rangeTestRel() *dataset.Relation {
 	})
 }
 
-// TestRangePathAgreesAndIsChosen pins the planner's new capability: an
-// order-dominated DC, which the binary heuristic always executed as a
-// full scan, runs as a sorted-rank range probe under the planner —
-// with an identical violation set.
+// TestRangePathAgreesAndIsChosen pins the planner's range capability:
+// an order-dominated DC, which has no equality to join on, runs as a
+// sorted-rank range probe under the planner — with an identical
+// violation set.
 func TestRangePathAgreesAndIsChosen(t *testing.T) {
 	rel := rangeTestRel()
 	spec := predicate.DCSpec{
@@ -107,12 +99,8 @@ func TestRangePathAgreesAndIsChosen(t *testing.T) {
 		{A: "Score", B: "Score", Op: predicate.Lt, Cross: true},
 	}
 	var scanPairs [][2]int
-	for _, path := range []string{PathScan, PathBinary, PathRange, PathAuto} {
-		rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: path, Workers: 2})
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		res := rep.Results[0]
+	for _, path := range []string{PathScan, PathPLI, PathRange, PathAuto} {
+		res := checkExec(t, rel, spec, path, Options{Workers: 2})
 		if res.Violations == 0 {
 			t.Fatalf("%s: no violations; test is vacuous", path)
 		}
@@ -124,10 +112,10 @@ func TestRangePathAgreesAndIsChosen(t *testing.T) {
 			t.Errorf("%s: pairs differ from scan", path)
 		}
 		switch path {
-		case PathBinary:
-			// No equality predicate: the old heuristic has only the scan.
+		case PathPLI:
+			// No equality predicate: the forced join falls back to the scan.
 			if res.Path != PathScan {
-				t.Errorf("binary ran %q, want scan", res.Path)
+				t.Errorf("pli ran %q, want scan", res.Path)
 			}
 		case PathRange, PathAuto:
 			if res.Path != PathRange {
@@ -177,11 +165,7 @@ func TestGroupRangePushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pliRep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: PathPLI, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, p := scanRep.Results[0], pliRep.Results[0]
+	s, p := scanRep.Results[0], checkExec(t, rel, spec, PathPLI, Options{Workers: 3})
 	if s.Violations == 0 {
 		t.Fatal("no violations; test is vacuous")
 	}

@@ -17,7 +17,7 @@
 //   - The PLI join shapes (eqjoin, crossjoin) cascade the DC's
 //     cross-tuple equality predicates into a position-list-index
 //     cluster-intersection join (package pli, the same machinery behind
-//     the fast evidence builder), most selective equality first, so
+//     the evidence builder), most selective equality first, so
 //     only pairs inside intersected clusters are ever examined; an
 //     order predicate in the residual is pushed into binary-searched
 //     per-group probes. Wins whenever equality predicates are selective
@@ -27,7 +27,7 @@
 //     qualifying partners are one contiguous slice of the build
 //     column's value-ordered rows, found by binary search, with only
 //     residual predicates evaluated per candidate. Wins on
-//     order-dominated DCs, which previously always fell to the scan.
+//     order-dominated DCs.
 //   - The scan shape is a sharded, goroutine-parallel refutation scan
 //     over all ordered pairs with most-selective-first early exit per
 //     predicate — the general-case floor.
@@ -35,8 +35,9 @@
 // The chosen plan is explicit: DCResult.Plan records the shape, join
 // cascade, pushed-down range predicate, residual order, and estimated
 // vs. actually-examined candidate pairs (dccheck -explain prints it).
-// All shapes produce identical violation sets (tests enforce this
-// against the O(n²·|P|) reference of predicate.DC.ViolatingPairs).
+// Options.Path can force the scan, which is the oracle: tests run every
+// executor against it and against the O(n²·|P|) reference of
+// predicate.DC.ViolatingPairs, and all produce identical violation sets.
 package violation
 
 import (
@@ -49,41 +50,26 @@ import (
 	"adc/internal/predicate"
 )
 
-// Execution path names for Options.Path and DCResult.Path.
+// Execution path names. Options.Path accepts PathAuto and PathScan;
+// DCResult.Path reports PathPLI, PathRange, or PathScan.
 const (
-	// PathAuto lets the greedy cost-ordered planner choose per DC;
-	// PathPlanner is an explicit synonym.
-	PathAuto    = "auto"
-	PathPlanner = "planner"
-	// PathPLI forces the cluster-intersection join (scan fallback when
-	// the DC has no equality predicate); PathRange forces the
-	// sorted-rank range probe (scan fallback without an order
-	// predicate); PathScan forces the refutation scan.
+	// PathAuto lets the greedy cost-ordered planner choose per DC.
+	PathAuto = "auto"
+	// PathScan is the refutation scan over all ordered pairs.
+	PathScan = "scan"
+	// PathPLI is the cluster-intersection join (both join shapes) and
+	// PathRange the sorted-rank range probe, chosen by the planner.
 	PathPLI   = "pli"
 	PathRange = "range"
-	PathScan  = "scan"
-	// PathBinary is the historical two-way choice (join iff its
-	// candidate pairs, scaled by pliAdvantage, undercut the full scan;
-	// no range shape) — kept selectable so planner wins stay measurable
-	// against it.
-	PathBinary = "binary"
 )
-
-// pliAdvantage is the cost-heuristic margin: the PLI path is chosen when
-// its candidate pairs, scaled by this factor (its per-pair overhead over
-// the scan's), still undercut the n·(n−1) pairs of the full scan.
-const pliAdvantage = 2
 
 // Options configures a check run. The zero value chooses the execution
 // path per DC, uses GOMAXPROCS workers, and records every violating
 // pair.
 type Options struct {
-	// Path forces an execution path: "auto"/"planner" (default; per-DC
-	// greedy planner), "pli", "range", "scan", or "binary" (the
-	// historical two-way heuristic). Forcing "pli" on a DC with no
-	// equality predicate, or "range" without an order predicate over
-	// numeric columns, falls back to the scan (reported in
-	// DCResult.Path).
+	// Path selects the execution: "auto" (default) lets the per-DC
+	// greedy planner choose; "scan" forces the refutation scan, the
+	// reference every other executor must agree with.
 	Path string
 	// Workers is the number of goroutines per DC; 0 means GOMAXPROCS.
 	Workers int
@@ -103,10 +89,10 @@ func (o Options) validate() error {
 		return fmt.Errorf("violation: negative MaxPairs %d (use 0 to keep all pairs)", o.MaxPairs)
 	}
 	switch o.Path {
-	case "", PathAuto, PathPlanner, PathPLI, PathRange, PathScan, PathBinary:
+	case "", PathAuto, PathScan:
 		return nil
 	}
-	return fmt.Errorf("violation: unknown path %q (want auto, planner, pli, range, scan, or binary)", o.Path)
+	return fmt.Errorf("violation: unknown path %q (want auto or scan)", o.Path)
 }
 
 // DCResult is the violation report of one denial constraint.

@@ -64,11 +64,7 @@ func TestRunningExample(t *testing.T) {
 	const totalPairs = n * (n - 1)
 	for _, tc := range cases {
 		for _, path := range []string{PathAuto, PathPLI, PathScan} {
-			rep, err := Check(rel, []predicate.DCSpec{tc.spec}, Options{Path: path})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.name, path, err)
-			}
-			res := rep.Results[0]
+			res := checkExec(t, rel, tc.spec, path, Options{})
 			if !reflect.DeepEqual(res.Pairs, tc.pairs) {
 				t.Errorf("%s/%s: pairs = %v, want %v", tc.name, path, res.Pairs, tc.pairs)
 			}
@@ -120,7 +116,7 @@ func TestLossesMatchApprox(t *testing.T) {
 		t.Fatal(err)
 	}
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	ev, err := (evidence.FastBuilder{}).Build(space, true)
+	ev, err := (evidence.NaiveBuilder{}).Build(space, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +217,8 @@ func TestSingleTupleDC(t *testing.T) {
 	spec := predicate.DCSpec{{A: "High", B: "Low", Op: predicate.Lt, Cross: false}}
 	want := [][2]int{{2, 0}, {2, 1}, {2, 3}}
 	for _, path := range []string{PathPLI, PathScan} {
-		rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: path})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := rep.Results[0]
-		// No equality predicate to join on: even the forced PLI path must
+		res := checkExec(t, rel, spec, path, Options{})
+		// No equality predicate to join on: even the forced join must
 		// fall back to (and report) the scan.
 		if res.Path != PathScan {
 			t.Errorf("path %s: reported %q, want scan fallback", path, res.Path)
@@ -252,21 +244,14 @@ func TestCrossColumnEqualityJoin(t *testing.T) {
 	// (0,1): X u=u equal, no. (0,3): u != w → violation. (1,0): u=u, no.
 	want := [][2]int{{0, 3}}
 	for _, path := range []string{PathAuto, PathPLI, PathScan} {
-		rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: path})
-		if err != nil {
-			t.Fatal(err)
+		res := checkExec(t, rel, spec, path, Options{})
+		if !reflect.DeepEqual(res.Pairs, want) {
+			t.Errorf("path %s: pairs = %v, want %v", path, res.Pairs, want)
 		}
-		if got := rep.Results[0].Pairs; !reflect.DeepEqual(got, want) {
-			t.Errorf("path %s: pairs = %v, want %v", path, got, want)
+		// The forced join must actually use the cross-column join.
+		if path == PathPLI && res.Path != PathPLI {
+			t.Errorf("forced pli reported %q", res.Path)
 		}
-	}
-	// Forced PLI must actually use the cross-column join.
-	rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: PathPLI})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Results[0].Path != PathPLI {
-		t.Errorf("forced pli reported %q", rep.Results[0].Path)
 	}
 }
 

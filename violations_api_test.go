@@ -38,7 +38,7 @@ func TestViolationsMatchInjectedDamage(t *testing.T) {
 			t.Fatalf("%s: golden DCs violated on clean data", name)
 		}
 
-		pli, err := adc.Violations(dirty, d.Golden, adc.CheckOptions{Path: adc.PLIPath})
+		auto, err := adc.Violations(dirty, d.Golden, adc.CheckOptions{Path: adc.AutoPath})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,18 +46,18 @@ func TestViolationsMatchInjectedDamage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pli.Violations == 0 {
+		if auto.Violations == 0 {
 			t.Fatalf("%s: noise injected no violations; test is vacuous", name)
 		}
 		for k := range d.Golden {
-			if !reflect.DeepEqual(pli.Results[k].Pairs, scan.Results[k].Pairs) {
-				t.Errorf("%s: %s: PLI and scan paths disagree", name, d.Golden[k])
+			if !reflect.DeepEqual(auto.Results[k].Pairs, scan.Results[k].Pairs) {
+				t.Errorf("%s: %s: planner and scan paths disagree", name, d.Golden[k])
 			}
 			// The per-pair reference evaluator confirms each reported pair
 			// really violates the DC (and none are missed) — see
 			// internal/violation for the space-based cross-check.
 		}
-		if !reflect.DeepEqual(pli.TupleViolations, scan.TupleViolations) {
+		if !reflect.DeepEqual(auto.TupleViolations, scan.TupleViolations) {
 			t.Errorf("%s: per-tuple counts disagree between paths", name)
 		}
 	}
