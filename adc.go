@@ -149,6 +149,9 @@ type Options struct {
 	// Alpha, when positive and the function is f1, replaces f1 on the
 	// sample with the adjusted f1′ of Section 7.2, so that acceptance
 	// implies (w.p. ≥ 1−Alpha) the DC is an ADC of the full relation.
+	// 0 ≤ Alpha < 1, and 0 leaves f1 unadjusted. Mine rejects NaN,
+	// negative values and Alpha ≥ 1, where z_{1−2α} is −∞ and f1′ stops
+	// being a loss.
 	Alpha float64
 	// Algorithm selects the enumerator: "adcenum" (default), "searchmc"
 	// (the AFASTDC baseline), or "mmcs" (exact valid DCs only; requires
@@ -157,8 +160,8 @@ type Options struct {
 	// Workers is the enumeration worker count for "adcenum": 0 picks
 	// GOMAXPROCS (degrading to the sequential recursion on small
 	// evidence sets), 1 forces sequential, n > 1 distributes search
-	// subtrees across n work-stealing workers. The mined DC set is
-	// identical for every value. Ignored by "searchmc" and "mmcs".
+	// subtrees across n workers. The mined DC set is identical for every
+	// value. Ignored by "searchmc" and "mmcs".
 	Workers int
 	// Evidence selects the evidence-set builder: "auto" (default; the
 	// bit-level, cluster-tiled DCFinder-style construction, single-
@@ -238,6 +241,9 @@ func Mine(rel *Relation, opts Options) (*Result, error) {
 	}
 	if !(opts.Epsilon >= 0 && opts.Epsilon < 1) {
 		return nil, fmt.Errorf("adc: epsilon %v outside [0, 1)", opts.Epsilon)
+	}
+	if !(opts.Alpha >= 0 && opts.Alpha < 1) {
+		return nil, fmt.Errorf("adc: alpha %v outside [0, 1)", opts.Alpha)
 	}
 
 	f := opts.Func
@@ -696,7 +702,9 @@ func ParseDCSpecs(lines []string) ([]DCSpec, error) {
 // SampleThreshold returns ε_J of Inequality 2: the threshold to apply
 // to the violating-pair fraction p̂ observed on a sample of the given
 // size so that acceptance implies, with probability at least 1−alpha,
-// an ADC of the full relation w.r.t. eps.
+// an ADC of the full relation w.r.t. eps. alpha must lie in (0, 1): at
+// 0 or 1 the quantile z_{1−2α} is infinite, and the result is NaN when
+// pHat is 0.
 func SampleThreshold(eps, pHat float64, sampleRows int, alpha float64) float64 {
 	return sample.Threshold(eps, pHat, sampleRows, alpha)
 }

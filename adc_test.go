@@ -243,6 +243,12 @@ func TestMineErrors(t *testing.T) {
 		{Epsilon: math.NaN()},
 		{Epsilon: math.Inf(1)},
 		{Epsilon: 1},
+		// α outside [0, 1): at α ≥ 1 the f1′ margin z_{1−2α} is −∞, which
+		// accepts every violated DC; NaN and negative α used to be ignored.
+		{Alpha: math.NaN()},
+		{Alpha: -0.1},
+		{Alpha: 1},
+		{Alpha: math.Inf(1)},
 	}
 	for i, opts := range cases {
 		if _, err := adc.Mine(rel, opts); err == nil {
@@ -251,6 +257,9 @@ func TestMineErrors(t *testing.T) {
 	}
 	if _, err := adc.Mine(rel, adc.Options{Epsilon: 0.99}); err != nil {
 		t.Errorf("epsilon 0.99: %v", err)
+	}
+	if _, err := adc.Mine(rel, adc.Options{SampleFraction: 0.5, Alpha: 0.05}); err != nil {
+		t.Errorf("alpha 0.05: %v", err)
 	}
 	if _, err := adc.Mine(nil, adc.Options{}); err == nil {
 		t.Error("nil relation: want error")

@@ -454,7 +454,7 @@ func BenchmarkSnapshotAttach(b *testing.B) {
 // benchEnumEvidence builds the enumeration gate workload once: adult is
 // categorical and equal-heavy, and at 80 rows / ε=0.02 the ADCEnum tree
 // is a few tens of thousands of nodes — deep enough that 8 workers stay
-// busy through work stealing, small enough for CI.
+// busy on handed-off subtrees, small enough for CI.
 func benchEnumEvidence(b *testing.B) *evidence.Set {
 	b.Helper()
 	d := benchDataset(b, "adult", 80)

@@ -36,7 +36,7 @@ func run() int {
 		fn        = flag.String("approx", "f1", "approximation function: f1, f2, or f3")
 		eps       = flag.Float64("eps", 0.01, "approximation threshold ε, 0 ≤ ε < 1 (0 mines valid DCs)")
 		sampleF   = flag.Float64("sample", 1.0, "fraction of tuples to sample (Section 7)")
-		alpha     = flag.Float64("alpha", 0, "confidence α for the sample-threshold correction (f1 only)")
+		alpha     = flag.Float64("alpha", 0, "confidence α for the sample-threshold correction, 0 ≤ α < 1 (f1 only; 0 disables it)")
 		algorithm = flag.String("algorithm", "adcenum", "enumerator: adcenum, searchmc, or mmcs")
 		workers   = flag.Int("workers", 0, "enumeration workers for adcenum (0 = auto, 1 = sequential)")
 		evid      = flag.String("evidence", "auto", "evidence builder: auto (bit-level, cluster-tiled) or naive (per-pair oracle)")

@@ -17,9 +17,10 @@
 package approx
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"adc/internal/bitset"
 	"adc/internal/evidence"
@@ -132,7 +133,7 @@ func (GreedyF3) Name() string { return "f3-greedy" }
 func (GreedyF3) NeedsVios() bool { return true }
 
 // Loss implements Func.
-func (GreedyF3) Loss(ev *evidence.Set, uncovered []int) float64 {
+func (g GreedyF3) Loss(ev *evidence.Set, uncovered []int) float64 {
 	if ev.NumRows == 0 {
 		return 0
 	}
@@ -147,35 +148,36 @@ func (GreedyF3) Loss(ev *evidence.Set, uncovered []int) float64 {
 			v[t] += c
 		}
 	}
-	if u == 0 {
+	counts := make([]int64, 0, len(v))
+	for _, c := range v {
+		counts = append(counts, c)
+	}
+	return g.TupleLoss(counts, u, ev.NumRows)
+}
+
+// TupleLoss is Loss from per-tuple violation counts: counts lists, in
+// any order, how many violating pairs each involved tuple takes part in
+// (it is sorted in place), u is the number of violating pairs, and rows
+// is |D|. It takes tuples in decreasing order of participation until
+// the taken participation covers u, and returns |R| / |D|. Only the
+// multiset of counts matters, so ties need no order.
+func (GreedyF3) TupleLoss(counts []int64, u int64, rows int) float64 {
+	if u == 0 || rows == 0 {
 		return 0
 	}
-	type tv struct {
-		t int32
-		v int64
-	}
-	order := make([]tv, 0, len(v))
-	for t, c := range v {
-		order = append(order, tv{t, c})
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].v != order[b].v {
-			return order[a].v > order[b].v
-		}
-		return order[a].t < order[b].t // deterministic tie-break
-	})
-	// Greedy selection: covered count may exceed u because a violation
-	// between two selected tuples is counted twice (see paper, Section 5).
+	slices.SortFunc(counts, func(a, b int64) int { return cmp.Compare(b, a) })
+	// The covered count may exceed u because a violation between two
+	// taken tuples is counted twice (see paper, Section 5).
 	var covered int64
 	removed := 0
-	for _, e := range order {
+	for _, c := range counts {
 		if covered >= u {
 			break
 		}
-		covered += e.v
+		covered += c
 		removed++
 	}
-	return float64(removed) / float64(ev.NumRows)
+	return float64(removed) / float64(rows)
 }
 
 // F1Adjusted is the sample-side function f1′ of Section 7.2:
@@ -201,11 +203,21 @@ func (F1Adjusted) NeedsVios() bool { return false }
 // Loss implements Func. Loss = 1 − f1′ = p̂ + z·sqrt(p̂(1−p̂)/n),
 // clamped to [0, 1].
 func (a F1Adjusted) Loss(ev *evidence.Set, uncovered []int) float64 {
-	p := F1{}.Loss(ev, uncovered)
-	n := float64(ev.TotalPairs)
-	if n == 0 {
+	var viol int64
+	for _, k := range uncovered {
+		viol += ev.Counts[k]
+	}
+	return a.PairLoss(viol, ev.TotalPairs)
+}
+
+// PairLoss is Loss from the violating-pair count alone: viol of the
+// total ordered pairs violate the DC.
+func (a F1Adjusted) PairLoss(viol, total int64) float64 {
+	if total == 0 {
 		return 0
 	}
+	n := float64(total)
+	p := float64(viol) / n
 	loss := p + a.Z*math.Sqrt(p*(1-p)/n)
 	if loss > 1 {
 		return 1

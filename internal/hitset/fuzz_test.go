@@ -13,12 +13,11 @@ import (
 // FuzzEnumAgree is the cross-enumerator equivalence property, mirroring
 // the evidence package's FuzzBuildersAgree: on any random evidence set,
 // threshold, and approximation function, the sequential ADCEnum, the
-// work-stealing parallel ADCEnum at 1, 2, and 8 workers, and the
-// SearchMC baseline must emit exactly the same set of minimal
-// approximate covers — and the parallel runs must report the same Stats
-// as the sequential one. The seed corpus (in-code seeds plus
-// testdata/fuzz) runs on every plain `go test`;
-// `go test -fuzz=FuzzEnumAgree` explores further.
+// parallel ADCEnum at 1, 2, and 8 workers, and the SearchMC baseline
+// must emit exactly the same set of minimal approximate covers — and
+// the parallel runs must report the same Stats as the sequential one.
+// The seed corpus (in-code seeds plus testdata/fuzz) runs on every
+// plain `go test`; `go test -fuzz=FuzzEnumAgree` explores further.
 func FuzzEnumAgree(f *testing.F) {
 	for seed := int64(0); seed < 10; seed++ {
 		f.Add(seed, byte(seed*31))
@@ -51,7 +50,8 @@ func FuzzEnumAgree(f *testing.F) {
 		// f3 violates that (a concentrated violation set can shrink the
 		// greedy repair), so the two strategies may legitimately prune
 		// differently under it; the serial-vs-parallel identity above
-		// holds regardless, because replay re-makes the same decisions.
+		// holds regardless, because a copied node makes the same
+		// decisions as the original.
 		if _, isF3 := fn.(approx.GreedyF3); isF3 {
 			return
 		}

@@ -15,11 +15,11 @@
 // passes over ⌈sets/64⌉ words.
 //
 // ADCEnum runs either as the classic sequential recursion or, with
-// Options.Workers, as a parallel enumeration: the search tree is cut
-// into subtrees identified by their move sequence from the root, and a
-// work-stealing worker pool replays and enumerates them with per-worker
-// bookkeeping (see parallel.go). Both modes emit exactly the same set
-// of hitting sets.
+// Options.Workers, as a parallel enumeration: a worker that is about to
+// descend while another worker sits idle hands it a copy of the child
+// node instead, and the idle worker enumerates that subtree with its
+// own scratch space (see parallel.go). Both modes emit exactly the same
+// set of hitting sets.
 //
 // As the paper notes (Section 6), ADCEnum is a general algorithm for
 // enumerating minimal approximate hitting sets and is usable outside
@@ -31,6 +31,7 @@ package hitset
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"adc/internal/approx"
 	"adc/internal/bitset"
@@ -38,9 +39,9 @@ import (
 )
 
 // Stats reports the work done by an enumeration run. Parallel runs keep
-// one Stats per worker and merge them atomically at join, so the totals
-// are exact; because every search node is processed by exactly one
-// worker, the merged counters equal the sequential run's.
+// one Stats per worker and sum them at join; because every search node
+// is processed by exactly one worker, the totals equal the sequential
+// run's.
 type Stats struct {
 	// Calls counts recursive invocations (both branches), the metric of
 	// the Figure 10 ablation.
@@ -61,8 +62,9 @@ type Options struct {
 	// picks GOMAXPROCS (degrading to the sequential recursion on small
 	// evidence sets, where fan-out costs more than it buys), 1 forces
 	// the sequential recursion, and n > 1 distributes search subtrees
-	// across n workers with work stealing. The emitted set of hitting
-	// sets is identical for every value. EnumerateMinimal ignores it.
+	// across n workers, which hand subtrees to each other whenever one
+	// is idle. The emitted set of hitting sets is identical for every
+	// value. EnumerateMinimal ignores it.
 	Workers int
 	// ChooseMinIntersection selects, at each node, the uncovered set with
 	// the minimum intersection with the candidate list, as Murakami and
@@ -136,33 +138,22 @@ func EnumerateMinimal(ev *evidence.Set, opts Options, emit func(hs bitset.Bits))
 	return st.stats
 }
 
-// state carries the bookkeeping of Figures 3 and 4 as bitsets over the
-// distinct evidence sets: uncov (U, the sets no element of the growing
-// hitting set S hits) and once (O, the sets exactly one element of S
-// hits). The pseudo-code's crit[u] for u ∈ S is derived rather than
-// stored: it is O ∩ occ[u], the sets only u hits. Adding an element is
-// one word-wise pass over ⌈sets/64⌉ words (see updateCritUncov), and the
-// covered/stolen words it records are the undo log that restores the
-// state exactly as the pseudo-code's "recover" lines require.
+// node is the bookkeeping of one search node of Figures 3 and 4, as
+// bitsets over the distinct evidence sets: uncov (U, the sets no element
+// of the growing hitting set S hits) and once (O, the sets exactly one
+// element of S hits). The pseudo-code's crit[u] for u ∈ S is derived
+// rather than stored: it is O ∩ occ[u], the sets only u hits. Adding an
+// element is one word-wise pass over ⌈sets/64⌉ words (see
+// updateCritUncov), and the covered/stolen words it records are the undo
+// log that restores the node exactly as the pseudo-code's "recover"
+// lines require.
 //
-// Every branch decision below is a pure function of this set-valued
-// state: chooseUncov scans U in index order, and crit checks, losses
-// and canHit flips depend only on which bits are set. The parallel
-// enumerator depends on this: a worker replays a move sequence from a
-// fresh root and must make exactly the choices the enqueuing worker made
-// (see parallel.go).
-type state struct {
-	ev    *evidence.Set
-	opts  Options
-	emit  func(bitset.Bits)
-	stats Stats
-
-	sets []bitset.Bits
-	// occ[e] is the set of distinct evidence sets containing element e.
-	// It is built once per enumeration and shared read-only by the
-	// coordinator and every worker of a parallel run.
-	occ []bitset.Bits
-
+// Every branch decision below is a pure function of the node:
+// chooseUncov scans U in index order, and crit checks, losses and canHit
+// flips depend only on which bits are set, never on a worker's scratch
+// space. A copy of a node (see clone) therefore enumerates exactly the
+// subtree the original would have.
+type node struct {
 	uncov       bitset.Bits // U: sets hit by no element of S
 	once        bitset.Bits // O: sets hit by exactly one element of S
 	nUncov      int         // |U|
@@ -171,6 +162,45 @@ type state struct {
 	cand        bitset.Bits
 	s           []int       // the growing hitting set S
 	sBits       bitset.Bits // same as s, as a bitset
+	// vioCount/nonzero maintain per-tuple violation participation over
+	// U incrementally as sets move in and out (the bookkeeping idea
+	// the paper applies to f1 in Section 5), so F2/greedy-F3 losses
+	// avoid rescanning every uncovered set's vios. nil unless the
+	// evaluator takes its fast tuple path.
+	vioCount []int64
+	nonzero  int // tuples with vioCount > 0
+}
+
+// clone returns a deep copy of the node.
+func (n *node) clone() *node {
+	c := *n
+	c.uncov = n.uncov.Clone()
+	c.once = n.once.Clone()
+	c.canHit = n.canHit.Clone()
+	c.cand = n.cand.Clone()
+	c.s = slices.Clone(n.s)
+	c.sBits = n.sBits.Clone()
+	c.vioCount = slices.Clone(n.vioCount)
+	return &c
+}
+
+// state is one enumerating worker: the current search node plus the
+// scratch space that evaluates and undoes moves on it.
+type state struct {
+	node
+	ev    *evidence.Set
+	opts  Options
+	emit  func(bitset.Bits)
+	stats Stats
+	// pool, when set, is the parallel run this worker belongs to.
+	pool *pool
+
+	sets []bitset.Bits
+	// occ[e] is the set of distinct evidence sets containing element e.
+	// It is built once per enumeration and shared read-only by every
+	// worker of a parallel run.
+	occ []bitset.Bits
+
 	// logs pools one undo log per recursion depth, reused across the
 	// candidate loop to avoid per-call allocation. Pointers keep a log
 	// valid while deeper recursion grows the pool.
@@ -182,31 +212,8 @@ type state struct {
 	// eval evaluates losses of explicit uncovered-set lists; the
 	// fast-path flags below mirror its, for the incremental variants.
 	eval *Evaluator
-	// vioCount/nonzero maintain per-tuple violation participation over
-	// U incrementally as sets move in and out (the bookkeeping idea
-	// the paper applies to f1 in Section 5), so F2/greedy-F3 losses
-	// avoid rescanning every uncovered set's vios.
-	vioCount []int64
-	nonzero  int // tuples with vioCount > 0
 	// merged is the reusable U+extra list of the generic loss path.
 	merged []int
-
-	// sink, when set, receives outputs instead of emit — the parallel
-	// enumerator routes covers through its shared intern (parallel.go).
-	sink func(*state)
-	// offload, when set, is consulted before every recursive descent
-	// with the child's move; returning true means the child subtree was
-	// handed to another worker (or the frontier queue) and must not be
-	// recursed into. path is the move sequence from the root to the
-	// current node, maintained only while offload is set.
-	offload func(m move) bool
-	path    []move
-	// passedPool pools one sibling-outcome mask per branch-2 recursion
-	// depth (distinct live depths: every stack node in its branch-2
-	// phase has a distinct |S|), used only when offload is set.
-	passedPool [][]uint64
-	// undoBuf is the reusable replay journal of runTask.
-	undoBuf []moveUndo
 }
 
 // buildOcc returns the per-element occurrence bitsets over the distinct
@@ -226,16 +233,18 @@ func newState(ev *evidence.Set, opts Options, occ []bitset.Bits) *state {
 	universe := len(occ)
 	n := len(ev.Sets)
 	st := &state{
+		node: node{
+			uncov:  bitset.New(n),
+			once:   bitset.New(n),
+			nUncov: n,
+			canHit: bitset.New(n),
+			cand:   bitset.New(universe),
+			sBits:  bitset.New(universe),
+		},
 		ev:      ev,
 		opts:    opts,
 		sets:    ev.Sets,
 		occ:     occ,
-		uncov:   bitset.New(n),
-		once:    bitset.New(n),
-		nUncov:  n,
-		canHit:  bitset.New(n),
-		cand:    bitset.New(universe),
-		sBits:   bitset.New(universe),
 		scratch: bitset.New(n),
 		eval:    NewEvaluator(ev, opts.Func),
 	}
@@ -401,9 +410,9 @@ const chooseScanLimit = 64
 // Returns -1 if none qualifies.
 //
 // The scan walks U in set-index order with ties going to the lowest
-// index, so the choice is a pure function of the uncovered set. The
-// parallel enumerator's replay correctness depends on this (the serial
-// enumerator only needs *some* deterministic rule).
+// index, so the choice is a pure function of the node: a copied node
+// grows the same subtree on any worker, and TestSearchTreePinned can pin
+// the tree (the enumeration itself only needs *some* rule).
 func (st *state) chooseUncov(restrict bool) int {
 	best, bestN := -1, -1
 	scanned := 0
@@ -489,14 +498,8 @@ func (st *state) pop(e int) {
 	st.sBits.Clear(e)
 }
 
-// emitCover reports the current S as an output. Serial runs go straight
-// to the user callback; parallel workers route through the pool's shared
-// intern, which collapses duplicate covers and serializes emit.
+// emitCover reports the current S as an output.
 func (st *state) emitCover() {
-	if st.sink != nil {
-		st.sink(st)
-		return
-	}
 	st.stats.Outputs++
 	st.emit(st.sBits)
 }
@@ -556,23 +559,17 @@ func (st *state) tupleLoss(extra bitset.Bits) float64 {
 	return result
 }
 
-// greedyF3 is Figure 2's algorithm over the maintained counts: sort the
-// involved tuples by violation participation, take tuples until the
-// covered count reaches the total violating pairs, return |R|/|D|.
-// Assumes the evaluator's scratch already holds the extra deltas.
+// greedyF3 is Figure 2's algorithm over the maintained counts plus the
+// extra deltas, which the evaluator's scratch must already hold.
 func (st *state) greedyF3(extra bitset.Bits) float64 {
 	e := st.eval
-	u := st.uncovWeight + st.weightOf(extra)
-	if u == 0 {
-		return 0
-	}
 	e.order = e.order[:0]
-	for t := range st.vioCount {
-		if v := st.vioCount[t] + e.scratch[t]; v > 0 {
-			e.order = append(e.order, tupleCount{int32(t), v})
+	for t, c := range st.vioCount {
+		if v := c + e.scratch[t]; v > 0 {
+			e.order = append(e.order, v)
 		}
 	}
-	return float64(greedyRemovals(e.order, u)) / float64(st.ev.NumRows)
+	return approx.GreedyF3{}.TupleLoss(e.order, st.uncovWeight+st.weightOf(extra), st.ev.NumRows)
 }
 
 // isMinimal is the subroutine of Figure 5: S is minimal iff no single
@@ -642,38 +639,13 @@ func (st *state) removeOperatorVariants(e int) []int {
 	return removed
 }
 
-// descend recurses into the child subtree reached by move m, unless the
-// offload hook (parallel mode) hands the subtree to another worker.
-func (st *state) descend(m move) {
-	if st.offload != nil {
-		if st.offload(m) {
-			return
-		}
-		st.path = append(st.path, m)
-		st.adcEnum()
-		st.path = st.path[:len(st.path)-1]
+// descend enumerates the child node the state now holds, unless a
+// parallel run hands a copy of it to an idle worker instead.
+func (st *state) descend() {
+	if st.pool != nil && st.pool.offload(&st.node) {
 		return
 	}
 	st.adcEnum()
-}
-
-// passedAt returns the pooled, zeroed sibling-outcome mask for branch-2
-// recursion depth d, sized for n candidates.
-func (st *state) passedAt(d, n int) []uint64 {
-	for len(st.passedPool) <= d {
-		st.passedPool = append(st.passedPool, nil)
-	}
-	words := (n + 63) / 64
-	buf := st.passedPool[d]
-	if cap(buf) < words {
-		buf = make([]uint64, words)
-	}
-	buf = buf[:words]
-	for i := range buf {
-		buf[i] = 0
-	}
-	st.passedPool[d] = buf
-	return buf
 }
 
 func (st *state) adcEnum() {
@@ -701,7 +673,7 @@ func (st *state) adcEnum() {
 	}
 	flipped := st.updateCanHit()
 	if st.willCover() {
-		st.descend(move{take: moveSkip})
+		st.descend()
 	}
 	for _, k := range flipped {
 		st.canHit.Set(k)
@@ -716,27 +688,17 @@ func (st *state) adcEnum() {
 	for _, e := range c {
 		st.cand.Clear(e)
 	}
-	// In parallel mode, record which candidates pass the crit check, so
-	// an offloaded later sibling can replay this node without re-running
-	// the checks (the mask rides along in the task's move).
-	var passed []uint64
-	if st.offload != nil {
-		passed = st.passedAt(len(st.s), len(c))
-	}
-	for i, e := range c {
+	for _, e := range c {
 		log := st.updateCritUncov(e, len(st.s))
 		if log.nCovered > 0 && st.critNonEmptyForAll() {
 			variants := st.removeOperatorVariants(e)
 			st.push(e)
-			st.descend(move{take: int32(i), passed: passed})
+			st.descend()
 			st.pop(e)
 			for _, m := range variants {
 				st.cand.Set(m)
 			}
 			st.cand.Set(e)
-			if passed != nil {
-				passed[i>>6] |= 1 << (uint(i) & 63)
-			}
 		}
 		st.undoCritUncov(log)
 	}

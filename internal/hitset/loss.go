@@ -1,7 +1,6 @@
 package hitset
 
 import (
-	"math"
 	"sort"
 
 	"adc/internal/approx"
@@ -41,7 +40,7 @@ type Evaluator struct {
 	isF3      bool
 	viosList  [][]tupleCount // per distinct set: (tuple, participation)
 	scratch   []int64        // per-tuple delta workspace
-	order     []tupleCount   // reusable sort buffer for greedy f3
+	order     []int64        // reusable sort buffer for greedy f3
 	generic   []int          // reusable sorted copy for custom functions
 }
 
@@ -105,22 +104,16 @@ func (e *Evaluator) LossOf(setIdxs []int) float64 {
 	return e.f.Loss(e.ev, e.generic)
 }
 
-// pairLoss maps a violating-pair count to the loss of F1 (or F1Adjusted
-// when adjustZ is set), mirroring the approx package.
+// pairLoss maps a violating-pair count to the loss of F1, or of
+// F1Adjusted when adjustZ is set.
 func (e *Evaluator) pairLoss(viol int64) float64 {
+	if e.adjustZ != 0 {
+		return approx.F1Adjusted{Z: e.adjustZ}.PairLoss(viol, e.ev.TotalPairs)
+	}
 	if e.ev.TotalPairs == 0 {
 		return 0
 	}
-	n := float64(e.ev.TotalPairs)
-	p := float64(viol) / n
-	if e.adjustZ == 0 {
-		return p
-	}
-	l := p + e.adjustZ*math.Sqrt(p*(1-p)/n)
-	if l > 1 {
-		return 1
-	}
-	return l
+	return float64(viol) / float64(e.ev.TotalPairs)
 }
 
 // tupleLossOf computes the F2 or greedy-F3 loss of exactly the given
@@ -143,35 +136,15 @@ func (e *Evaluator) tupleLossOf(setIdxs []int) float64 {
 	var result float64
 	if !e.isF3 {
 		result = float64(involved) / float64(e.ev.NumRows)
-	} else if u == 0 {
-		result = 0
 	} else {
 		e.order = e.order[:0]
 		for _, t := range touched {
-			e.order = append(e.order, tupleCount{t, e.scratch[t]})
+			e.order = append(e.order, e.scratch[t])
 		}
-		result = float64(greedyRemovals(e.order, u)) / float64(e.ev.NumRows)
+		result = approx.GreedyF3{}.TupleLoss(e.order, u, e.ev.NumRows)
 	}
 	for _, t := range touched {
 		e.scratch[t] = 0
 	}
 	return result
-}
-
-// greedyRemovals is Figure 2's greedy selection over per-tuple violation
-// counts: sort descending, take tuples until the covered count reaches
-// the total violating pairs u, return how many were taken. The result
-// depends only on the multiset of counts, so an unstable sort is fine.
-func greedyRemovals(order []tupleCount, u int64) int {
-	sort.Slice(order, func(a, b int) bool { return order[a].c > order[b].c })
-	var covered int64
-	removed := 0
-	for _, tc := range order {
-		if covered >= u {
-			break
-		}
-		covered += tc.c
-		removed++
-	}
-	return removed
 }

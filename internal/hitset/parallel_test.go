@@ -170,8 +170,8 @@ func TestParallelAgainstBruteForce(t *testing.T) {
 
 // TestParallelEightWorkersRace exercises 8-worker enumeration on a real
 // dataset with enough tree to keep every worker busy; under `go test
-// -race` this is the satellite race check on the shared queue, the
-// cover intern, and the atomic stats join. Concurrent EnumerateADC calls
+// -race` this is the race check on the node hand-off queue, the
+// serialized emission, and the stats join. Concurrent EnumerateADC calls
 // share one evidence set, as server mine jobs do.
 func TestParallelEightWorkersRace(t *testing.T) {
 	d, err := datagen.ByName("adult", 30, 1)

@@ -46,6 +46,7 @@ import (
 	"math"
 	"slices"
 
+	"adc/internal/approx"
 	"adc/internal/dataset"
 	"adc/internal/predicate"
 )
@@ -168,9 +169,7 @@ func (r *Report) TopViolating(k int) []TupleCount {
 }
 
 // sortedTupleCounts lists the tuples with nonzero counts in greedy
-// order: count descending, ties toward the smaller index. This ordering
-// is load-bearing for lossF3, which must agree with approx.GreedyF3
-// (the SortTuples step of Figure 2) exactly.
+// order: count descending, ties toward the smaller index.
 func sortedTupleCounts(counts []int64) []TupleCount {
 	out := make([]TupleCount, 0)
 	for t, c := range counts {
@@ -224,25 +223,17 @@ func lossF2(counts []int64, n int) float64 {
 	return float64(involved) / float64(n)
 }
 
-// lossF3 is the greedy stand-in for the cardinality-repair fraction
-// (Figure 2), identical to approx.GreedyF3: take tuples in decreasing
-// participation order until the taken participation covers the violating
-// pair count.
+// lossF3 is approx.GreedyF3's loss, the greedy stand-in for the
+// cardinality-repair fraction (Figure 2), over the involved tuples'
+// participation counts.
 func lossF3(counts []int64, violations int64, n int) float64 {
-	if n == 0 || violations == 0 {
-		return 0
-	}
-	order := sortedTupleCounts(counts)
-	var covered int64
-	removed := 0
-	for _, e := range order {
-		if covered >= violations {
-			break
+	var involved []int64
+	for _, c := range counts {
+		if c > 0 {
+			involved = append(involved, c)
 		}
-		covered += e.Count
-		removed++
 	}
-	return float64(removed) / float64(n)
+	return approx.GreedyF3{}.TupleLoss(involved, violations, n)
 }
 
 // Validation is the verdict of one DC under a chosen approximation
