@@ -57,11 +57,18 @@ type Column struct {
 	Floats  []float64
 	Strings []string
 	Codes   []int32 // dictionary codes, String columns only
-	dict    map[string]int32
+	// dict and values are the dictionary both ways: dict maps a value
+	// to its code and values[code] is that value, so codes are dense
+	// and in first-occurrence order. Neither is written after the
+	// column is built; a column grown by AppendRows shares them until
+	// a batch adds a value.
+	dict   map[string]int32
+	values []string
 	// interned marks String columns whose Strings entries alias the
 	// dictionary (one string object per distinct value, built by the
-	// streaming ingest path), so MemBytes can count each value's bytes
-	// once instead of once per row.
+	// streaming ingest path and kept by appends of known values), so
+	// MemBytes can count each value's bytes once instead of once per
+	// row.
 	interned bool
 }
 
@@ -84,12 +91,14 @@ func NewFloatColumn(name string, values []float64) *Column {
 
 func (c *Column) buildDict() {
 	c.dict = make(map[string]int32)
+	c.values = []string{} // empty, not nil, like a decoded snapshot's
 	c.Codes = make([]int32, len(c.Strings))
 	for i, s := range c.Strings {
 		code, ok := c.dict[s]
 		if !ok {
-			code = int32(len(c.dict))
+			code = int32(len(c.values))
 			c.dict[s] = code
+			c.values = append(c.values, s)
 		}
 		c.Codes[i] = code
 	}

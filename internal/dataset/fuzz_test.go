@@ -1,9 +1,13 @@
 package dataset_test
 
 import (
+	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"adc/internal/dataset"
 )
@@ -80,4 +84,159 @@ func FuzzReadCSVStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Cell pools FuzzAppendRows draws from, one per column of its Int,
+// Float, String schema: signs, padding, NaN and infinity spellings,
+// empty and whitespace-only cells, and cells the column type rejects.
+var (
+	fuzzIntCells   = []string{"0", "-0", "7", " 7", "-3\t", "9223372036854775807", "x", ""}
+	fuzzFloatCells = []string{"0", "-0", " -0 ", "NaN", "nan", " -Inf", "1.5", "1e308 ", "", "x"}
+	fuzzStrCells   = []string{"", " ", "\t", "x", " x", "x ", "y", "NaN", "-0", " y", "z z"}
+)
+
+// FuzzAppendRows differentially fuzzes Relation.AppendRows against a
+// from-scratch oracle: after each of a chain of random batches, every
+// column must equal the one built by the constructors over the
+// concatenated (trimmed) values — NewStringColumn for the string
+// column — in values, codes, dictionary, distinct count and MemBytes.
+// A batch with a cell the column type rejects must fail and change
+// nothing. A twin relation whose string column starts interned must
+// match too, keep every row aliased to its dictionary string, and stay
+// interned until a batch adds a value. Each batch is also appended to
+// the receiver a second time in reverse order; that sibling must not
+// disturb the first result, which shares the receiver's dictionary.
+func FuzzAppendRows(f *testing.F) {
+	f.Add([]byte{3, 2, 3, 4, 5, 6, 7, 0, 1, 2, 2, 9, 8, 7, 1, 1, 1})
+	f.Add([]byte{0, 1, 0, 3, 10, 2, 2, 2, 4, 4, 4})
+	f.Add([]byte{2, 0, 0, 0, 1, 1, 1, 1, 6, 0, 0})
+	f.Add([]byte{4, 5, 4, 1, 3, 5, 2, 0, 0, 0, 7, 8, 9, 3, 1, 1, 5, 3, 6, 6, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		cells := func() []string {
+			return []string{
+				fuzzIntCells[next()%len(fuzzIntCells)],
+				fuzzFloatCells[next()%len(fuzzFloatCells)],
+				fuzzStrCells[next()%len(fuzzStrCells)],
+			}
+		}
+		// The base relation keeps its string cells as given (untrimmed)
+		// and maps numeric cells its type rejects to zero.
+		var ints []int64
+		var floats []float64
+		var strs []string
+		for n := next() % 6; n > 0; n-- {
+			rec := cells()
+			x, _ := strconv.ParseInt(strings.TrimSpace(rec[0]), 10, 64)
+			y, _ := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
+			ints, floats, strs = append(ints, x), append(floats, y), append(strs, rec[2])
+		}
+		oracle := func() []*dataset.Column {
+			return []*dataset.Column{
+				dataset.NewIntColumn("i", slices.Clone(ints)),
+				dataset.NewFloatColumn("f", slices.Clone(floats)),
+				dataset.NewStringColumn("s", slices.Clone(strs)),
+			}
+		}
+		base := oracle()
+		cur := dataset.MustNewRelation("r", base)
+		values, _, err := base[2].DictSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		internedCol, err := dataset.RestoreStringColumn("s", values, base[2].Codes, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin := dataset.MustNewRelation("r", []*dataset.Column{base[0], base[1], internedCol})
+		interned := true
+		for len(data) > 0 {
+			recs := make([][]string, next()%4)
+			reject := false
+			for k := range recs {
+				recs[k] = cells()
+				_, ierr := strconv.ParseInt(strings.TrimSpace(recs[k][0]), 10, 64)
+				_, ferr := strconv.ParseFloat(strings.TrimSpace(recs[k][1]), 64)
+				reject = reject || ierr != nil || ferr != nil
+			}
+			got, gotErr := cur.AppendRows(recs)
+			gotTwin, twinErr := twin.AppendRows(recs)
+			if reject {
+				if gotErr == nil || twinErr == nil {
+					t.Fatalf("AppendRows(%q) accepted a cell its column rejects", recs)
+				}
+				continue
+			}
+			if gotErr != nil || twinErr != nil {
+				t.Fatalf("AppendRows(%q): %v, twin: %v", recs, gotErr, twinErr)
+			}
+			reversed := slices.Clone(recs)
+			slices.Reverse(reversed)
+			if _, err := cur.AppendRows(reversed); err != nil {
+				t.Fatalf("sibling AppendRows(%q): %v", reversed, err)
+			}
+			distinct := base[2].DistinctCount()
+			for _, rec := range recs {
+				x, _ := strconv.ParseInt(strings.TrimSpace(rec[0]), 10, 64)
+				y, _ := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
+				ints, floats, strs = append(ints, x), append(floats, y), append(strs, strings.TrimSpace(rec[2]))
+			}
+			want := oracle()
+			interned = interned && want[2].DistinctCount() == distinct
+			base, cur, twin = want, got, gotTwin
+			checkAppended(t, cur.Columns, want, false)
+			checkAppended(t, twin.Columns, want, interned)
+		}
+	})
+}
+
+// checkAppended compares appended columns with the oracle's. An
+// interned string column must alias every row to its dictionary string
+// and count string bytes once per distinct value instead of per row.
+func checkAppended(t *testing.T, got, want []*dataset.Column, interned bool) {
+	t.Helper()
+	if !slices.Equal(got[0].Ints, want[0].Ints) {
+		t.Fatalf("ints %v, want %v", got[0].Ints, want[0].Ints)
+	}
+	for i, w := range want[1].Floats {
+		if math.Float64bits(got[1].Floats[i]) != math.Float64bits(w) {
+			t.Fatalf("float row %d: %v, want %v", i, got[1].Floats[i], w)
+		}
+	}
+	g, w := got[2], want[2]
+	if !slices.Equal(g.Strings, w.Strings) || !slices.Equal(g.Codes, w.Codes) {
+		t.Fatalf("strings %q codes %v, want %q %v", g.Strings, g.Codes, w.Strings, w.Codes)
+	}
+	gv, gi, gerr := g.DictSnapshot()
+	wv, _, werr := w.DictSnapshot()
+	if gerr != nil || werr != nil || !slices.Equal(gv, wv) || gi != interned {
+		t.Fatalf("DictSnapshot = (%q, %v, %v), want (%q, %v, %v)", gv, gi, gerr, wv, interned, werr)
+	}
+	if g.DistinctCount() != w.DistinctCount() {
+		t.Fatalf("DistinctCount = %d, want %d", g.DistinctCount(), w.DistinctCount())
+	}
+	wantMem := w.MemBytes()
+	if interned {
+		for i, s := range g.Strings {
+			if len(s) > 0 && unsafe.StringData(s) != unsafe.StringData(gv[g.Codes[i]]) {
+				t.Fatalf("row %d does not alias its dictionary string", i)
+			}
+			wantMem -= int64(len(s))
+		}
+	}
+	if g.MemBytes() != wantMem {
+		t.Fatalf("MemBytes = %d, want %d", g.MemBytes(), wantMem)
+	}
+	for j := range got[:2] {
+		if got[j].MemBytes() != want[j].MemBytes() {
+			t.Fatalf("column %d MemBytes = %d, want %d", j, got[j].MemBytes(), want[j].MemBytes())
+		}
+	}
 }

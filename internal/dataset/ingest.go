@@ -415,7 +415,7 @@ func mergeStringCol(name string, chunks []*chunkData, j, rows int) *Column {
 	for i, cd := range codes {
 		strs[i] = values[cd]
 	}
-	return &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, interned: true}
+	return &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, values: values, interned: true}
 }
 
 // runTasks executes the tasks on up to workers goroutines and waits.

@@ -9,14 +9,17 @@ package dataset
 // unexported dictionary map and interned flag — the round-trip
 // invariant the colstore tests pin.
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DictSnapshot returns the column's dictionary values in code order
 // (values[code] is the string encoded as code) and whether the column
-// interns its per-row strings. It errors on non-string columns and on
-// hand-built columns whose codes are not the dense first-occurrence
-// numbering every constructor produces — such a column cannot be
-// rebuilt from (values, codes) alone.
+// interns its per-row strings. The values slice is the column's own
+// and must not be modified. It errors on non-string columns and on
+// hand-built columns that carry no dictionary — such a column cannot
+// be rebuilt from (values, codes) alone.
 func (c *Column) DictSnapshot() (values []string, interned bool, err error) {
 	if c.Type != String {
 		return nil, false, fmt.Errorf("dataset: column %q is %s, not string", c.Name, c.Type)
@@ -24,16 +27,7 @@ func (c *Column) DictSnapshot() (values []string, interned bool, err error) {
 	if c.dict == nil {
 		return nil, false, fmt.Errorf("dataset: column %q has no dictionary", c.Name)
 	}
-	values = make([]string, len(c.dict))
-	seen := make([]bool, len(c.dict))
-	for s, code := range c.dict {
-		if code < 0 || int(code) >= len(values) || seen[code] {
-			return nil, false, fmt.Errorf("dataset: column %q has non-dense dictionary codes", c.Name)
-		}
-		values[code] = s
-		seen[code] = true
-	}
-	return values, c.interned, nil
+	return slices.Clip(c.values), c.interned, nil
 }
 
 // RestoreStringColumn rebuilds a dictionary-encoded string column from
@@ -57,5 +51,5 @@ func RestoreStringColumn(name string, values []string, codes []int32, interned b
 		}
 		strs[i] = values[code]
 	}
-	return &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, interned: interned}, nil
+	return &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, values: values, interned: interned}, nil
 }

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"adc/internal/datagen"
 )
 
 // benchCSV builds the equality-heavy synthetic dataset for the serving
@@ -150,3 +152,61 @@ func BenchmarkServerAppendWALOn(b *testing.B) { benchAppendWAL(b, false) }
 // BenchmarkServerAppendWALOff is the same path with the per-record
 // fsync skipped — the denominator of the WAL-overhead gate.
 func BenchmarkServerAppendWALOff(b *testing.B) { benchAppendWAL(b, true) }
+
+// benchRestore measures storage.restore of a 20k-row tax session that
+// took 32 four-row append batches: snapshot attach, index store, and
+// log replay. With inWAL the batches sit in the session's write-ahead
+// log, as after a crash below the snapshot interval; without it, a
+// snapshot taken after the appends already holds them and the log is
+// empty. The ratio of the two is the cost of replaying the log.
+func benchRestore(b *testing.B, inWAL bool) {
+	b.Helper()
+	ds, err := datagen.ByName("tax", 20000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var csv strings.Builder
+	if err := ds.Rel.WriteCSV(&csv); err != nil {
+		b.Fatal(err)
+	}
+	s, ts := testServer(b, Config{DataDir: b.TempDir(), WALNoSync: true})
+	c := ts.Client()
+	id := ingestCSV(b, c, ts.URL, csv.String())
+	const batches, batchRows = 32, 4
+	for k := 0; k < batches; k++ {
+		rows := make([][]string, batchRows)
+		for r := range rows {
+			i := (k*batchRows + r) * 613 % ds.Rel.NumRows()
+			rows[r] = make([]string, ds.Rel.NumColumns())
+			for j, col := range ds.Rel.Columns {
+				rows[r][j] = col.ValueString(i)
+			}
+		}
+		appendRows(b, c, ts.URL, id, rows)
+	}
+	if !inWAL {
+		sess := s.reg.get(id)
+		s.reg.save(sess)
+		sess.release()
+	}
+	want := ds.Rel.NumRows() + batches*batchRows
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess, err := s.reg.store.restore(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		checker, _ := sess.state()
+		if got := checker.Relation().NumRows(); got != want {
+			b.Fatalf("restored %d rows, want %d", got, want)
+		}
+		sess.release()
+	}
+}
+
+// BenchmarkServerRestoreWAL restores with the 32 batches in the log.
+func BenchmarkServerRestoreWAL(b *testing.B) { benchRestore(b, true) }
+
+// BenchmarkServerRestoreSnapshot restores the same rows from the
+// snapshot alone — the denominator of the replay-overhead gate.
+func BenchmarkServerRestoreSnapshot(b *testing.B) { benchRestore(b, false) }

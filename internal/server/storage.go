@@ -174,13 +174,10 @@ func (st *storage) restore(id string) (*session, error) {
 		return nil, err
 	}
 	// Open the WAL (salvaging its valid prefix, truncating any torn
-	// tail) and replay the batches the snapshot does not already cover.
-	// A batch whose base row count is below the snapshot's was compacted
-	// in before the crash (the crash hit between the snapshot rename and
-	// the WAL truncate) and is skipped; a gap above means bytes from a
-	// foreign or tampered file and stops the replay. A WAL that cannot
-	// be opened degrades the session rather than failing the restore —
-	// the snapshot alone is still a consistent (if older) state.
+	// tail) and replay the batches the snapshot does not already cover
+	// (see replayRun) as one append. A WAL that cannot be opened
+	// degrades the session rather than failing the restore — the
+	// snapshot alone is still a consistent (if older) state.
 	var sessWAL *wal.Log
 	applied := int64(0)
 	l, rep, werr := wal.Open(st.fsys, st.walPath(id), wal.Options{NoSync: st.walNoSync})
@@ -188,27 +185,10 @@ func (st *storage) restore(id string) (*session, error) {
 		st.noteWALError(werr)
 	} else {
 		sessWAL = l
-		rows := snap.Relation.NumRows()
-		dropped := rep.DiscardedBytes
-		for _, b := range rep.Batches {
-			if b.BaseRows < rows {
-				continue // already inside the snapshot
-			}
-			if b.BaseRows > rows {
-				break
-			}
-			next, _, _, aerr := checker.AppendRows(b.Rows)
-			if aerr != nil {
-				st.noteWALError(fmt.Errorf("wal replay %s: %w", id, aerr))
-				break
-			}
-			checker = next
-			rows = next.Relation().NumRows()
-			applied++
-		}
+		checker, applied = st.replay(id, checker, replayRun(rep.Batches, snap.Relation.NumRows()))
 		st.mu.Lock()
 		st.walReplayed += applied
-		st.walDropped += dropped
+		st.walDropped += rep.DiscardedBytes
 		st.mu.Unlock()
 	}
 	created, err := time.Parse(time.RFC3339Nano, snap.Meta.Created)
@@ -237,6 +217,55 @@ func (st *storage) restore(id string) (*session, error) {
 	st.restoreHist.Observe(time.Since(start))
 	st.mu.Unlock()
 	return sess, nil
+}
+
+// replayRun returns the WAL batches that extend a snapshot of rows
+// rows, in order. A batch whose base row count is below the running
+// count was compacted in before the crash (the crash hit between the
+// snapshot rename and the WAL truncate) and is skipped; a gap above it
+// means bytes from a foreign or tampered file and ends the run.
+func replayRun(batches []wal.Batch, rows int) []wal.Batch {
+	var run []wal.Batch
+	for _, b := range batches {
+		if b.BaseRows < rows {
+			continue
+		}
+		if b.BaseRows > rows {
+			break
+		}
+		run = append(run, b)
+		rows += len(b.Rows)
+	}
+	return run
+}
+
+// replay applies a replay run to checker with one AppendRows call and
+// returns the result and the number of batches applied. The column
+// types reject a logged batch only in a foreign or hand-edited log;
+// then the run replays batch by batch up to the rejected one, which is
+// logged as a WAL error.
+func (st *storage) replay(id string, checker *adc.Checker, run []wal.Batch) (*adc.Checker, int64) {
+	if len(run) == 0 {
+		return checker, 0
+	}
+	var rows [][]string
+	for _, b := range run {
+		rows = append(rows, b.Rows...)
+	}
+	if next, _, _, err := checker.AppendRows(rows); err == nil {
+		return next, int64(len(run))
+	}
+	applied := int64(0)
+	for _, b := range run {
+		next, _, _, err := checker.AppendRows(b.Rows)
+		if err != nil {
+			st.noteWALError(fmt.Errorf("wal replay %s: %w", id, err))
+			break
+		}
+		checker = next
+		applied++
+	}
+	return checker, applied
 }
 
 // remove deletes a session's snapshot and WAL files
@@ -296,18 +325,10 @@ func (st *storage) scan() (map[string]*spillEntry, int) {
 		id := m[1]
 		rows, appends := info.Rows, info.Meta.Appends
 		if rep, err := wal.Scan(st.fsys, st.walPath(id)); err == nil {
-			walRows := rows
-			for _, b := range rep.Batches {
-				if b.BaseRows < walRows {
-					continue
-				}
-				if b.BaseRows > walRows {
-					break
-				}
-				walRows += len(b.Rows)
+			for _, b := range replayRun(rep.Batches, rows) {
+				rows += len(b.Rows)
 				appends++
 			}
-			rows = walRows
 		}
 		spilled[id] = &spillEntry{
 			name:    info.Meta.Name,

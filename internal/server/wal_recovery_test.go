@@ -3,11 +3,14 @@ package server
 import (
 	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"adc"
 	"adc/internal/colstore"
+	"adc/internal/pli"
 	"adc/internal/storefs"
 	"adc/internal/wal"
 )
@@ -368,5 +371,130 @@ func TestSnapshotUnmappedOnEvict(t *testing.T) {
 	view := listedDataset(t, c2, ts2.URL, id)
 	if view["spilled"] != true {
 		t.Fatalf("evicted session not listed as spilled: %v", view)
+	}
+}
+
+// TestWALReplayCoalescedMatchesPerBatch pins that restoring a session
+// replays its log exactly as applying the logged batches one at a time
+// would: the same rows and dictionary codes, the same index set (the
+// State index patched with an unseen value, the Salary index dropped
+// by one), the same append count, wal_replayed_batches and WAL errors.
+// Stale records sit at the head and in the middle of each log; in the
+// second, a batch the column types reject (only a foreign or
+// hand-edited log holds one) stops the replay in front of it.
+func TestWALReplayCoalescedMatchesPerBatch(t *testing.T) {
+	stale := wal.Batch{BaseRows: 3, Rows: [][]string{{"99999", "XX", "1"}}}
+	newState := [][]string{{"10001", "TX", "50"}}
+	newSalary := [][]string{{"90210", "CA", "12345"}, {"10001", "NY", "60"}}
+	known := [][]string{{"90210", "CA", "80"}}
+	rejected := [][]string{{"not-a-zip", "NY", "50"}}
+	cases := []struct {
+		name          string
+		log           []wal.Batch
+		salaryDropped bool
+	}{
+		{"applied as one append", []wal.Batch{
+			stale, {BaseRows: 5, Rows: newState}, {BaseRows: 6, Rows: newSalary},
+			{BaseRows: 5, Rows: known}, {BaseRows: 8, Rows: known},
+		}, true},
+		{"rejected batch mid-log", []wal.Batch{
+			stale, {BaseRows: 5, Rows: newState}, {BaseRows: 6, Rows: rejected},
+			{BaseRows: 7, Rows: newSalary}, {BaseRows: 9, Rows: known},
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, ts := testServer(t, Config{DataDir: dir})
+			id := ingestCSV(t, ts.Client(), ts.URL, dirtyCSV)
+			sess := srv.reg.get(id)
+			checker, _ := sess.state()
+			checker.Indexes().Warm(nil, 1)
+			srv.reg.save(sess) // the snapshot carries every index
+			sess.release()
+			ts.Close()
+
+			l, _, err := wal.Open(storefs.Std, dir+"/"+id+".adcw", wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range tc.log {
+				if err := l.Append(b.BaseRows, b.Rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Close()
+
+			// The reference: the snapshot plus the log applied batch
+			// by batch under the replay rules.
+			snap, err := colstore.Load(dir + "/" + id + ".adcs")
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := pli.RestoreStore(snap.Relation.Columns, snap.Indexes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := adc.NewCheckerWithStore(snap.Relation, store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			applied, walErrors := 0, 0
+			for _, b := range tc.log {
+				rows := want.Relation().NumRows()
+				if b.BaseRows < rows {
+					continue
+				}
+				if b.BaseRows > rows {
+					break
+				}
+				next, _, _, err := want.AppendRows(b.Rows)
+				if err != nil {
+					walErrors++
+					break
+				}
+				want, applied = next, applied+1
+			}
+
+			srv2, ts2 := testServer(t, Config{DataDir: dir})
+			c2 := ts2.Client()
+			restored := srv2.reg.get(id)
+			got, _ := restored.state()
+			restored.release()
+			if got.Relation().NumRows() != want.Relation().NumRows() {
+				t.Fatalf("restored %d rows, per-batch replay %d", got.Relation().NumRows(), want.Relation().NumRows())
+			}
+			for j, w := range want.Relation().Columns {
+				g := got.Relation().Columns[j]
+				for i := 0; i < w.Len(); i++ {
+					if g.ValueString(i) != w.ValueString(i) {
+						t.Fatalf("column %q row %d: restored %q, per-batch %q", w.Name, i, g.ValueString(i), w.ValueString(i))
+					}
+				}
+				if !reflect.DeepEqual(g.Codes, w.Codes) {
+					t.Errorf("column %q codes: restored %v, per-batch %v", w.Name, g.Codes, w.Codes)
+				}
+			}
+			gotIdx, wantIdx := got.Indexes().Snapshot(), want.Indexes().Snapshot()
+			if !reflect.DeepEqual(gotIdx, wantIdx) {
+				t.Errorf("restored index set differs from per-batch replay")
+			}
+			state, salary := got.Relation().ColumnIndex("State"), got.Relation().ColumnIndex("Salary")
+			if gotIdx[state] == nil || (gotIdx[salary] == nil) != tc.salaryDropped {
+				t.Errorf("State index built %v, Salary index dropped %v; want true, %v",
+					gotIdx[state] != nil, gotIdx[salary] == nil, tc.salaryDropped)
+			}
+			view := listedDataset(t, c2, ts2.URL, id)
+			if got, want := view["appends"].(float64), float64(snap.Meta.Appends+int64(applied)); got != want {
+				t.Errorf("appends = %v, want %v", got, want)
+			}
+			st := storageMetrics(t, c2, ts2.URL)
+			if got, _ := st["wal_replayed_batches"].(float64); got != float64(applied) {
+				t.Errorf("wal_replayed_batches = %v, want %d", got, applied)
+			}
+			if got, _ := st["wal_errors"].(float64); got != float64(walErrors) {
+				t.Errorf("wal_errors = %v, want %d", got, walErrors)
+			}
+		})
 	}
 }
