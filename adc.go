@@ -26,14 +26,16 @@
 // re-exported for property-testing them.
 //
 // Beyond mining, the package covers the other half of the cleaning
-// story: applying constraints back to data. Violations enumerates the
-// tuple pairs violating a set of DCs (mined or hand-written), choosing
-// per DC between a PLI cluster-intersection join and a sharded parallel
-// refutation scan; Validate scores DCs against a relation under f1, f2,
-// or f3 and a threshold; Repair computes a greedy deletion set that
-// satisfies every constraint. ParseDCSpec reads constraints in the
-// paper's textual notation, so golden or expert DCs can be supplied as
-// strings (see cmd/dccheck for the command-line form):
+// story: applying constraints back to data. Violations finds the tuple
+// pairs violating a set of DCs (mined or hand-written), counting a DC in
+// closed form when its pair list is capped, and otherwise choosing per
+// DC between a PLI cluster-intersection join, a range probe and a
+// sharded parallel refutation scan; Validate scores DCs against a
+// relation under f1, f2, or f3 and a threshold; Repair computes a
+// greedy deletion set that satisfies every constraint. ParseDCSpec
+// reads constraints in the paper's textual notation, so golden or
+// expert DCs can be supplied as strings (see cmd/dccheck for the
+// command-line form):
 //
 //	specs, _ := adc.ParseDCSpecs([]string{
 //	    "not(t.Zip = t'.Zip and t.State != t'.State)",
@@ -624,10 +626,12 @@ type IndexStore = pli.Store
 // NewChecker creates a Checker over the relation with empty caches.
 var NewChecker = violation.NewChecker
 
-// Violations enumerates, for every DC, the ordered tuple pairs of the
+// Violations finds, for every DC, the ordered tuple pairs of the
 // relation that violate it, with per-tuple violation counts and the DC's
-// approximation losses under f1, f2, and f3. Each DC runs on the plan
-// the cost-ordered planner chooses (a PLI cluster-intersection join, a
+// approximation losses under f1, f2, and f3. With CheckOptions.MaxPairs
+// set, a countable DC is counted per join group and only the first
+// MaxPairs pairs are listed; otherwise each DC runs on the plan the
+// cost-ordered planner chooses (a PLI cluster-intersection join, a
 // sorted-rank range probe, or the parallel refutation scan), or on the
 // scan when CheckOptions.Path forces it.
 func Violations(rel *Relation, dcs []DCSpec, opts CheckOptions) (*ViolationReport, error) {
@@ -637,7 +641,8 @@ func Violations(rel *Relation, dcs []DCSpec, opts CheckOptions) (*ViolationRepor
 // Validate scores every DC against the relation and accepts it when the
 // loss under the named approximation function ("f1", "f2", or "f3") is
 // at most eps — the check-side counterpart of Definition 4.4. With eps
-// 0 it verifies valid DCs.
+// 0 it verifies valid DCs. It lists no pairs, so CheckOptions.MaxPairs
+// is ignored.
 func Validate(rel *Relation, dcs []DCSpec, approxName string, eps float64, opts CheckOptions) ([]DCValidation, error) {
 	return violation.Validate(rel, dcs, approxName, eps, opts)
 }

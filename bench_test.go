@@ -594,11 +594,12 @@ func BenchmarkMineSampled(b *testing.B) {
 // benchPlanDC measures one DC under one execution path on the dirtied
 // adult dataset against a warm checker — the serving steady state,
 // where indexes and compiled plans amortize across requests. The
-// BenchmarkPlan* family feeds BENCH_planner.json; its headline ratio
-// BenchmarkPlanMultiPredScan / BenchmarkPlanMultiPred is the
-// planner-vs-scan speedup the CI gate enforces, on a DC with no
-// equality predicate to join on, which the planner drives through a
-// sorted-rank range probe.
+// BenchmarkPlan* family feeds BENCH_planner.json. Its two gated ratios
+// are BenchmarkPlanMultiPredScan / BenchmarkPlanMultiPred, the
+// planner-vs-scan speedup on a DC with no equality predicate to join
+// on, which the planner drives through a sorted-rank range probe, and
+// BenchmarkPlanEqJoinScan / BenchmarkPlanEqJoin, the count phase
+// against enumeration.
 func benchPlanDC(b *testing.B, path, dc string) {
 	d := benchDataset(b, "adult", 2000)
 	rng := rand.New(rand.NewSource(benchSeed))
@@ -637,9 +638,14 @@ func benchPlanDC(b *testing.B, path, dc string) {
 const benchPlanMultiPredDC = "not(t.CapitalLoss > t'.CapitalGain and t.Age <= t'.Age" +
 	" and t.Fnlwgt >= t'.Fnlwgt and t.HoursPerWeek < t'.HoursPerWeek)"
 
-func BenchmarkPlanEqJoin(b *testing.B) {
-	benchPlanDC(b, adc.AutoPath, "not(t.Education = t'.Education and t.EducationNum != t'.EducationNum)")
-}
+// benchPlanEqJoinDC is a countable FD: the planner counts it per
+// Education group, while the forced scan enumerates every pair. Their
+// ratio gates the count phase in BENCH_planner.json, so a silent fall
+// back to enumeration fails CI.
+const benchPlanEqJoinDC = "not(t.Education = t'.Education and t.EducationNum != t'.EducationNum)"
+
+func BenchmarkPlanEqJoin(b *testing.B)     { benchPlanDC(b, adc.AutoPath, benchPlanEqJoinDC) }
+func BenchmarkPlanEqJoinScan(b *testing.B) { benchPlanDC(b, adc.ScanPath, benchPlanEqJoinDC) }
 
 func BenchmarkPlanRangeProbe(b *testing.B) {
 	benchPlanDC(b, adc.AutoPath, "not(t.EducationNum > t'.EducationNum and t.Age <= t'.Age)")

@@ -89,7 +89,7 @@ func main() {
 	flag.IntVar(&cfg.maxPairs, "max-pairs", 10, "violating pairs shown per DC (0 = all)")
 	flag.IntVar(&cfg.top, "top", 5, "dirtiest tuples shown (0 = none)")
 	flag.BoolVar(&cfg.repair, "repair", false, "compute a greedy repair set")
-	flag.BoolVar(&cfg.explain, "explain", false, "print each DC's query plan (shape, join order, estimated vs. examined pairs)")
+	flag.BoolVar(&cfg.explain, "explain", false, "print each DC's query plan (shape, join order, estimated vs. examined pairs; a DC counted under -max-pairs examines only the pairs it lists)")
 	flag.BoolVar(&cfg.asJSON, "json", false, "emit a JSON report instead of text")
 	flag.IntVar(&cfg.ingestW, "ingest-workers", 0, "CSV ingest parse workers (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.chunk, "chunk-rows", 0, "CSV ingest rows per parse chunk (0 = default)")

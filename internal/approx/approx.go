@@ -17,7 +17,6 @@
 package approx
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -157,24 +156,21 @@ func (g GreedyF3) Loss(ev *evidence.Set, uncovered []int) float64 {
 
 // TupleLoss is Loss from per-tuple violation counts: counts lists, in
 // any order, how many violating pairs each involved tuple takes part in
-// (it is sorted in place), u is the number of violating pairs, and rows
-// is |D|. It takes tuples in decreasing order of participation until
-// the taken participation covers u, and returns |R| / |D|. Only the
-// multiset of counts matters, so ties need no order.
+// (it is sorted in place, ascending), u is the number of violating
+// pairs, and rows is |D|. It takes tuples in decreasing order of
+// participation until the taken participation covers u, and returns
+// |R| / |D|. Only the multiset of counts matters, so ties need no order.
 func (GreedyF3) TupleLoss(counts []int64, u int64, rows int) float64 {
 	if u == 0 || rows == 0 {
 		return 0
 	}
-	slices.SortFunc(counts, func(a, b int64) int { return cmp.Compare(b, a) })
+	slices.Sort(counts)
 	// The covered count may exceed u because a violation between two
 	// taken tuples is counted twice (see paper, Section 5).
 	var covered int64
 	removed := 0
-	for _, c := range counts {
-		if covered >= u {
-			break
-		}
-		covered += c
+	for k := len(counts) - 1; k >= 0 && covered < u; k-- {
+		covered += counts[k]
 		removed++
 	}
 	return float64(removed) / float64(rows)

@@ -58,8 +58,8 @@ func (s *shapeCounters) inc(shape string) {
 // relation: predicates split, cross-tuple predicates in greedy
 // cost-to-refute order with their selectivity estimates, the
 // single-tuple mask, and (each built lazily on first need) the PLI
-// join plan, the sorted-rank range probe, and the planner's shape
-// choice. All fields are immutable once built.
+// join plan, the sorted-rank range probe, the planner's shape choice,
+// and the count phase. All fields are immutable once built.
 type dcPlan struct {
 	singles, cross []compiledPred
 	sels           []float64 // estimated selectivity per cross predicate
@@ -76,6 +76,9 @@ type dcPlan struct {
 
 	qpOnce sync.Once
 	qp     atomic.Pointer[queryPlan]
+
+	cntOnce sync.Once
+	cnt     atomic.Pointer[countPlan]
 }
 
 // NewChecker creates a Checker over the relation with empty caches.
@@ -120,7 +123,7 @@ func (c *Checker) plan(spec predicate.DCSpec) (*dcPlan, error) {
 		c.planHits.Add(1)
 		return p, nil
 	}
-	preds, err := compileDC(c.cache.rel, spec)
+	preds, err := compileDC(c.cache, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -147,8 +150,7 @@ func (p *dcPlan) pliPlan(cache *pliCache) *pliPlan {
 }
 
 // rangePlan returns the DC's sorted-rank range probe, building it on
-// first use (nil when no cross-tuple order predicate over numeric
-// columns exists).
+// first use (nil when no predicate is orderKeyed).
 func (p *dcPlan) rangePlan(cache *pliCache) *rangeProbe {
 	p.rngOnce.Do(func() { p.rng.Store(prepareRangeProbe(cache, p.cross, p.sels)) })
 	return p.rng.Load()
@@ -161,9 +163,17 @@ func (p *dcPlan) queryPlan(cache *pliCache, n int) *queryPlan {
 	return p.qp.Load()
 }
 
-// Check enumerates the violations of every DC against the relation and
+// countPlan returns the DC's count phase, preparing it on first use
+// (nil when the DC is not countable).
+func (p *dcPlan) countPlan(cache *pliCache) *countPlan {
+	p.cntOnce.Do(func() { p.cnt.Store(prepareCountPlan(cache, p)) })
+	return p.cnt.Load()
+}
+
+// Check finds the violations of every DC against the relation and
 // scores each DC under f1, f2, and f3, reusing every cached index and
-// plan.
+// plan. A capped check (MaxPairs > 0) of a countable DC counts instead
+// of enumerating (see the package comment).
 func (c *Checker) Check(specs []predicate.DCSpec, opts Options) (*Report, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -194,19 +204,24 @@ func (c *Checker) checkOne(spec predicate.DCSpec, opts Options) (*DCResult, erro
 	if err != nil {
 		return nil, err
 	}
-	// A forced scan builds nothing; the planner builds structures lazily
-	// (see prepareQueryPlan).
+	// A forced scan builds nothing and enumerates; the planner builds
+	// structures lazily (see prepareQueryPlan), and its plan is the one
+	// a counted result explains.
 	n := c.cache.rel.NumRows()
-	var qp *queryPlan
 	if opts.Path == PathScan {
-		qp = scanQueryPlan(plan, n)
-	} else {
-		qp = plan.queryPlan(c.cache, n)
+		return c.execute(spec, plan, scanQueryPlan(plan, n), opts), nil
+	}
+	qp := plan.queryPlan(c.cache, n)
+	if opts.MaxPairs > 0 {
+		if cp := plan.countPlan(c.cache); cp != nil {
+			return c.report(spec, qp, cp.count(n, plan.mask, opts.Workers, opts.MaxPairs), opts), nil
+		}
 	}
 	return c.execute(spec, plan, qp, opts), nil
 }
 
-// execute runs the query plan chosen for one DC and scores the result.
+// execute enumerates one DC's violations with the query plan's executor
+// and scores the result.
 func (c *Checker) execute(spec predicate.DCSpec, plan *dcPlan, qp *queryPlan, opts Options) *DCResult {
 	n := c.cache.rel.NumRows()
 	var col *collector
@@ -218,6 +233,13 @@ func (c *Checker) execute(spec predicate.DCSpec, plan *dcPlan, qp *queryPlan, op
 	default:
 		col = scanPairs(n, plan.mask, qp.residual, opts.Workers, opts.MaxPairs)
 	}
+	return c.report(spec, qp, col, opts)
+}
+
+// report scores one DC's collected violations under the query plan
+// that explains them.
+func (c *Checker) report(spec predicate.DCSpec, qp *queryPlan, col *collector, opts Options) *DCResult {
+	n := c.cache.rel.NumRows()
 	c.shapes.inc(qp.shape)
 
 	// Each worker's retained pairs are its lexicographically smallest;
@@ -246,7 +268,14 @@ func (c *Checker) execute(spec predicate.DCSpec, plan *dcPlan, qp *queryPlan, op
 
 // Validate scores every DC against the relation and compares the loss
 // under the named approximation function to eps, reusing cached state.
+// A verdict needs no pairs, so it checks with MaxPairs 1: counts stay
+// exact, a countable DC is counted, and no other executor lists every
+// pair.
 func (c *Checker) Validate(specs []predicate.DCSpec, approxName string, eps float64, opts Options) ([]Validation, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	opts.MaxPairs = 1
 	rep, err := c.Check(specs, opts)
 	if err != nil {
 		return nil, err
@@ -341,6 +370,9 @@ func (c *Checker) MemBytes() int64 {
 		}
 		if rp := p.rng.Load(); rp != nil {
 			b += int64(len(rp.rows))*4 + int64(len(rp.keys))*8 + int64(len(rp.starts))*4
+		}
+		if cp := p.cnt.Load(); cp != nil {
+			b += int64(len(cp.all)) * 4
 		}
 	}
 	return b

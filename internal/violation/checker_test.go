@@ -56,11 +56,19 @@ func TestCheckerMatchesCheckAndCachesPlans(t *testing.T) {
 	}
 }
 
+// TestCheckerConcurrentChecks shares one Checker between goroutines
+// that alternate uncapped (enumerated) and capped (counted, on two
+// workers) checks.
 func TestCheckerConcurrentChecks(t *testing.T) {
 	rel, specs := checkerFixture(t)
-	want, err := Check(rel, specs, Options{})
-	if err != nil {
-		t.Fatal(err)
+	opts := []Options{{}, {MaxPairs: 1, Workers: 2}}
+	var want []*Report
+	for _, o := range opts {
+		rep, err := Check(rel, specs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rep)
 	}
 	c := NewChecker(rel)
 	var wg sync.WaitGroup
@@ -68,13 +76,13 @@ func TestCheckerConcurrentChecks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := 0; k < 5; k++ {
-				got, err := c.Check(specs, Options{})
+			for k := 0; k < 6; k++ {
+				got, err := c.Check(specs, opts[(w+k)%2])
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if !reflect.DeepEqual(got, want) {
+				if !reflect.DeepEqual(got, want[(w+k)%2]) {
 					t.Error("concurrent Checker report differs from Check")
 					return
 				}

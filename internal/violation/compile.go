@@ -14,10 +14,17 @@ import (
 // well-typed user constraint can be checked, not only constraints whose
 // predicates the miner would generate.
 type compiledPred struct {
-	spec  predicate.Spec
-	op    predicate.Operator
-	cross bool
-	a, b  int // column indexes in the relation
+	spec    predicate.Spec
+	op      predicate.Operator
+	cross   bool
+	a, b    int  // column indexes in the relation
+	numeric bool // both columns numeric
+	// wide marks an Int–Int predicate over a column holding a value
+	// beyond ±2^53 (pliCache.wideInt). The numeric indexes key values by
+	// float64, which merges such neighbours, so the predicate is never a
+	// join key, range driver or count key; it is evaluated as int64 per
+	// pair.
+	wide bool
 	// eval evaluates the predicate on the ordered tuple pair (i, j).
 	// Single-tuple predicates ignore j.
 	eval func(i, j int) bool
@@ -27,14 +34,27 @@ type compiledPred struct {
 // one attribute (t[A] = t'[A]) — the cluster-joinable form the PLI path
 // exploits.
 func (p compiledPred) sameAttrEq() bool {
-	return p.cross && p.op == predicate.Eq && p.a == p.b
+	return p.cross && p.op == predicate.Eq && p.a == p.b && !p.wide
+}
+
+// sameAttrNeq reports whether the predicate is t[A] ≠ t'[A] over a
+// column the count phase can key.
+func (p compiledPred) sameAttrNeq() bool {
+	return p.cross && p.op == predicate.Neq && p.a == p.b && !p.wide
 }
 
 // crossColEq reports whether the predicate is a cross-tuple equality
 // over two distinct attributes (t[A] = t'[B]), joinable via merged
 // equality codes.
 func (p compiledPred) crossColEq() bool {
-	return p.cross && p.op == predicate.Eq && p.a != p.b
+	return p.cross && p.op == predicate.Eq && p.a != p.b && !p.wide
+}
+
+// orderKeyed reports whether the predicate is a cross-tuple order
+// comparison the sorted numeric values can answer: a range driver, a
+// pushed-down group probe, or a count key.
+func (p compiledPred) orderKeyed() bool {
+	return p.cross && isOrderOp(p.op) && p.numeric && !p.wide
 }
 
 // selRank is the static operator ranking the planner falls back on to
@@ -56,18 +76,22 @@ func selRank(op predicate.Operator) int {
 }
 
 // compileDC resolves every predicate of a relation-independent DCSpec
-// against rel. It fails on unknown columns, order operators over string
-// columns, and comparisons across broad kinds (numeric vs string).
-func compileDC(rel *dataset.Relation, spec predicate.DCSpec) ([]compiledPred, error) {
+// against the cache's relation. It fails on unknown columns, order
+// operators over string columns, and comparisons across broad kinds
+// (numeric vs string).
+func compileDC(cache *pliCache, spec predicate.DCSpec) ([]compiledPred, error) {
 	if len(spec) == 0 {
 		return nil, fmt.Errorf("violation: empty DC (a constraint needs at least one predicate)")
 	}
 	out := make([]compiledPred, 0, len(spec))
 	for _, sp := range spec {
-		p, err := compileSpec(rel, sp)
+		p, err := compileSpec(cache.rel, sp)
 		if err != nil {
 			return nil, err
 		}
+		cols := cache.rel.Columns
+		p.wide = cols[p.a].Type == dataset.Int && cols[p.b].Type == dataset.Int &&
+			(cache.wideInt(p.a) || cache.wideInt(p.b))
 		out = append(out, p)
 	}
 	return out, nil
@@ -93,7 +117,7 @@ func compileSpec(rel *dataset.Relation, sp predicate.Spec) (compiledPred, error)
 			return compiledPred{}, fmt.Errorf("violation: %s: order operator %s on string columns", sp, sp.Op)
 		}
 	}
-	p := compiledPred{spec: sp, op: sp.Op, cross: sp.Cross, a: ai, b: bi}
+	p := compiledPred{spec: sp, op: sp.Op, cross: sp.Cross, a: ai, b: bi, numeric: numeric}
 	op := sp.Op
 	switch {
 	case ca.Type == dataset.Int && cb.Type == dataset.Int:

@@ -13,9 +13,9 @@ import (
 // fuzzCheckRelation derives a random relation from the fuzz inputs.
 // Domains are kept small so equality collisions (joins, clusters) are
 // common, and float columns mix in NaN and both zero signs — the value
-// classes whose total-order ranking the PLI paths must get right. Int
-// values stay far below 2^53, where the float-keyed numeric indexes
-// are exact.
+// classes whose total-order ranking the PLI paths must get right. Some
+// Int columns mix in 2^53 − 1, 2^53 and 2^53 + 1, where float64 keys
+// stop telling integers apart.
 func fuzzCheckRelation(r *rand.Rand, shape byte) *dataset.Relation {
 	n := 2 + r.Intn(18)
 	numCols := 2 + int(shape>>6) // 2..5 columns
@@ -32,8 +32,13 @@ func fuzzCheckRelation(r *rand.Rand, shape byte) *dataset.Relation {
 			cols = append(cols, dataset.NewStringColumn(name, vals))
 		case 1:
 			vals := make([]int64, n)
+			wide := r.Intn(4) == 0
 			for i := range vals {
-				vals[i] = int64(r.Intn(domain)) - 2
+				if wide && r.Intn(2) == 0 {
+					vals[i] = maxExactInt + int64(r.Intn(3)) - 1
+				} else {
+					vals[i] = int64(r.Intn(domain)) - 2
+				}
 			}
 			cols = append(cols, dataset.NewIntColumn(name, vals))
 		default:
@@ -54,9 +59,11 @@ func fuzzCheckRelation(r *rand.Rand, shape byte) *dataset.Relation {
 	return dataset.MustNewRelation("fuzz", cols)
 }
 
-// fuzzDCSpec builds a random well-typed cross-tuple DC over the
-// relation: order operators only between numeric columns, strings
-// restricted to (in)equality, and operand kinds always matching.
+// fuzzDCSpec builds a random well-typed DC over the relation: order
+// operators only between numeric columns, strings restricted to
+// (in)equality, and operand kinds always matching. A quarter of the
+// predicates are single-tuple, and half compare an attribute with
+// itself, the form the joins and the count phase key on.
 func fuzzDCSpec(r *rand.Rand, rel *dataset.Relation) predicate.DCSpec {
 	numeric := make([]string, 0, rel.NumColumns())
 	str := make([]string, 0, rel.NumColumns())
@@ -71,7 +78,8 @@ func fuzzDCSpec(r *rand.Rand, rel *dataset.Relation) predicate.DCSpec {
 	spec := make(predicate.DCSpec, 0, 3)
 	for len(spec) == 0 || (len(spec) < 3 && r.Intn(2) == 0) {
 		var p predicate.Spec
-		p.Cross = true
+		p.Cross = r.Intn(4) > 0
+		same := r.Intn(2) == 0
 		if len(numeric) > 0 && (len(str) == 0 || r.Intn(3) > 0) {
 			p.A = numeric[r.Intn(len(numeric))]
 			p.B = numeric[r.Intn(len(numeric))]
@@ -92,19 +100,24 @@ func fuzzDCSpec(r *rand.Rand, rel *dataset.Relation) predicate.DCSpec {
 				p.Op = predicate.Neq
 			}
 		}
+		if same {
+			p.B = p.A
+		}
 		spec = append(spec, p)
 	}
 	return spec
 }
 
 // FuzzCheckPaths is the cross-executor equivalence property behind the
-// planner: on any relation and well-typed DC, the scan, the forced PLI
-// join, the forced range probe, and the greedy planner produce
-// identical violation sets, tuple counts, and losses — and all of them
-// match the reference evaluator
-// predicate.DC.ViolatingPairs whenever the mined predicate space
-// admits the DC. The seed corpus under testdata/fuzz runs on every
-// plain `go test`; `go test -fuzz=FuzzCheckPaths` explores further.
+// planner: on any relation and well-typed DC, at a MaxPairs drawn from
+// {0, 1, 3, 10}, the forced PLI join, the forced range probe, and the
+// planner (which counts a countable DC when MaxPairs > 0) report the
+// scan's violations, pairs, truncation, tuple counts, and losses — and
+// the scan matches the reference evaluator predicate.DC.ViolatingPairs
+// whenever the mined predicate space admits the DC and no Int column
+// is wide (the reference compares numbers as float64). The seed corpus
+// under testdata/fuzz runs on every plain `go test`; `go test
+// -fuzz=FuzzCheckPaths` explores further.
 func FuzzCheckPaths(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed, byte(seed*29))
@@ -115,6 +128,7 @@ func FuzzCheckPaths(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		rel := fuzzCheckRelation(r, shape)
 		specs := []predicate.DCSpec{fuzzDCSpec(r, rel)}
+		maxPairs := []int{0, 1, 3, 10}[r.Intn(4)]
 
 		// Occasionally force the within-group order pushdown onto tiny
 		// groups; fuzz bodies run serially per process, so mutating the
@@ -125,18 +139,19 @@ func FuzzCheckPaths(f *testing.F) {
 			defer func() { groupRangeMinSize = old }()
 		}
 
-		base, err := Check(rel, specs, Options{Path: PathScan})
+		base, err := Check(rel, specs, Options{Path: PathScan, MaxPairs: maxPairs})
 		if err != nil {
 			t.Fatalf("scan: %v", err)
 		}
 		want := base.Results[0]
 		for _, path := range []string{PathPLI, PathRange, PathAuto} {
-			got := checkExec(t, rel, specs[0], path, Options{Workers: 1 + r.Intn(4)})
+			got := checkExec(t, rel, specs[0], path, Options{Workers: 1 + r.Intn(4), MaxPairs: maxPairs})
 			if got.Violations != want.Violations {
 				t.Errorf("%s: %d violations, scan found %d", path, got.Violations, want.Violations)
 			}
-			if !reflect.DeepEqual(got.Pairs, want.Pairs) {
-				t.Errorf("%s: pairs %v, scan %v (plan %+v)", path, got.Pairs, want.Pairs, got.Plan)
+			if !reflect.DeepEqual(got.Pairs, want.Pairs) || got.Truncated != want.Truncated {
+				t.Errorf("%s: pairs %v (truncated %v), scan %v (truncated %v) (plan %+v)",
+					path, got.Pairs, got.Truncated, want.Pairs, want.Truncated, got.Plan)
 			}
 			if !reflect.DeepEqual(got.TupleCounts, want.TupleCounts) {
 				t.Errorf("%s: tuple counts %v, scan %v", path, got.TupleCounts, want.TupleCounts)
@@ -148,6 +163,9 @@ func FuzzCheckPaths(f *testing.F) {
 		}
 
 		// Reference evaluator, when the mined space admits the DC.
+		if hasWideInt(rel) {
+			return
+		}
 		popts := predicate.DefaultOptions()
 		popts.MinShared = 0
 		space := predicate.Build(rel, popts)
@@ -155,8 +173,19 @@ func FuzzCheckPaths(f *testing.F) {
 		if err != nil {
 			return // predicate not in the mined space; executor agreement above still holds
 		}
-		if got := dc.ViolatingPairs(); !pairsEqual(got, want.Pairs) {
-			t.Errorf("reference pairs %v, scan %v", got, want.Pairs)
+		ref := dc.ViolatingPairs()
+		if int64(len(ref)) != want.Violations || !pairsEqual(ref[:len(want.Pairs)], want.Pairs) {
+			t.Errorf("reference pairs %v, scan %v of %d", ref, want.Pairs, want.Violations)
 		}
 	})
+}
+
+func hasWideInt(rel *dataset.Relation) bool {
+	cache := NewChecker(rel).cache
+	for k := range rel.Columns {
+		if cache.wideInt(k) {
+			return true
+		}
+	}
+	return false
 }

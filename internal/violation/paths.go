@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"adc/internal/dataset"
@@ -23,9 +24,8 @@ type collector struct {
 	cap        int
 	counts     []int64
 	violations int64
-	// examined counts the candidate pairs the executor handed to the
-	// residual predicates — the "actual" side of PlanExplain's estimated
-	// vs. actual comparison.
+	// examined counts the candidate pairs handed to the residual
+	// predicates — PlanExplain.ActualPairs.
 	examined int64
 }
 
@@ -158,6 +158,9 @@ func scanRange(c *collector, lo, hi, n int, mask []bool, preds []compiledPred) {
 type pliCache struct {
 	rel   *dataset.Relation
 	store *pli.Store
+
+	wideOnce sync.Once
+	wide     []bool // per column, see wideInt
 }
 
 func newPLICache(rel *dataset.Relation) *pliCache {
@@ -166,6 +169,32 @@ func newPLICache(rel *dataset.Relation) *pliCache {
 
 func (c *pliCache) index(col int) *pli.Index {
 	return c.store.Index(col)
+}
+
+// maxExactInt is 2^53: float64 holds every integer in [−2^53, 2^53]
+// exactly, and no wider range.
+const maxExactInt = 1 << 53
+
+// wideInt reports whether the column is an Int column holding a value
+// beyond ±2^53. Float64 keys cannot tell such a value from its
+// neighbours, so the column is never keyed by its numeric index (see
+// compiledPred.wide). Decided once per column, on first need.
+func (c *pliCache) wideInt(col int) bool {
+	c.wideOnce.Do(func() {
+		c.wide = make([]bool, len(c.rel.Columns))
+		for k, cl := range c.rel.Columns {
+			if cl.Type != dataset.Int {
+				continue
+			}
+			for _, v := range cl.Ints {
+				if v > maxExactInt || v < -maxExactInt {
+					c.wide[k] = true
+					break
+				}
+			}
+		}
+	})
+	return c.wide[col]
 }
 
 // pliPlan is the prepared cluster-intersection join for one DC. Exactly
@@ -284,14 +313,7 @@ func preparePLIPlan(cache *pliCache, cross []compiledPred, sels []float64) *pliP
 // probe row's qualifying partners by binary search instead of
 // evaluating the predicate per pair.
 func (plan *pliPlan) pushdownOrder(cache *pliCache) {
-	driver := -1
-	for k, p := range plan.residual {
-		if p.cross && isOrderOp(p.op) &&
-			cache.rel.Columns[p.a].Type.Numeric() && cache.rel.Columns[p.b].Type.Numeric() {
-			driver = k
-			break
-		}
-	}
+	driver := bestOrderPred(plan.residual)
 	if driver < 0 {
 		return
 	}

@@ -140,3 +140,46 @@ func TestCleanDataHasNoViolations(t *testing.T) {
 		}
 	}
 }
+
+// TestCountingEngages pins that a capped check counts the golden DCs
+// instead of enumerating them: the pairs it evaluates to list the first
+// ten stay below the violations it reports. An uncapped check and the
+// forced scan still enumerate, evaluating at least every violation.
+func TestCountingEngages(t *testing.T) {
+	for _, name := range []string{"tax", "hospital"} {
+		d, err := datagen.ByName(name, 2000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := datagen.AddNoise(d.Rel, datagen.Spread, 0.01, rand.New(rand.NewSource(1)))
+		c := NewChecker(dirty)
+		counted, err := c.Check(d.Golden, Options{MaxPairs: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirtyDCs := 0
+		for _, res := range counted.Results {
+			if res.Violations < 100 {
+				continue
+			}
+			dirtyDCs++
+			if res.Plan.ActualPairs >= res.Violations {
+				t.Errorf("%s: %s evaluated %d pairs for %d violations", name, res.Spec, res.Plan.ActualPairs, res.Violations)
+			}
+		}
+		if dirtyDCs == 0 {
+			t.Errorf("%s: no DC with 100 violations; test is vacuous", name)
+		}
+		for _, opts := range []Options{{}, {Path: PathScan, MaxPairs: 10}} {
+			rep, err := c.Check(d.Golden, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, res := range rep.Results {
+				if res.Plan.ActualPairs < res.Violations {
+					t.Errorf("%s: %s with %+v evaluated %d pairs for %d violations", name, res.Spec, opts, res.Plan.ActualPairs, res.Violations)
+				}
+			}
+		}
+	}
+}

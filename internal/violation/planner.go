@@ -36,9 +36,9 @@ const rangeAdvantage = 2
 var groupRangeMinSize = 16
 
 // PlanExplain is the printable query plan of one DC: which executor
-// shape ran, the equality cascade and pushed-down order predicate, the
-// residual refutation order, and the planner's candidate-pair estimate
-// against what the executor actually examined.
+// shape the planner chose, the equality cascade and pushed-down order
+// predicate, the residual refutation order, and the planner's
+// candidate-pair estimate against the pairs actually evaluated.
 type PlanExplain struct {
 	// Shape is the executor family: "eqjoin", "crossjoin", "range", or
 	// "scan".
@@ -53,7 +53,10 @@ type PlanExplain struct {
 	// order (most selective first).
 	Residual []string `json:"residual,omitempty"`
 	// EstPairs is the planner's candidate-pair estimate from PLI
-	// statistics; ActualPairs is what the executor examined.
+	// statistics. ActualPairs is the pairs the check evaluated: every
+	// candidate the executor examined when it enumerated, or, when the
+	// DC was counted, only the pairs evaluated to materialize the
+	// capped pair list.
 	EstPairs    int64 `json:"est_pairs"`
 	ActualPairs int64 `json:"actual_pairs"`
 }
@@ -92,8 +95,7 @@ func predSel(cache *pliCache, p compiledPred) float64 {
 	if sa.Rows < 2 {
 		return 1
 	}
-	if isOrderOp(p.op) &&
-		cache.rel.Columns[p.a].Type.Numeric() && cache.rel.Columns[p.b].Type.Numeric() {
+	if isOrderOp(p.op) && p.numeric {
 		return orderSel(cache, p, sa)
 	}
 	realA := float64(sa.Rows-sa.NaNRows) / float64(sa.Rows)
@@ -244,19 +246,11 @@ func rangeBounds(vals []float64, v float64, op predicate.Operator) (lo, hi int) 
 }
 
 // prepareRangeProbe builds the sorted-rank probe for the DC's most
-// selective order predicate, or returns nil when no cross-tuple order
-// predicate over numeric columns exists. cross must already be in
-// greedy order (orderCross), so the first qualifying predicate is the
-// best driver.
+// selective order predicate, or returns nil when no predicate is
+// orderKeyed. cross must already be in greedy order (orderCross), so
+// the first qualifying predicate is the best driver.
 func prepareRangeProbe(cache *pliCache, cross []compiledPred, sels []float64) *rangeProbe {
-	driver := -1
-	for k, p := range cross {
-		if p.cross && isOrderOp(p.op) &&
-			cache.rel.Columns[p.a].Type.Numeric() && cache.rel.Columns[p.b].Type.Numeric() {
-			driver = k
-			break
-		}
-	}
+	driver := bestOrderPred(cross)
 	if driver < 0 {
 		return nil
 	}
@@ -330,7 +324,7 @@ func prepareQueryPlan(cache *pliCache, p *dcPlan, n int) *queryPlan {
 	}
 	// Join absent or beaten by the scan: consider the range shape. The
 	// stats estimate gates the build; the exact count makes the call.
-	if k := bestOrderPred(cache, p.cross); k >= 0 && estPairs(p.sels[k], n)*rangeAdvantage <= scanCost {
+	if k := bestOrderPred(p.cross); k >= 0 && estPairs(p.sels[k], n)*rangeAdvantage <= scanCost {
 		if rp := p.rangePlan(cache); rp != nil && rp.count*rangeAdvantage <= scanCost {
 			return rangeQueryPlan(rp)
 		}
@@ -338,10 +332,11 @@ func prepareQueryPlan(cache *pliCache, p *dcPlan, n int) *queryPlan {
 	return scanQueryPlan(p, n)
 }
 
-func bestOrderPred(cache *pliCache, cross []compiledPred) int {
-	for k, p := range cross {
-		if p.cross && isOrderOp(p.op) &&
-			cache.rel.Columns[p.a].Type.Numeric() && cache.rel.Columns[p.b].Type.Numeric() {
+// bestOrderPred returns the position of the first order-keyed predicate
+// of preds, which in greedy order is the most selective, or -1.
+func bestOrderPred(preds []compiledPred) int {
+	for k, p := range preds {
+		if p.orderKeyed() {
 			return k
 		}
 	}

@@ -357,3 +357,31 @@ func TestPlanShapeCounters(t *testing.T) {
 		t.Errorf("scan count = %d, want >= 2", got)
 	}
 }
+
+// TestWideIntKeys covers Int columns holding values beyond ±2^53, where
+// float64 keys merge neighbouring integers: such a column is never a
+// join key, range driver or count key, so every executor, capped or
+// not, compares it as int64 like the scan does.
+func TestWideIntKeys(t *testing.T) {
+	rel := dataset.MustNewRelation("wide", []*dataset.Column{
+		dataset.NewIntColumn("A", []int64{1<<53 + 1, 1 << 53, 7}),
+	})
+	cases := []struct {
+		spec predicate.DCSpec
+		want [][2]int
+	}{
+		{predicate.DCSpec{{A: "A", B: "A", Op: predicate.Eq, Cross: true}}, nil},
+		{predicate.DCSpec{{A: "A", B: "A", Op: predicate.Gt, Cross: true}}, [][2]int{{0, 1}, {0, 2}, {1, 2}}},
+	}
+	for _, tc := range cases {
+		for _, exec := range []string{PathScan, PathPLI, PathRange, PathAuto} {
+			for _, maxPairs := range []int{0, 10} {
+				got := checkExec(t, rel, tc.spec, exec, Options{MaxPairs: maxPairs})
+				if got.Violations != int64(len(tc.want)) || !pairsEqual(got.Pairs, tc.want) {
+					t.Errorf("%s on %s, MaxPairs %d: %d violations, pairs %v; want %v",
+						tc.spec, exec, maxPairs, got.Violations, got.Pairs, tc.want)
+				}
+			}
+		}
+	}
+}

@@ -1,18 +1,30 @@
 // Package violation applies denial constraints back to a relation — the
 // check side of the data-cleaning story that package hitset's mining is
 // the discovery side of. Given a relation and a set of DCs (mined or
-// user-supplied DCSpecs), it enumerates the violating ordered tuple
-// pairs, computes per-tuple violation counts and per-DC approximation
-// losses under the paper's f1/f2/f3 semantics (Section 5), and derives a
+// user-supplied DCSpecs), it finds the violating ordered tuple pairs,
+// computes per-tuple violation counts and per-DC approximation losses
+// under the paper's f1/f2/f3 semantics (Section 5), and derives a
 // greedy repair set: the tuples to delete so that every constraint
 // holds.
 //
-// Each DC is executed by a plan chosen by a greedy cost-ordered
-// planner: predicate selectivities are estimated from PLI column
-// statistics (cluster counts, rank cardinalities — pli.ColStats, no
-// index build required), cross-tuple predicates are ordered by
-// estimated cost-to-refute, and the cheapest of three executor shapes
-// runs:
+// The losses need only a DC's violation count and per-tuple counts.
+// So a check that caps its pair list (Options.MaxPairs > 0) counts a
+// countable DC instead of visiting each violating pair: rows are
+// grouped by the DC's same-attribute equalities, each tuple's
+// violations follow in closed form within its group (the partition
+// counting of TANE's g1/g2/g3 errors; for two order predicates, the
+// sort-and-Fenwick dominance counting behind IEJoin), and only the
+// first MaxPairs pairs are materialized. A DC is countable when the
+// predicates left after the grouping are none, same-attribute ≠ only,
+// or one or two same-attribute order comparisons (count.go). Every
+// other DC, every uncapped check (MaxPairs 0, as Repair needs), and
+// the forced scan enumerate.
+//
+// Enumeration runs the plan a greedy cost-ordered planner chooses:
+// predicate selectivities are estimated from PLI column statistics
+// (cluster counts, rank cardinalities — pli.ColStats, no index build
+// required), cross-tuple predicates are ordered by estimated
+// cost-to-refute, and the cheapest of three executor shapes runs:
 //
 //   - The PLI join shapes (eqjoin, crossjoin) cascade the DC's
 //     cross-tuple equality predicates into a position-list-index
@@ -34,10 +46,11 @@
 //
 // The chosen plan is explicit: DCResult.Plan records the shape, join
 // cascade, pushed-down range predicate, residual order, and estimated
-// vs. actually-examined candidate pairs (dccheck -explain prints it).
-// Options.Path can force the scan, which is the oracle: tests run every
-// executor against it and against the O(n²·|P|) reference of
-// predicate.DC.ViolatingPairs, and all produce identical violation sets.
+// vs. actually-evaluated pairs (dccheck -explain prints it); a counted
+// DC reports the plan enumeration would run. Options.Path can force
+// the scan, which is the oracle: tests run every executor and the count
+// phase against it and against the O(n²·|P|) reference of
+// predicate.DC.ViolatingPairs, and all produce identical results.
 package violation
 
 import (
@@ -75,10 +88,11 @@ type Options struct {
 	// Workers is the number of goroutines per DC; 0 means GOMAXPROCS.
 	Workers int
 	// MaxPairs caps the violating pairs recorded per DC in the report:
-	// the lexicographically smallest MaxPairs pairs are kept and memory
-	// stays O(Workers·MaxPairs) however dirty the relation is; 0 keeps
-	// all. Violation counts, tuple counts, and losses are always exact
-	// regardless of the cap.
+	// the lexicographically smallest MaxPairs pairs are kept, and memory
+	// for them stays O(Workers·MaxPairs) however dirty the relation is;
+	// 0 keeps all. With a cap, a countable DC is counted rather than
+	// enumerated (see the package comment). Violation counts, tuple
+	// counts, and losses are always exact regardless of the cap.
 	MaxPairs int
 }
 
@@ -189,8 +203,9 @@ func sortedTupleCounts(counts []int64) []TupleCount {
 	return out
 }
 
-// Check enumerates the violations of every DC against the relation and
-// scores each DC under f1, f2, and f3. It runs on a throwaway Checker;
+// Check finds the violations of every DC against the relation and
+// scores each DC under f1, f2, and f3; a capped check counts each
+// countable DC instead of enumerating it. It runs on a throwaway Checker;
 // callers issuing repeated checks against one relation should hold a
 // Checker instead and amortize index and plan construction.
 func Check(rel *dataset.Relation, specs []predicate.DCSpec, opts Options) (*Report, error) {
@@ -227,7 +242,16 @@ func lossF2(counts []int64, n int) float64 {
 // cardinality-repair fraction (Figure 2), over the involved tuples'
 // participation counts.
 func lossF3(counts []int64, violations int64, n int) float64 {
-	var involved []int64
+	if violations == 0 {
+		return 0
+	}
+	k := 0
+	for _, c := range counts {
+		if c > 0 {
+			k++
+		}
+	}
+	involved := make([]int64, 0, k)
 	for _, c := range counts {
 		if c > 0 {
 			involved = append(involved, c)
@@ -253,12 +277,12 @@ type Validation struct {
 
 // Validate scores every DC against the relation and compares the loss
 // under the named approximation function ("f1", "f2", or "f3") to eps.
+// A verdict needs no pairs, so Options.MaxPairs is ignored.
 func Validate(rel *dataset.Relation, specs []predicate.DCSpec, approxName string, eps float64, opts Options) ([]Validation, error) {
-	rep, err := Check(rel, specs, opts)
-	if err != nil {
-		return nil, err
+	if rel == nil {
+		return nil, fmt.Errorf("violation: nil relation")
 	}
-	return rep.Validations(approxName, eps)
+	return NewChecker(rel).Validate(specs, approxName, eps, opts)
 }
 
 // Validations derives per-DC verdicts from an already-computed report,

@@ -3,6 +3,7 @@ package violation
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"adc/internal/approx"
@@ -290,5 +291,41 @@ func TestCheckErrors(t *testing.T) {
 	}
 	if _, err := Check(nil, nil, Options{}); err == nil {
 		t.Error("nil relation: no error")
+	}
+}
+
+// TestValidateListsNoPairs pins that Validate, which returns verdicts
+// only, allocates linearly in the rows rather than in the violations,
+// on the planner and on the forced scan.
+func TestValidateListsNoPairs(t *testing.T) {
+	n := 1000
+	g := make([]int64, n)
+	v := make([]int64, n)
+	for i := range g {
+		g[i] = int64(i % 2)
+		v[i] = int64(i)
+	}
+	rel := dataset.MustNewRelation("fd", []*dataset.Column{
+		dataset.NewIntColumn("G", g),
+		dataset.NewIntColumn("V", v),
+	})
+	specs := []predicate.DCSpec{{
+		{A: "G", B: "G", Op: predicate.Eq, Cross: true},
+		{A: "V", B: "V", Op: predicate.Neq, Cross: true},
+	}}
+	for _, path := range []string{PathAuto, PathScan} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		vs, err := Validate(rel, specs, "f1", 0, Options{Path: path, Workers: 2})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vs[0].Violations < 100_000 {
+			t.Fatalf("%s: %d violations; test is vacuous", path, vs[0].Violations)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(256*n) {
+			t.Errorf("%s: Validate allocated %d bytes for %d rows", path, alloc, n)
+		}
 	}
 }
