@@ -47,10 +47,12 @@
 package adc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -668,12 +670,22 @@ func RepairFromReport(rel *Relation, rep *ViolationReport) (*RepairResult, error
 // truncation) order used by the CLIs and the experiments when surfacing
 // mined output.
 func SortDCs(dcs []DC) {
-	sort.Slice(dcs, func(i, j int) bool {
-		if dcs[i].Size() != dcs[j].Size() {
-			return dcs[i].Size() < dcs[j].Size()
-		}
-		return dcs[i].Canonical() < dcs[j].Canonical()
+	// Format each DC once rather than on every comparison.
+	type keyed struct {
+		size  int
+		canon string
+		dc    DC
+	}
+	ks := make([]keyed, len(dcs))
+	for i, dc := range dcs {
+		ks[i] = keyed{dc.Size(), dc.Canonical(), dc}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(a.size, b.size), strings.Compare(a.canon, b.canon))
 	})
+	for i, k := range ks {
+		dcs[i] = k.dc
+	}
 }
 
 // DCSpecs converts mined DCs into relation-independent specs, the form

@@ -2,6 +2,9 @@ package adc_test
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -228,6 +231,41 @@ func TestMineGoldenRecallOnCleanStock(t *testing.T) {
 	golden := metrics.KeySet(d.Golden)
 	if g := metrics.GRecall(mined, golden); g < 0.5 {
 		t.Errorf("G-recall on clean stock = %v, want ≥ 0.5 (mined %d DCs)", g, len(res.DCs))
+	}
+}
+
+// TestSortDCsMatchesReferenceSort checks SortDCs, which formats each DC
+// once, against a sort that compares (Size, Canonical) afresh on every
+// call, on mined DCs in shuffled orders.
+func TestSortDCsMatchesReferenceSort(t *testing.T) {
+	d, err := datagen.ByName("adult", 150, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := adc.Mine(d.Rel, adc.Options{Approx: "f1", Epsilon: 0.01, MaxPredicates: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.DCs) < 50 {
+		t.Fatalf("mined %d DCs, want a few dozen to sort", len(res.DCs))
+	}
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 5; trial++ {
+		got := slices.Clone(res.DCs)
+		r.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+		want := slices.Clone(got)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Size() != want[j].Size() {
+				return want[i].Size() < want[j].Size()
+			}
+			return want[i].Canonical() < want[j].Canonical()
+		})
+		adc.SortDCs(got)
+		for i := range want {
+			if got[i].Canonical() != want[i].Canonical() {
+				t.Fatalf("trial %d: position %d holds %s, want %s", trial, i, got[i].Canonical(), want[i].Canonical())
+			}
+		}
 	}
 }
 

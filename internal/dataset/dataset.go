@@ -195,42 +195,68 @@ func (c *Column) DistinctCount() int {
 	}
 }
 
-// SharedValueFraction returns the fraction of rows of c whose value also
-// appears somewhere in o, used for the paper's 30% common-values rule when
-// deciding whether two attributes are comparable (Section 4.2, item 1).
-// Columns of different broad kinds (numeric vs string) share nothing.
-func (c *Column) SharedValueFraction(o *Column) float64 {
-	n := c.Len()
-	if n == 0 {
-		return 0
-	}
-	if c.Type.Numeric() != o.Type.Numeric() {
-		return 0
-	}
-	if c.Type.Numeric() {
-		set := make(map[float64]struct{}, o.Len())
-		for i := 0; i < o.Len(); i++ {
-			set[o.Num(i)] = struct{}{}
+// ValueCounts is the multiset of a column's values, built once per
+// column so that the predicate space's 30% common-values rule (Section
+// 4.2, item 1) can compare every pair of columns without building a
+// value set per pair. Numeric columns key their values by Num, so Int
+// and Float values compare as numbers, −0 equals +0 and NaN equals
+// nothing, as under ==.
+type ValueCounts struct {
+	numeric bool
+	rows    int
+	nums    map[float64]int
+	strs    map[string]int
+}
+
+// ValueCounts counts the column's distinct values.
+func (c *Column) ValueCounts() *ValueCounts {
+	v := &ValueCounts{numeric: c.Type.Numeric(), rows: c.Len()}
+	if v.numeric {
+		v.nums = make(map[float64]int)
+		for i := 0; i < v.rows; i++ {
+			v.nums[c.Num(i)]++
 		}
-		hits := 0
-		for i := 0; i < n; i++ {
-			if _, ok := set[c.Num(i)]; ok {
-				hits++
+		return v
+	}
+	v.strs = make(map[string]int)
+	for _, s := range c.Strings {
+		v.strs[s]++
+	}
+	return v
+}
+
+// SharedValueFraction returns the fraction of the rows behind v whose
+// value also appears in o. Columns of different broad kinds (numeric vs
+// string) share nothing.
+func (v *ValueCounts) SharedValueFraction(o *ValueCounts) float64 {
+	if v.rows == 0 || v.numeric != o.numeric {
+		return 0
+	}
+	var hits int
+	if v.numeric {
+		hits = sharedRows(v.nums, o.nums)
+	} else {
+		hits = sharedRows(v.strs, o.strs)
+	}
+	return float64(hits) / float64(v.rows)
+}
+
+// sharedRows counts the rows of a whose value is a key of b, scanning
+// whichever map has fewer keys.
+func sharedRows[K comparable](a, b map[K]int) int {
+	hits := 0
+	if len(a) <= len(b) {
+		for k, n := range a {
+			if _, ok := b[k]; ok {
+				hits += n
 			}
 		}
-		return float64(hits) / float64(n)
+		return hits
 	}
-	set := make(map[string]struct{}, o.Len())
-	for _, s := range o.Strings {
-		set[s] = struct{}{}
+	for k := range b {
+		hits += a[k]
 	}
-	hits := 0
-	for _, s := range c.Strings {
-		if _, ok := set[s]; ok {
-			hits++
-		}
-	}
-	return float64(hits) / float64(n)
+	return hits
 }
 
 // Project returns a new column containing the given rows, in order.

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -78,22 +79,43 @@ func TestDistinctCount(t *testing.T) {
 }
 
 func TestSharedValueFraction(t *testing.T) {
+	shared := func(a, b *Column) float64 { return a.ValueCounts().SharedValueFraction(b.ValueCounts()) }
 	a := NewIntColumn("a", []int64{1, 2, 3, 4})
 	b := NewIntColumn("b", []int64{3, 4, 5, 6})
-	if got := a.SharedValueFraction(b); got != 0.5 {
+	if got := shared(a, b); got != 0.5 {
 		t.Errorf("numeric shared fraction = %v, want 0.5", got)
 	}
 	s := NewStringColumn("s", []string{"x", "y", "z"})
 	u := NewStringColumn("u", []string{"x", "x", "q"})
-	if got := s.SharedValueFraction(u); got < 0.33 || got > 0.34 {
+	if got := shared(s, u); got < 0.33 || got > 0.34 {
 		t.Errorf("string shared fraction = %v, want 1/3", got)
 	}
-	if got := a.SharedValueFraction(s); got != 0 {
+	if got := shared(u, s); got < 0.66 || got > 0.67 {
+		t.Errorf("string shared fraction, repeated value = %v, want 2/3", got)
+	}
+	if got := shared(a, s); got != 0 {
 		t.Errorf("cross-kind shared fraction = %v, want 0", got)
 	}
 	empty := NewIntColumn("e", nil)
-	if got := empty.SharedValueFraction(a); got != 0 {
+	if got := shared(empty, a); got != 0 {
 		t.Errorf("empty shared fraction = %v, want 0", got)
+	}
+	// Int and Float compare as numbers; −0 equals +0; NaN equals nothing,
+	// not even another NaN.
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	f := NewFloatColumn("f", []float64{1, 2.5, negZero, nan, nan})
+	g := NewFloatColumn("g", []float64{nan, 0, 7})
+	if got := shared(f, a); got != 0.2 {
+		t.Errorf("float/int shared fraction = %v, want 0.2", got)
+	}
+	if got := shared(a, f); got != 0.25 {
+		t.Errorf("int/float shared fraction = %v, want 0.25", got)
+	}
+	if got := shared(f, g); got != 0.2 {
+		t.Errorf("−0/+0 and NaN shared fraction = %v, want 0.2", got)
+	}
+	if got := shared(g, f); got < 0.33 || got > 0.34 {
+		t.Errorf("+0/−0 and NaN shared fraction = %v, want 1/3", got)
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 // parallel ADCEnum at 1, 2, and 8 workers, and the SearchMC baseline
 // must emit exactly the same set of minimal approximate covers — and
 // the parallel runs must report the same Stats as the sequential one.
-// The seed corpus (in-code seeds plus testdata/fuzz) runs on every
-// plain `go test`; `go test -fuzz=FuzzEnumAgree` explores further.
+// A negative seed draws heavy multiplicities, up to 2^59, which reach
+// the high planes of the weight index. The seed corpus (in-code seeds
+// plus testdata/fuzz, where the seed_heavy_* entries are heavy) runs on
+// every plain `go test`; `go test -fuzz=FuzzEnumAgree` explores further.
 func FuzzEnumAgree(f *testing.F) {
 	for seed := int64(0); seed < 10; seed++ {
 		f.Add(seed, byte(seed*31))
@@ -26,7 +28,7 @@ func FuzzEnumAgree(f *testing.F) {
 	f.Add(int64(78), byte(0x05)) // f1-adjusted, zero epsilon instance
 	f.Fuzz(func(t *testing.T, seed int64, shape byte) {
 		r := rand.New(rand.NewSource(seed))
-		ev, _ := randomVioInstance(r)
+		ev, _ := randomVioInstance(r, seed < 0)
 		fn := fuzzFuncs[int(shape>>2)%len(fuzzFuncs)]
 		eps := []float64{0, 0.05, 0.15, 0.35}[shape&3]
 

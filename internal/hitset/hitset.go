@@ -10,9 +10,15 @@
 // uncov and crit are two bitsets over the distinct evidence sets: U, the
 // sets no element of the current hitting set S hits, and O, the sets
 // exactly one element of S hits; the crit set of u ∈ S is O ∩ occ[u],
-// where occ[u] is the bitset of evidence sets containing u, built once
-// per enumeration. Adding or removing an element is a few word-wise
-// passes over ⌈sets/64⌉ words.
+// where occ[u] is the bitset of evidence sets containing u. Adding or
+// removing an element is a few word-wise passes over ⌈sets/64⌉ words.
+//
+// What no move changes lives in one read-only index per enumeration
+// (index.go), shared by every worker: occ, built by 64×64 bit-matrix
+// transposes of the sets; the multiplicities as bit planes, so the f1
+// weight of a bitset (Section 5's bookkeeping) is a few popcounts per
+// word instead of a sum over its set bits; and, for f2 and greedy f3,
+// the vios maps flattened once.
 //
 // ADCEnum runs either as the classic sequential recursion or, with
 // Options.Workers, as a parallel enumeration: a worker that is about to
@@ -119,7 +125,7 @@ func EnumerateADC(ev *evidence.Set, opts Options, emit func(hs bitset.Bits)) Sta
 		}
 	}
 	if workers <= 1 {
-		st := newState(ev, opts, buildOcc(ev))
+		st := newState(ev, opts, newIndex(ev, opts.Func))
 		st.emit = emit
 		st.adcEnum()
 		return st.stats
@@ -132,7 +138,7 @@ func EnumerateADC(ev *evidence.Set, opts Options, emit func(hs bitset.Bits)) Sta
 // minimal valid DC's complement set). The bitset passed to emit is
 // reused; clone it to retain.
 func EnumerateMinimal(ev *evidence.Set, opts Options, emit func(hs bitset.Bits)) Stats {
-	st := newState(ev, opts, buildOcc(ev))
+	st := newState(ev, opts, newIndex(ev, opts.Func))
 	st.emit = emit
 	st.mmcs()
 	return st.stats
@@ -196,10 +202,9 @@ type state struct {
 	pool *pool
 
 	sets []bitset.Bits
-	// occ[e] is the set of distinct evidence sets containing element e.
-	// It is built once per enumeration and shared read-only by every
-	// worker of a parallel run.
-	occ []bitset.Bits
+	// ix is the enumeration's read-only index, shared by every worker of
+	// a parallel run.
+	ix *index
 
 	// logs pools one undo log per recursion depth, reused across the
 	// candidate loop to avoid per-call allocation. Pointers keep a log
@@ -210,77 +215,27 @@ type state struct {
 	scratch bitset.Bits
 
 	// eval evaluates losses of explicit uncovered-set lists; the
-	// fast-path flags below mirror its, for the incremental variants.
+	// incremental variants below follow its fast-path flags.
 	eval *Evaluator
 	// merged is the reusable U+extra list of the generic loss path.
 	merged []int
+	// flipped is the undo stack of updateCanHit: each node pushes the
+	// sets it marks unhittable and pops them when its first branch
+	// returns, so one buffer serves the whole search. A handed-off copy
+	// carries the flips in its canHit; the sender's stack undoes them.
+	flipped []int
 }
 
-// buildOcc returns the per-element occurrence bitsets over the distinct
-// sets of ev: bit k of occ[e] is set iff set k contains e.
-func buildOcc(ev *evidence.Set) []bitset.Bits {
-	occ := make([]bitset.Bits, universeSize(ev))
-	for e := range occ {
-		occ[e] = bitset.New(len(ev.Sets))
-	}
-	for k, s := range ev.Sets {
-		s.ForEach(func(e int) { occ[e].Set(k) })
-	}
-	return occ
-}
-
-func newState(ev *evidence.Set, opts Options, occ []bitset.Bits) *state {
-	universe := len(occ)
-	n := len(ev.Sets)
-	st := &state{
-		node: node{
-			uncov:  bitset.New(n),
-			once:   bitset.New(n),
-			nUncov: n,
-			canHit: bitset.New(n),
-			cand:   bitset.New(universe),
-			sBits:  bitset.New(universe),
-		},
+func newState(ev *evidence.Set, opts Options, ix *index) *state {
+	return &state{
+		node:    *ix.root.clone(),
+		ix:      ix,
 		ev:      ev,
 		opts:    opts,
 		sets:    ev.Sets,
-		occ:     occ,
-		scratch: bitset.New(n),
-		eval:    NewEvaluator(ev, opts.Func),
+		scratch: bitset.New(len(ev.Sets)),
+		eval:    ix.eval.fork(),
 	}
-	for k := range ev.Sets {
-		st.uncov.Set(k)
-		st.canHit.Set(k)
-		st.uncovWeight += ev.Counts[k]
-	}
-	for e := 0; e < universe; e++ {
-		st.cand.Set(e)
-	}
-	if st.eval.fastTuple {
-		st.vioCount = make([]int64, ev.NumRows)
-		for k := range ev.Sets {
-			for _, tc := range st.eval.viosList[k] {
-				if st.vioCount[tc.t] == 0 {
-					st.nonzero++
-				}
-				st.vioCount[tc.t] += tc.c
-			}
-		}
-	}
-	return st
-}
-
-func universeSize(ev *evidence.Set) int {
-	if ev.Space != nil {
-		return ev.Space.Size()
-	}
-	max := 0
-	for _, s := range ev.Sets {
-		if n := len(s) * 64; n > max {
-			max = n
-		}
-	}
-	return max
 }
 
 // ---- U/O maintenance ----------------------------------------------------
@@ -310,22 +265,27 @@ func (st *state) logAt(d int) *addLog {
 //	covered = U ∩ m, stolen = O ∩ m, U = U \ m, O = (O \ m) ∪ covered
 //
 // The covered and stolen words go to the pooled log for depth d; only
-// covered sets change U's weight and per-tuple counts.
+// covered sets change U's weight and per-tuple counts. The same pass
+// weighs the covered words against the multiplicity planes.
 func (st *state) updateCritUncov(e, d int) *addLog {
 	log := st.logAt(d)
-	occ := st.occ[e]
+	occ := st.ix.occ[e]
 	u, o := st.uncov[:len(occ)], st.once[:len(occ)]
 	cov, sto := log.covered[:len(occ)], log.stolen[:len(occ)]
 	n := 0
+	var weight uint64
 	for i, m := range occ {
 		c := u[i] & m
 		cov[i] = c
 		sto[i] = o[i] & m
 		u[i] &^= m
 		o[i] = o[i]&^m | c
-		n += bits.OnesCount64(c)
+		if c != 0 {
+			n += bits.OnesCount64(c)
+			weight += st.ix.wordWeight(i, c)
+		}
 	}
-	log.nCovered, log.weight = n, st.weightOf(cov)
+	log.nCovered, log.weight = n, int64(weight)
 	st.nUncov -= n
 	st.uncovWeight -= log.weight
 	if st.eval.fastTuple {
@@ -367,17 +327,10 @@ func (st *state) shiftVios(b bitset.Bits, sign int64) {
 	})
 }
 
-// weightOf sums the multiplicities of the sets in b.
-func (st *state) weightOf(b bitset.Bits) int64 {
-	var sum int64
-	b.ForEach(func(k int) { sum += st.ev.Counts[k] })
-	return sum
-}
-
 // critOf writes crit[u] = O ∩ occ[u] into the scratch bitset.
 func (st *state) critOf(u int) bitset.Bits {
 	crit := st.scratch
-	for i, m := range st.occ[u] {
+	for i, m := range st.ix.occ[u] {
 		crit[i] = st.once[i] & m
 	}
 	return crit
@@ -390,7 +343,7 @@ func (st *state) critOf(u int) bitset.Bits {
 // sets it covered.
 func (st *state) critNonEmptyForAll() bool {
 	for _, u := range st.s {
-		if !st.once.Intersects(st.occ[u]) {
+		if !st.once.Intersects(st.ix.occ[u]) {
 			return false
 		}
 	}
@@ -512,7 +465,7 @@ func (st *state) emitCover() {
 func (st *state) loss(extra bitset.Bits) float64 {
 	st.stats.LossEvals++
 	if st.eval.fastPair {
-		return st.eval.pairLoss(st.uncovWeight + st.weightOf(extra))
+		return st.eval.pairLoss(st.uncovWeight + st.ix.weightOf(extra))
 	}
 	if st.eval.fastTuple {
 		return st.tupleLoss(extra)
@@ -569,7 +522,7 @@ func (st *state) greedyF3(extra bitset.Bits) float64 {
 			e.order = append(e.order, v)
 		}
 	}
-	return approx.GreedyF3{}.TupleLoss(e.order, st.uncovWeight+st.weightOf(extra), st.ev.NumRows)
+	return approx.GreedyF3{}.TupleLoss(e.order, st.uncovWeight+st.ix.weightOf(extra), st.ev.NumRows)
 }
 
 // isMinimal is the subroutine of Figure 5: S is minimal iff no single
@@ -597,7 +550,7 @@ func (st *state) willCover() bool {
 		unhittable[i] = w &^ st.canHit[i]
 	}
 	if st.eval.fastPair {
-		return st.eval.pairLoss(st.weightOf(unhittable)) <= st.opts.Epsilon
+		return st.eval.pairLoss(st.ix.weightOf(unhittable)) <= st.opts.Epsilon
 	}
 	st.merged = st.merged[:0]
 	unhittable.ForEach(func(k int) { st.merged = append(st.merged, k) })
@@ -605,10 +558,9 @@ func (st *state) willCover() bool {
 }
 
 // updateCanHit is UpdateCanCover of Figure 5: mark every uncovered set
-// with an empty intersection with cand as unhittable. Returns the sets
-// flipped, for undo.
-func (st *state) updateCanHit() []int {
-	var flipped []int
+// with an empty intersection with cand as unhittable. The sets flipped
+// are pushed on st.flipped, for undo.
+func (st *state) updateCanHit() {
 	for wi, w := range st.uncov {
 		w &= st.canHit[wi]
 		for w != 0 {
@@ -616,11 +568,10 @@ func (st *state) updateCanHit() []int {
 			w &= w - 1
 			if !st.sets[k].Intersects(st.cand) {
 				st.canHit.Clear(k)
-				flipped = append(flipped, k)
+				st.flipped = append(st.flipped, k)
 			}
 		}
 	}
-	return flipped
 }
 
 // removeOperatorVariants drops from cand all predicates that differ
@@ -671,13 +622,15 @@ func (st *state) adcEnum() {
 	for _, e := range removedCand {
 		st.cand.Clear(e)
 	}
-	flipped := st.updateCanHit()
+	mark := len(st.flipped)
+	st.updateCanHit()
 	if st.willCover() {
 		st.descend()
 	}
-	for _, k := range flipped {
+	for _, k := range st.flipped[mark:] {
 		st.canHit.Set(k)
 	}
+	st.flipped = st.flipped[:mark]
 	for _, e := range removedCand {
 		st.cand.Set(e)
 	}

@@ -345,7 +345,7 @@ func TestEnumeratedCoversValidAndMinimal(t *testing.T) {
 	const tol = 1e-12
 	r := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 80; trial++ {
-		ev, _ := randomVioInstance(r)
+		ev, _ := randomVioInstance(r, false)
 		f := fuzzFuncs[trial%len(fuzzFuncs)]
 		for _, eps := range []float64{0, 0.08, 0.3} {
 			for _, workers := range []int{1, 4} {

@@ -24,7 +24,8 @@ type tupleCount struct {
 // same per-evaluation cost.
 //
 // An Evaluator is bound to one evidence set and is not safe for
-// concurrent use; the parallel enumerator gives each worker its own.
+// concurrent use; the parallel enumerator gives each worker a fork of
+// one evaluator, so the vios maps are flattened once per enumeration.
 type Evaluator struct {
 	ev *evidence.Set
 	f  approx.Func
@@ -80,6 +81,15 @@ func (e *Evaluator) initFastTuple(isF3 bool) {
 		}
 		e.viosList[k] = list
 	}
+}
+
+// fork returns an evaluator for another worker of the same enumeration:
+// it shares e's read-only flattened vios and has its own scratch space.
+func (e *Evaluator) fork() *Evaluator {
+	c := *e
+	c.scratch = make([]int64, len(e.scratch))
+	c.order, c.generic = nil, nil
+	return &c
 }
 
 // LossOf returns 1 − f for the DC whose uncovered distinct sets are

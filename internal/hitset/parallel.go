@@ -2,14 +2,15 @@ package hitset
 
 // Parallel ADCEnum: one worker starts at the root of Figure 4's search
 // tree. Each worker owns a state (a node plus its scratch space: undo
-// logs, the loss evaluator's workspace), and all share the occurrence
-// bitsets occ read-only. A worker about to descend into a child while
-// another worker waits on an empty queue queues a copy of the child node
-// instead and moves on to the child's next sibling; the waiting worker
-// adopts the copy and runs adcEnum on it. The recursion restores every
-// node on return, so neither side has anything to unwind. The handed-off
-// subtrees partition the tree, so every cover is emitted exactly once
-// and the workers' Stats sum to the sequential run's.
+// logs, the loss evaluator's workspace), and all share the enumeration's
+// index read-only: occ, the multiplicity planes and the flattened vios.
+// A worker about to descend into a child while another worker waits on
+// an empty queue queues a copy of the child node instead and moves on to
+// the child's next sibling; the waiting worker adopts the copy and runs
+// adcEnum on it. The recursion restores every node on return, so neither
+// side has anything to unwind. The handed-off subtrees partition the
+// tree, so every cover is emitted exactly once and the workers' Stats
+// sum to the sequential run's.
 
 import (
 	"sync"
@@ -75,10 +76,10 @@ func enumerateADCParallel(ev *evidence.Set, opts Options, workers int, emit func
 		defer emitMu.Unlock()
 		emit(hs)
 	}
-	occ := buildOcc(ev)
+	ix := newIndex(ev, opts.Func)
 	states := make([]*state, workers)
 	for w := range states {
-		states[w] = newState(ev, opts, occ)
+		states[w] = newState(ev, opts, ix)
 		states[w].emit = serialEmit
 		states[w].pool = p
 	}

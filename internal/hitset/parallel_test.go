@@ -17,9 +17,11 @@ import (
 // randomVioInstance builds a small weighted set system with synthetic
 // per-tuple violation counts, so the tuple-based approximation functions
 // (f2, greedy f3) are exercised too. Each distinct set's count c stands
-// for c violating pairs; every pair charges two random distinct tuples,
-// mirroring how real evidence vios are built.
-func randomVioInstance(r *rand.Rand) (*evidence.Set, int) {
+// for c violating pairs, drawn as at most four pairs of random distinct
+// tuples that share them, mirroring how real evidence vios are built.
+// Counts are 1 to 4, or with heavy of any bit length up to 59, so the
+// sum of at most twelve of them still fits an int64.
+func randomVioInstance(r *rand.Rand, heavy bool) (*evidence.Set, int) {
 	universe := 3 + r.Intn(9)
 	numRows := 4 + r.Intn(10)
 	nsets := 1 + r.Intn(12)
@@ -38,15 +40,23 @@ func randomVioInstance(r *rand.Rand) (*evidence.Set, int) {
 		}
 		seen[b.Key()] = true
 		c := int64(1 + r.Intn(4))
+		if heavy {
+			c = int64(1)<<(1+r.Intn(58)) + int64(r.Intn(3)) - 1
+		}
 		m := map[int32]int64{}
-		for i := int64(0); i < c; i++ {
+		pairs := min(c, 4)
+		for i := int64(0); i < pairs; i++ {
 			t1 := int32(r.Intn(numRows))
 			t2 := int32(r.Intn(numRows))
 			for t2 == t1 {
 				t2 = int32(r.Intn(numRows))
 			}
-			m[t1]++
-			m[t2]++
+			share := c / pairs
+			if i == 0 {
+				share += c % pairs
+			}
+			m[t1] += share
+			m[t2] += share
 		}
 		sets = append(sets, b)
 		counts = append(counts, c)
@@ -90,7 +100,7 @@ var fuzzFuncs = []approx.Func{approx.F1{}, approx.F1Adjusted{Z: 1.2}, approx.F2{
 func TestParallelMatchesSerialRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 120; trial++ {
-		ev, _ := randomVioInstance(r)
+		ev, _ := randomVioInstance(r, false)
 		f := fuzzFuncs[trial%len(fuzzFuncs)]
 		for _, eps := range []float64{0, 0.1, 0.3} {
 			opts := hitset.Options{Func: f, Epsilon: eps, Workers: 1}
@@ -218,7 +228,7 @@ func TestWorkersClamped(t *testing.T) {
 	}
 	// The clamped run still enumerates correctly end to end.
 	r := rand.New(rand.NewSource(74))
-	ev, _ := randomVioInstance(r)
+	ev, _ := randomVioInstance(r, false)
 	opts := hitset.Options{Func: approx.F1{}, Epsilon: 0.1}
 	serial, _ := enumKeys(ev, opts)
 	opts.Workers = 1 << 30
@@ -233,7 +243,7 @@ func TestWorkersClamped(t *testing.T) {
 // path without blowing up.
 func TestWorkersAutoDispatch(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
-	ev, _ := randomVioInstance(r)
+	ev, _ := randomVioInstance(r, false)
 	opts := hitset.Options{Func: approx.F1{}, Epsilon: 0.1}
 	auto, _ := enumKeys(ev, opts)
 	opts.Workers = 1

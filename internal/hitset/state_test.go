@@ -9,10 +9,12 @@ import (
 	"adc/internal/evidence"
 )
 
-// randomStateInstance builds distinct random sets over a small universe
-// with synthetic per-tuple vios, sized to span several bitset words.
+// randomStateInstance builds distinct random sets with synthetic
+// per-tuple vios. The universe spans up to three element words and the
+// sets up to four set words; half the counts are drawn across every bit
+// length, so uncovWeight reaches the high planes and wraps.
 func randomStateInstance(r *rand.Rand) (*evidence.Set, int) {
-	universe := 3 + r.Intn(10)
+	universe := 3 + r.Intn(150)
 	numRows := 2 + r.Intn(12)
 	seen := map[string]bool{}
 	var sets []bitset.Bits
@@ -21,7 +23,7 @@ func randomStateInstance(r *rand.Rand) (*evidence.Set, int) {
 	var total int64
 	for k := 1 + r.Intn(200); k > 0; k-- {
 		b := bitset.New(universe)
-		for n := 1 + r.Intn(4); n > 0; n-- {
+		for n := 1 + r.Intn(6); n > 0; n-- {
 			b.Set(r.Intn(universe))
 		}
 		if seen[b.Key()] {
@@ -29,8 +31,11 @@ func randomStateInstance(r *rand.Rand) (*evidence.Set, int) {
 		}
 		seen[b.Key()] = true
 		c := int64(1 + r.Intn(4))
+		if r.Intn(2) == 0 {
+			c = randomCount(r)
+		}
 		m := map[int32]int64{}
-		for i := int64(0); i < c; i++ {
+		for i := r.Intn(4); i >= 0; i-- {
 			m[int32(r.Intn(numRows))]++
 			m[int32(r.Intn(numRows))]++
 		}
@@ -107,7 +112,7 @@ func TestBookkeepingInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 200; trial++ {
 		ev, universe := randomStateInstance(r)
-		st := newState(ev, Options{Func: approx.F2{}}, buildOcc(ev))
+		st := newState(ev, Options{Func: approx.F2{}}, newIndex(ev, approx.F2{}))
 		if !st.eval.fastTuple {
 			t.Fatal("instance lacks vios: the per-tuple counts go unchecked")
 		}

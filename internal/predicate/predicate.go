@@ -256,12 +256,10 @@ func Build(rel *dataset.Relation, opts Options) *Space {
 		s.addGroup(a, a, true, cols[a].Type.Numeric())
 	}
 	if opts.CrossColumn || opts.SingleTuple {
+		ok := comparablePairs(cols, opts.MinShared)
 		for a := range cols {
 			for b := range cols {
-				if a == b {
-					continue
-				}
-				if !comparable(cols[a], cols[b], opts.MinShared) {
+				if a == b || !ok[a][b] {
 					continue
 				}
 				numeric := cols[a].Type.Numeric() && cols[b].Type.Numeric()
@@ -282,16 +280,29 @@ func Build(rel *dataset.Relation, opts Options) *Space {
 	return s
 }
 
-// comparable applies the 30% common-values rule (Section 4.2).
-func comparable(a, b *dataset.Column, minShared float64) bool {
-	if a.Type.Numeric() != b.Type.Numeric() {
-		return false
+// comparablePairs applies the 30% common-values rule (Section 4.2) to
+// every pair of distinct columns: ok[a][b] reports whether both columns
+// are numeric or both are strings and the larger of the two directional
+// shared-value fractions reaches minShared. Each column's values are
+// counted once and each unordered pair is decided once.
+func comparablePairs(cols []*dataset.Column, minShared float64) (ok [][]bool) {
+	vals := make([]*dataset.ValueCounts, len(cols))
+	ok = make([][]bool, len(cols))
+	for a, c := range cols {
+		vals[a] = c.ValueCounts()
+		ok[a] = make([]bool, len(cols))
 	}
-	f := a.SharedValueFraction(b)
-	if g := b.SharedValueFraction(a); g > f {
-		f = g
+	for a := range cols {
+		for b := a + 1; b < len(cols); b++ {
+			if cols[a].Type.Numeric() != cols[b].Type.Numeric() {
+				continue
+			}
+			f := max(vals[a].SharedValueFraction(vals[b]), vals[b].SharedValueFraction(vals[a]))
+			ok[a][b] = f >= minShared
+			ok[b][a] = ok[a][b]
+		}
 	}
-	return f >= minShared
+	return ok
 }
 
 func (s *Space) addGroup(a, b int, cross, numeric bool) {

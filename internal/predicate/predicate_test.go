@@ -1,6 +1,8 @@
 package predicate_test
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"adc/internal/bitset"
@@ -204,6 +206,111 @@ func TestThirtyPercentRule(t *testing.T) {
 	}
 	if !found {
 		t.Error("age/age2 cross group missing despite 66% shared values")
+	}
+}
+
+// bruteComparable is the 30% rule by brute force: the larger, over the
+// two directions, of the fraction of rows whose value some row of the
+// other column equals under EqualCross (numbers as numbers, strings as
+// strings).
+func bruteComparable(a, b *dataset.Column, minShared float64) bool {
+	if a.Type.Numeric() != b.Type.Numeric() {
+		return false
+	}
+	frac := func(x, y *dataset.Column) float64 {
+		if x.Len() == 0 {
+			return 0
+		}
+		hits := 0
+		for i := 0; i < x.Len(); i++ {
+			for j := 0; j < y.Len(); j++ {
+				if x.EqualCross(i, y, j) {
+					hits++
+					break
+				}
+			}
+		}
+		return float64(hits) / float64(x.Len())
+	}
+	return max(frac(a, b), frac(b, a)) >= minShared
+}
+
+// checkGroupsBrute compares Build's groups, in order, with the ones the
+// default options give when the brute-force rule decides comparability.
+func checkGroupsBrute(t *testing.T, name string, rel *dataset.Relation) *predicate.Space {
+	t.Helper()
+	opts := predicate.DefaultOptions()
+	type key struct {
+		a, b  int
+		cross bool
+	}
+	var want []key
+	cols := rel.Columns
+	for a := range cols {
+		want = append(want, key{a, a, true})
+	}
+	for a := range cols {
+		for b := range cols {
+			if a == b || !bruteComparable(cols[a], cols[b], opts.MinShared) {
+				continue
+			}
+			want = append(want, key{a, b, true})
+			if a < b {
+				want = append(want, key{a, b, false})
+			}
+		}
+	}
+	s := predicate.Build(rel, opts)
+	var got []key
+	for _, g := range s.Groups {
+		got = append(got, key{g.A, g.B, g.Cross})
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: groups %v, want %v", name, got, want)
+	}
+	return s
+}
+
+// TestThirtyPercentRuleBruteForce checks the per-column value counts
+// behind the 30% rule against a brute-force rule on every generator,
+// and on columns where NaN, −0 and mixed Int/Float values decide it.
+func TestThirtyPercentRuleBruteForce(t *testing.T) {
+	for _, name := range datagen.Names() {
+		d, err := datagen.ByName(name, 60, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGroupsBrute(t, name, d.Rel)
+	}
+
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	rel := dataset.MustNewRelation("edge", []*dataset.Column{
+		dataset.NewFloatColumn("nanA", []float64{nan, nan, nan, nan, nan, 1}),
+		dataset.NewFloatColumn("nanB", []float64{nan, nan, nan, nan, nan, 2}),
+		dataset.NewFloatColumn("negZero", []float64{negZero, negZero, 11, 12, 13, 14}),
+		dataset.NewIntColumn("zero", []int64{0, 0, 0, 21, 22, 23}),
+		dataset.NewIntColumn("ints", []int64{31, 32, 33, 34, 35, 36}),
+		dataset.NewFloatColumn("floats", []float64{31, 32, 32.5, 33.5, 34.5, 35.5}),
+		dataset.NewStringColumn("text", []string{"31", "32", "33", "34", "35", "36"}),
+		dataset.NewStringColumn("text2", []string{"31", "31", "x", "y", "z", "w"}),
+	})
+	s := checkGroupsBrute(t, "edge", rel)
+	cross := map[[2]string]bool{}
+	for _, g := range s.Groups {
+		if g.Cross && g.A != g.B {
+			cross[[2]string{rel.Columns[g.A].Name, rel.Columns[g.B].Name}] = true
+		}
+	}
+	for pair, want := range map[[2]string]bool{
+		{"nanA", "nanB"}:    false, // NaN equals no NaN
+		{"negZero", "zero"}: true,  // −0 equals the Int 0
+		{"ints", "floats"}:  true,  // Int and Float compare as numbers
+		{"ints", "text"}:    false, // numbers never meet strings
+		{"text", "text2"}:   true,  // 2 of text2's 6 rows occur in text
+	} {
+		if cross[pair] != want {
+			t.Errorf("%s/%s comparable = %v, want %v", pair[0], pair[1], cross[pair], want)
+		}
 	}
 }
 
