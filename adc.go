@@ -22,8 +22,8 @@
 // tuples a greedy repair removes (Figure 2's stand-in for the NP-hard
 // cardinality repair). Custom functions implement ApproxFunc and must
 // satisfy the validity axioms (monotonicity and indifference to
-// redundancy, Definitions 4.1–4.3); the checkers in internal/approx are
-// re-exported for property-testing them.
+// redundancy, Definitions 4.1–4.3); the package's own tests check the
+// built-in functions against them.
 //
 // Beyond mining, the package covers the other half of the cleaning
 // story: applying constraints back to data. Violations finds the tuple
@@ -89,10 +89,6 @@ type (
 	// PredicateOptions configures predicate-space generation (the 30%
 	// common-values rule, single-tuple and cross-column predicates).
 	PredicateOptions = predicate.Options
-	// IngestOptions tunes the streaming chunk-parallel CSV reader
-	// (worker count and chunk size); the parsed relation is identical
-	// for every setting.
-	IngestOptions = dataset.IngestOptions
 	// PredicateSpace is the generated predicate space P_R.
 	PredicateSpace = predicate.Space
 	// EvidenceSet is the evidence set Evi(D) with multiplicities.
@@ -120,11 +116,7 @@ var (
 	NewFloatColumn  = dataset.NewFloatColumn
 	ReadCSV         = dataset.ReadCSV
 	ReadCSVFile     = dataset.ReadCSVFile
-	// ReadCSVOptions and ReadCSVFileOptions expose the streaming
-	// reader's IngestOptions (ReadCSV/ReadCSVFile use the defaults).
-	ReadCSVOptions     = dataset.ReadCSVOptions
-	ReadCSVFileOptions = dataset.ReadCSVFileOptions
-	ParseOperator      = predicate.ParseOperator
+	ParseOperator   = predicate.ParseOperator
 	// BuildPredicateSpace generates P_R for a relation.
 	BuildPredicateSpace = predicate.Build
 	// DefaultPredicateOptions mirrors the paper's setup.

@@ -336,3 +336,45 @@ func TestSampleThresholdReExport(t *testing.T) {
 		t.Errorf("SampleThreshold = %v", got)
 	}
 }
+
+// TestSampleF1Unbiased checks Section 7.1's estimator on the code the
+// miner runs: the f1 loss that Violations reports on a uniform sample
+// (Relation.Sample) is the fraction of the sample's ordered pairs that
+// violate, and every ordered pair of distinct rows is sampled with the
+// same probability, so its mean over samples is the full relation's
+// loss. The mean over 240 seeds must fall within 3 standard errors.
+func TestSampleF1Unbiased(t *testing.T) {
+	d, err := datagen.ByName("tax", 200, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := adc.ParseDCSpecs([]string{"not(t.Salary > t'.Salary and t.Rate < t'.Rate)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss := func(rel *adc.Relation) float64 {
+		rep, err := adc.Violations(rel, specs, adc.CheckOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Results[0].LossF1
+	}
+	truth := loss(d.Rel)
+	if truth <= 0 || truth >= 1 {
+		t.Fatalf("full-relation f1 loss = %v, want a DC that some pairs violate", truth)
+	}
+	const seeds = 240
+	losses := make([]float64, seeds)
+	var mean, ss float64
+	for seed := range losses {
+		losses[seed] = loss(d.Rel.Sample(0.25, rand.New(rand.NewSource(int64(seed)))))
+		mean += losses[seed] / seeds
+	}
+	for _, l := range losses {
+		ss += (l - mean) * (l - mean)
+	}
+	se := math.Sqrt(ss / (seeds - 1) / seeds)
+	if !(se > 0) || math.Abs(mean-truth) > 3*se {
+		t.Errorf("mean sample f1 loss = %v, full relation %v, standard error %v", mean, truth, se)
+	}
+}

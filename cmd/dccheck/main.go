@@ -67,8 +67,6 @@ type config struct {
 	repair   bool
 	explain  bool
 	asJSON   bool
-	ingestW  int
-	chunk    int
 }
 
 func main() {
@@ -91,8 +89,6 @@ func main() {
 	flag.BoolVar(&cfg.repair, "repair", false, "compute a greedy repair set")
 	flag.BoolVar(&cfg.explain, "explain", false, "print each DC's query plan (shape, join order, estimated vs. examined pairs; a DC counted under -max-pairs examines only the pairs it lists)")
 	flag.BoolVar(&cfg.asJSON, "json", false, "emit a JSON report instead of text")
-	flag.IntVar(&cfg.ingestW, "ingest-workers", 0, "CSV ingest parse workers (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.chunk, "chunk-rows", 0, "CSV ingest rows per parse chunk (0 = default)")
 	flag.Var(&dcFlags, "dc", "constraint in paper notation (repeatable)")
 	flag.Parse()
 	cfg.dcFlags = dcFlags
@@ -165,8 +161,7 @@ func run(out io.Writer, cfg config) int {
 			return fail(err)
 		}
 	} else {
-		rel, err := adc.ReadCSVFileOptions(cfg.input, cfg.header,
-			adc.IngestOptions{Workers: cfg.ingestW, ChunkRows: cfg.chunk})
+		rel, err := adc.ReadCSVFile(cfg.input, cfg.header)
 		if err != nil {
 			return fail(err)
 		}

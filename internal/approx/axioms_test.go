@@ -9,10 +9,9 @@ import (
 )
 
 // The checkers in this file verify the two axioms of a valid
-// approximation function (Definitions 4.1 and 4.2) on concrete evidence
-// sets. They are exported so that property-based tests — both ours and a
-// downstream user's, for a custom Func — can exercise the axioms on
-// their own data.
+// approximation function (Definitions 4.1 and 4.2), and Proposition
+// 5.3's bridge between f1 and f2, on concrete evidence sets. They are
+// test code: approx_test.go runs them over the built-in functions.
 
 // CheckMonotonic verifies Definition 4.1 (monotonicity) on random
 // chains of DCs: for hitting sets X ⊂ X′ (i.e. Sϕ ⊂ Sϕ′), the loss must

@@ -32,7 +32,7 @@ func Attach(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := decode(data, true)
+	snap, err := Decode(data)
 	if err != nil {
 		if closer != nil {
 			closer() //nolint:errcheck // the decode error wins

@@ -1,12 +1,12 @@
 // Package colstore is the persistent columnar storage tier: it
 // serializes a dataset.Relation (per-column dictionary codes, string
 // arenas, and numeric columns) together with its built pli indexes
-// into a versioned, section-based snapshot file, and reads it back two
-// ways — a full decode that copies every array onto the heap, and an
-// mmap-backed attach that aliases the large arrays (numeric values,
-// dictionary codes, string arenas, cluster maps) directly onto the
-// mapped file, so re-attaching a session costs page faults instead of
-// CSV parsing and index builds.
+// into a versioned, section-based snapshot file, and reads it back
+// with one decoder that views the large arrays (numeric values,
+// dictionary codes, string arenas, cluster maps) in the bytes it is
+// given instead of copying them: Load hands it the file read into a
+// heap buffer, Attach a read-only mapping of the file, so re-attaching
+// a session costs page faults instead of CSV parsing and index builds.
 //
 // # File format (version 1)
 //
@@ -26,10 +26,12 @@
 // then gets one column section (in column order: name, type, and the
 // typed data — raw int64/float64 words, or dictionary codes plus an
 // offset-indexed string arena), and each built PLI gets a pli section
-// (ClusterOf, numeric keys, and the code→cluster map; the per-cluster
-// membership lists are not stored — rows within a cluster are always
-// ascending, so a counting sort over ClusterOf reconstructs them
-// exactly). The meta section is a small JSON blob of session metadata
+// (ClusterOf and numeric keys; a string index's cluster IDs are its
+// column's dictionary codes, so the code→cluster map the format leaves
+// room for is written empty and accepted only as the identity; the
+// per-cluster membership lists are not stored — rows within a cluster
+// are always ascending, so a counting sort over ClusterOf reconstructs
+// them exactly). The meta section is a small JSON blob of session metadata
 // (name, golden DCs, append count) for dcserved's registry.
 //
 // Corruption surfaces as typed errors: ErrCorrupt for truncation, bad

@@ -2,9 +2,11 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -42,9 +44,9 @@ func warmSnapshot(t testing.TB, name string, rows int, seed int64) (*Snapshot, *
 }
 
 // smallSnapshot hand-builds a tiny snapshot covering every column type,
-// an interned string column, and a post-append extended index with a
-// materialized code→cluster map. It is fully deterministic, byte for
-// byte — the golden-format test depends on that.
+// an interned string column, and post-append extended indexes. It is
+// fully deterministic, byte for byte — the golden-format test depends
+// on that.
 func smallSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
 	city, err := dataset.RestoreStringColumn("city",
@@ -66,8 +68,8 @@ func smallSnapshot(t testing.TB) *Snapshot {
 	store := pli.NewStore(rel.Columns)
 	store.Warm(nil, 1)
 
-	// Append a row introducing a new string value, so the extended
-	// index materializes CodeCluster (the ccKind=1 wire shape).
+	// Append a row introducing new string values, so the extended
+	// string indexes gain a cluster.
 	grown, err := rel.AppendRows([][]string{{"9", "2.5", "OH", "dayton"}})
 	if err != nil {
 		t.Fatalf("append: %v", err)
@@ -145,9 +147,6 @@ func TestRoundTripDatasets(t *testing.T) {
 
 func TestRoundTripSmall(t *testing.T) {
 	snap := smallSnapshot(t)
-	if snap.Indexes[3].CodeCluster == nil {
-		t.Fatalf("test setup: extended city index should carry a code map")
-	}
 	dec, err := Decode(encodeSnapshot(t, snap))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -195,7 +194,9 @@ func TestRoundTripIngestedRelation(t *testing.T) {
 
 // TestGoldenFormatStable pins the on-disk bytes of format Version: the
 // deterministic small snapshot must serialize to exactly the checked-in
-// golden file. If this fails, the format changed — bump Version and
+// golden file. If this fails, the writer's output changed: bump Version
+// unless the reader still accepts every file earlier builds wrote (as
+// TestLegacyCodeMapSnapshot shows for the dropped code map), and
 // regenerate with -update.
 func TestGoldenFormatStable(t *testing.T) {
 	data := encodeSnapshot(t, smallSnapshot(t))
@@ -442,5 +443,120 @@ func TestOpenAttachmentsCounter(t *testing.T) {
 	}
 	if got := OpenAttachments(); got != base {
 		t.Fatalf("after double Close: OpenAttachments = %d, want %d", got, base)
+	}
+}
+
+// legacyCSV and legacyAppend rebuild the relation of
+// testdata/legacy_codemap.adcs, a snapshot written by an earlier build
+// that still kept a code→cluster map: it ingested legacyCSV, built
+// every index, appended legacyAppend (whose city is a new value, so
+// the extended city index carried an identity code map), rebuilt the
+// dropped numeric indexes and wrote the snapshot.
+const legacyCSV = "city,zip,state,rate\n" +
+	"Oslo,10,NO,0.5\nRome,20,IT,1.25\nOslo,10,NO,0.5\nLima,30,PE,-3\n" +
+	"Rome,21,IT,1.25\nLima,30,PE,8\n"
+
+var legacyAppend = [][]string{{"Kyiv", "40", "IT", "2.5"}}
+
+// legacySection returns the offset and payload of the first section of
+// the given kind whose payload starts with column position j.
+func legacySection(t *testing.T, data []byte, kind uint32, j uint32) (int, []byte) {
+	t.Helper()
+	for off := fileHeaderLen; off < len(data); {
+		k := binary.LittleEndian.Uint32(data[off:])
+		plen := int(binary.LittleEndian.Uint64(data[off+8:]))
+		payload := data[off+sectionHeaderLen : off+sectionHeaderLen+plen]
+		if k == kind && binary.LittleEndian.Uint32(payload) == j {
+			return off, payload
+		}
+		off += sectionHeaderLen + (plen+7)&^7
+	}
+	t.Fatalf("no section of kind %d for column %d", kind, j)
+	return 0, nil
+}
+
+// resum recomputes the checksum of the section at off, so an altered
+// payload is rejected by the decoder's own checks, not the checksum.
+func resum(data []byte, off int) {
+	plen := int(binary.LittleEndian.Uint64(data[off+8:]))
+	h := fnv.New64a()
+	h.Write(data[off+sectionHeaderLen : off+sectionHeaderLen+plen])
+	binary.LittleEndian.PutUint64(data[off+16:], h.Sum64())
+}
+
+// TestLegacyCodeMapSnapshot pins compatibility with snapshots whose
+// string indexes carry a code map: an identity map restores to the
+// relation and indexes this build computes, by Load and by Attach,
+// while a map that is not the identity, or codes out of first-occurrence
+// order, fail as corrupt (ErrCorrupt, re-exported as
+// adc.SnapshotErrCorrupt).
+func TestLegacyCodeMapSnapshot(t *testing.T) {
+	path := filepath.Join("testdata", "legacy_codemap.adcs")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := dataset.ReadCSV(strings.NewReader(legacyCSV), "legacy", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rel.AppendRows(legacyAppend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, payload := legacySection(t, data, secPLI, 0); binary.LittleEndian.Uint32(payload[24:]) != 1 {
+		t.Fatalf("test setup: the city index of %s carries no code map", path)
+	}
+	loaders := map[string]func(string) (*Snapshot, error){"Load": Load, "Attach": Attach}
+	for name, load := range loaders {
+		snap, err := load(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(snap.Relation, want) {
+			t.Errorf("%s: relation differs from a rebuild", name)
+		}
+		for j, c := range want.Columns {
+			if !reflect.DeepEqual(snap.Indexes[j], pli.ForColumn(c)) {
+				t.Errorf("%s: index %d differs from a rebuild", name, j)
+			}
+		}
+	}
+
+	// One code-map entry sent elsewhere: the last entry, code 3 → 2.
+	badMap := bytes.Clone(data)
+	off, payload := legacySection(t, badMap, secPLI, 0)
+	binary.LittleEndian.PutUint32(payload[len(payload)-4:], 2)
+	resum(badMap, off)
+
+	// Rows 0 and 1 swap codes: in range, but row 0 does not hold code 0.
+	badOrder := bytes.Clone(data)
+	off, payload = legacySection(t, badOrder, secColumn, 0)
+	codes := 16 + 8 + (len("city")+7)&^7 + 8 // j, type, rows; name; interned, dictLen
+	c0, c1 := payload[codes:codes+4], payload[codes+4:codes+8]
+	if binary.LittleEndian.Uint32(c0) != 0 || binary.LittleEndian.Uint32(c1) != 1 {
+		t.Fatalf("test setup: city codes start %v %v, want 0 1", c0, c1)
+	}
+	binary.LittleEndian.PutUint32(c0, 1)
+	binary.LittleEndian.PutUint32(c1, 0)
+	resum(badOrder, off)
+
+	for _, tc := range []struct {
+		name, msg string
+		data      []byte
+	}{
+		{"map entry changed", "code map", badMap},
+		{"codes out of first-occurrence order", "first-occurrence", badOrder},
+	} {
+		p := filepath.Join(t.TempDir(), "bad.adcs")
+		if err := os.WriteFile(p, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, load := range loaders {
+			_, err := load(p)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.msg) {
+				t.Errorf("%s, %s: got %v, want ErrCorrupt about %q", tc.name, name, err, tc.msg)
+			}
+		}
 	}
 }

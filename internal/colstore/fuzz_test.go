@@ -108,6 +108,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
+	if data, err := os.ReadFile(filepath.Join("testdata", "legacy_codemap.adcs")); err == nil {
+		f.Add(data) // an identity code map, as earlier builds wrote
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(data)
 		if err != nil {

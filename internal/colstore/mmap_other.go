@@ -5,8 +5,7 @@ package colstore
 import "os"
 
 // mapFile on platforms without a usable mmap reads the whole file;
-// Attach then behaves like Load plus zero-copy aliasing of the heap
-// buffer.
+// Attach then behaves like Load.
 func mapFile(path string) ([]byte, func() error, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

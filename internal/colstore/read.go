@@ -18,20 +18,14 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// Load reads and fully decodes the snapshot at path. Every array is
-// copied onto the heap, so the result is independent of the file.
+// Load reads the snapshot at path into one heap buffer and decodes it
+// there (Decode); the result is independent of the file.
 func Load(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return decode(data, false)
-}
-
-// Decode fully decodes a snapshot from raw bytes (the in-memory form
-// of Load; also the decoder fuzz target).
-func Decode(data []byte) (*Snapshot, error) {
-	return decode(data, false)
+	return Decode(data)
 }
 
 // dec is a bounds-checked payload reader. Every read validates against
@@ -105,11 +99,10 @@ func (d *dec) count(n uint64, elemBytes int) (int, error) {
 	return int(n), nil
 }
 
-// int64s reads n 8-byte words. With alias set (mmap attach) the
-// returned slice views the underlying bytes; the format guarantees
-// 8-byte alignment, but a misaligned buffer (possible only when the
-// caller handed Decode an unaligned sub-slice) falls back to copying.
-func (d *dec) int64s(n int, alias bool) ([]int64, error) {
+// int64s reads n 8-byte words as a slice viewing the payload. The
+// format keeps arrays 8-byte aligned; a buffer that is not (an
+// unaligned sub-slice handed to Decode) is copied instead.
+func (d *dec) int64s(n int) ([]int64, error) {
 	b, err := d.take(n * 8)
 	if err != nil {
 		return nil, err
@@ -117,21 +110,17 @@ func (d *dec) int64s(n int, alias bool) ([]int64, error) {
 	if n == 0 {
 		return make([]int64, 0), nil
 	}
-	if aligned8(b) && alias {
+	if aligned(b, 8) {
 		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n), nil
 	}
 	out := make([]int64, n)
-	if aligned8(b) {
-		copy(out, unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n))
-	} else {
-		for i := range out {
-			out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-		}
+	for i := range out {
+		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 	return out, nil
 }
 
-func (d *dec) float64s(n int, alias bool) ([]float64, error) {
+func (d *dec) float64s(n int) ([]float64, error) {
 	b, err := d.take(n * 8)
 	if err != nil {
 		return nil, err
@@ -139,22 +128,18 @@ func (d *dec) float64s(n int, alias bool) ([]float64, error) {
 	if n == 0 {
 		return make([]float64, 0), nil
 	}
-	if aligned8(b) && alias {
+	if aligned(b, 8) {
 		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n), nil
 	}
 	out := make([]float64, n)
-	if aligned8(b) {
-		copy(out, unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n))
-	} else {
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		}
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 	return out, nil
 }
 
 // int32s mirrors enc.int32s: n 4-byte words then pad to 8.
-func (d *dec) int32s(n int, alias bool) ([]int32, error) {
+func (d *dec) int32s(n int) ([]int32, error) {
 	b, err := d.take(n * 4)
 	if err != nil {
 		return nil, err
@@ -165,27 +150,24 @@ func (d *dec) int32s(n int, alias bool) ([]int32, error) {
 	if n == 0 {
 		return make([]int32, 0), nil
 	}
-	if aligned4(b) && alias {
+	if aligned(b, 4) {
 		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n), nil
 	}
 	out := make([]int32, n)
-	if aligned4(b) {
-		copy(out, unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n))
-	} else {
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-		}
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
 	}
 	return out, nil
 }
 
-func aligned8(b []byte) bool { return uintptr(unsafe.Pointer(&b[0]))%8 == 0 }
-func aligned4(b []byte) bool { return uintptr(unsafe.Pointer(&b[0]))%4 == 0 }
+func aligned(b []byte, n uintptr) bool { return uintptr(unsafe.Pointer(&b[0]))%n == 0 }
 
-// decode parses a whole snapshot. With alias set, large arrays view
-// data directly (the mmap attach path); otherwise everything is
-// copied.
-func decode(data []byte, alias bool) (*Snapshot, error) {
+// Decode parses a whole snapshot from data, which it views instead of
+// copying: numeric columns, dictionary codes and strings, and ClusterOf
+// arrays alias data, so data must stay unmodified while the snapshot
+// is in use. Load passes a heap buffer and Attach a read-only file
+// mapping.
+func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < fileHeaderLen {
 		return nil, corruptf("file shorter than the %d-byte header", fileHeaderLen)
 	}
@@ -277,7 +259,7 @@ func decode(data []byte, alias bool) (*Snapshot, error) {
 			}
 			haveMeta = true
 		case secColumn:
-			j, c, err := decodeColumn(payload, rows, alias)
+			j, c, err := decodeColumn(payload, rows)
 			if err != nil {
 				return nil, err
 			}
@@ -289,7 +271,7 @@ func decode(data []byte, alias bool) (*Snapshot, error) {
 			}
 			cols[j] = c
 		case secPLI:
-			j, idx, err := decodePLI(payload, rows, alias)
+			j, idx, err := decodePLI(payload, rows)
 			if err != nil {
 				return nil, err
 			}
@@ -326,7 +308,7 @@ func decode(data []byte, alias bool) (*Snapshot, error) {
 }
 
 // decodeColumn mirrors encodeColumn.
-func decodeColumn(payload []byte, rows int, alias bool) (int, *dataset.Column, error) {
+func decodeColumn(payload []byte, rows int) (int, *dataset.Column, error) {
 	d := &dec{b: payload}
 	j, err := d.u32()
 	if err != nil {
@@ -349,7 +331,7 @@ func decodeColumn(payload []byte, rows int, alias bool) (int, *dataset.Column, e
 	}
 	switch dataset.Type(typ) {
 	case dataset.Int:
-		v, err := d.int64s(rows, alias)
+		v, err := d.int64s(rows)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -358,7 +340,7 @@ func decodeColumn(payload []byte, rows int, alias bool) (int, *dataset.Column, e
 		}
 		return int(j), dataset.NewIntColumn(name, v), nil
 	case dataset.Float:
-		v, err := d.float64s(rows, alias)
+		v, err := d.float64s(rows)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -378,7 +360,7 @@ func decodeColumn(payload []byte, rows int, alias bool) (int, *dataset.Column, e
 		if err != nil {
 			return 0, nil, err
 		}
-		codes, err := d.int32s(rows, alias)
+		codes, err := d.int32s(rows)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -407,11 +389,7 @@ func decodeColumn(payload []byte, rows int, alias bool) (int, *dataset.Column, e
 			if lo > hi || hi > uint64(len(arena)) {
 				return 0, nil, corruptf("column %q dictionary offsets are not monotone", name)
 			}
-			if alias {
-				values[i] = bstr(arena[lo:hi])
-			} else {
-				values[i] = string(arena[lo:hi])
-			}
+			values[i] = bstr(arena[lo:hi])
 		}
 		c, err := dataset.RestoreStringColumn(name, values, codes, internedFlag == 1)
 		if err != nil {
@@ -422,8 +400,8 @@ func decodeColumn(payload []byte, rows int, alias bool) (int, *dataset.Column, e
 	return 0, nil, corruptf("column %q has unknown type %d", name, typ)
 }
 
-// bstr views bytes as a string without copying. Attach-path only: the
-// mapping is read-only and outlives the snapshot.
+// bstr views bytes as a string without copying; Decode's buffer must
+// not change while the snapshot is in use.
 func bstr(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -435,7 +413,7 @@ func bstr(b []byte) string {
 // lists with a counting sort over ClusterOf (rows within a cluster are
 // ascending in every index this codebase builds, so the reconstruction
 // is exact).
-func decodePLI(payload []byte, rows int, alias bool) (int, *pli.Index, error) {
+func decodePLI(payload []byte, rows int) (int, *pli.Index, error) {
 	d := &dec{b: payload}
 	j, err := d.u32()
 	if err != nil {
@@ -474,7 +452,7 @@ func decodePLI(payload []byte, rows int, alias bool) (int, *pli.Index, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	clusterOf, err := d.int32s(rows, alias)
+	clusterOf, err := d.int32s(rows)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -484,7 +462,7 @@ func decodePLI(payload []byte, rows int, alias bool) (int, *pli.Index, error) {
 		Numeric:     numericFlag == 1,
 	}
 	if idx.Numeric {
-		idx.NumKeys, err = d.float64s(nClusters, alias)
+		idx.NumKeys, err = d.float64s(nClusters)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -492,12 +470,13 @@ func decodePLI(payload []byte, rows int, alias bool) (int, *pli.Index, error) {
 			idx.NumKeys = nil
 		}
 	}
+	// A code map, written by earlier builds, is accepted only as the
+	// identity: cluster IDs are codes.
 	if ccKind == 1 {
 		ccLen, err := d.count(uint64(ccLen64), 8)
 		if err != nil {
 			return 0, nil, err
 		}
-		cc := make(map[int32]int32, ccLen)
 		for i := 0; i < ccLen; i++ {
 			k, err := d.u32()
 			if err != nil {
@@ -507,12 +486,10 @@ func decodePLI(payload []byte, rows int, alias bool) (int, *pli.Index, error) {
 			if err != nil {
 				return 0, nil, err
 			}
-			cc[int32(k)] = int32(v)
+			if k != v || v >= uint32(nClusters) {
+				return 0, nil, corruptf("pli %d code map sends code %d to cluster %d", j, int32(k), int32(v))
+			}
 		}
-		if len(cc) != ccLen {
-			return 0, nil, corruptf("pli %d code map has duplicate codes", j)
-		}
-		idx.CodeCluster = cc
 	}
 	if d.remaining() != 0 {
 		return 0, nil, corruptf("pli %d has %d trailing bytes", j, d.remaining())

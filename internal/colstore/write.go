@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"path/filepath"
-	"slices"
 
 	"adc/internal/dataset"
 	"adc/internal/pli"
@@ -188,9 +187,10 @@ func encodeColumn(j int, c *dataset.Column) ([]byte, error) {
 }
 
 // encodePLI lays out one column's index: position, numeric flag, row
-// and cluster counts, the code→cluster map shape, then ClusterOf, the
-// numeric keys, and the map entries (sorted by code, so equal indexes
-// serialize to identical bytes). Cluster membership lists are implied:
+// and cluster counts, the code→cluster map's kind and length (always
+// 0: a string index's cluster IDs are its column's codes; earlier
+// builds wrote an identity map, which Decode still accepts), then
+// ClusterOf and the numeric keys. Cluster membership lists are implied:
 // every builder and the copy-on-write extender list a cluster's rows
 // in ascending order, so the reader reconstructs Clusters with a
 // counting sort over ClusterOf.
@@ -213,26 +213,11 @@ func encodePLI(j int, idx *pli.Index, rows int) ([]byte, error) {
 	e.u32(flag)
 	e.u64(uint64(rows))
 	e.u64(uint64(idx.NumClusters))
-	ccKind := uint32(0)
-	if idx.CodeCluster != nil {
-		ccKind = 1
-	}
-	e.u32(ccKind)
-	e.u32(uint32(len(idx.CodeCluster)))
+	e.u32(0) // code-map kind
+	e.u32(0) // code-map entries
 	e.int32s(idx.ClusterOf)
 	if idx.Numeric {
 		e.float64s(idx.NumKeys)
-	}
-	if ccKind == 1 {
-		codes := make([]int32, 0, len(idx.CodeCluster))
-		for k := range idx.CodeCluster {
-			codes = append(codes, k)
-		}
-		slices.Sort(codes)
-		for _, k := range codes {
-			e.u32(uint32(k))
-			e.u32(uint32(idx.CodeCluster[k]))
-		}
 	}
 	return e.b, nil
 }

@@ -74,11 +74,6 @@ func readCSVBuffered(rd io.Reader, name string, header bool) (*Relation, error) 
 // ReadCSVFile reads a relation from a CSV file on disk; the relation is
 // named after the file.
 func ReadCSVFile(path string, header bool) (*Relation, error) {
-	return ReadCSVFileOptions(path, header, IngestOptions{})
-}
-
-// ReadCSVFileOptions is ReadCSVFile with explicit ingest options.
-func ReadCSVFileOptions(path string, header bool, opt IngestOptions) (*Relation, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -89,7 +84,7 @@ func ReadCSVFileOptions(path string, header bool, opt IngestOptions) (*Relation,
 		base = base[i+1:]
 	}
 	base = strings.TrimSuffix(base, ".csv")
-	return ReadCSVOptions(f, base, header, opt)
+	return ReadCSV(f, base, header)
 }
 
 func inferColumn(name string, raw []string) *Column {

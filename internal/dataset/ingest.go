@@ -34,8 +34,10 @@ import (
 )
 
 // IngestOptions tunes the streaming CSV reader. The zero value uses
-// GOMAXPROCS workers and DefaultChunkRows rows per chunk; the parsed
-// relation is identical for every setting.
+// GOMAXPROCS workers and DefaultChunkRows rows per chunk, and it is
+// what ReadCSV passes; the parsed relation is identical for every
+// setting, so only the chunk-boundary tests and the parallel-ingest
+// benchmark set the fields.
 type IngestOptions struct {
 	// Workers is the chunk-parse parallelism: 0 picks GOMAXPROCS, 1
 	// forces the serial path (one worker draining the same pipeline).

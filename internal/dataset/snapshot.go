@@ -34,7 +34,11 @@ func (c *Column) DictSnapshot() (values []string, interned bool, err error) {
 // its snapshot decomposition: dictionary values in code order, per-row
 // codes, and the interned flag. Per-row strings alias the dictionary
 // entries (content-equal to any original, interned or not); the
-// dictionary map is rebuilt from values.
+// dictionary map is rebuilt from values. The codes must number the
+// values densely in first-occurrence order, as every other constructor
+// does: each row holds a code already seen or the next unused one, and
+// every value is used. A string index's cluster IDs are then the codes
+// (package pli).
 func RestoreStringColumn(name string, values []string, codes []int32, interned bool) (*Column, error) {
 	dict := make(map[string]int32, len(values))
 	for i, v := range values {
@@ -44,12 +48,22 @@ func RestoreStringColumn(name string, values []string, codes []int32, interned b
 		dict[v] = int32(i)
 	}
 	strs := make([]string, len(codes))
+	next := int32(0)
 	for i, code := range codes {
-		if code < 0 || int(code) >= len(values) {
+		switch {
+		case code < 0 || int(code) >= len(values):
 			return nil, fmt.Errorf("dataset: column %q: row %d code %d out of dictionary range %d",
 				name, i, code, len(values))
+		case code > next:
+			return nil, fmt.Errorf("dataset: column %q: row %d code %d is not in first-occurrence order (next new code %d)",
+				name, i, code, next)
+		case code == next:
+			next++
 		}
 		strs[i] = values[code]
+	}
+	if int(next) != len(values) {
+		return nil, fmt.Errorf("dataset: column %q: rows use %d of %d dictionary values", name, next, len(values))
 	}
 	return &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, values: values, interned: interned}, nil
 }

@@ -42,6 +42,7 @@ import (
 	"adc/internal/approx"
 	"adc/internal/bitset"
 	"adc/internal/evidence"
+	"adc/internal/par"
 )
 
 // Stats reports the work done by an enumeration run. Parallel runs keep
@@ -93,22 +94,6 @@ type Options struct {
 // sets the whole enumeration is cheaper than spinning up a pool.
 const autoParallelMinSets = 128
 
-// clampWorkers bounds Options.Workers to a few workers per core (with
-// floor 32 so explicit small counts behave identically on any machine).
-// Beyond that a worker only adds the footprint of another full state
-// copy — and the field is client-reachable through dcserved mine
-// requests, so an absurd value must not translate into goroutines.
-func clampWorkers(w int) int {
-	limit := 4 * runtime.GOMAXPROCS(0)
-	if limit < 32 {
-		limit = 32
-	}
-	if w > limit {
-		return limit
-	}
-	return w
-}
-
 // EnumerateADC runs ADCEnum over the evidence set and calls emit with
 // every minimal approximate hitting set w.r.t. opts.Func and
 // opts.Epsilon. The bitset passed to emit is reused; clone it to retain.
@@ -117,7 +102,7 @@ func clampWorkers(w int) int {
 // invoked from worker goroutines but never concurrently, and the emitted
 // set is identical to the sequential run's (order may differ).
 func EnumerateADC(ev *evidence.Set, opts Options, emit func(hs bitset.Bits)) Stats {
-	workers := clampWorkers(opts.Workers)
+	workers := par.Clamp(opts.Workers)
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 		if len(ev.Sets) < autoParallelMinSets {

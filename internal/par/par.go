@@ -6,9 +6,20 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
+
+// Clamp caps a caller-supplied worker count at a few workers per core,
+// max(32, 4·GOMAXPROCS), so small explicit counts behave alike on every
+// machine. Counts reach the library from dcserved requests, and every
+// worker carries its own state (a search node, an n-entry count array),
+// so an absurd count must not become that many goroutines. Counts at or
+// below the cap, 0 and negative ones included, pass through.
+func Clamp(workers int) int {
+	return min(workers, max(32, 4*runtime.GOMAXPROCS(0)))
+}
 
 // Do runs task(0..n-1) on up to workers goroutines and returns when
 // all have completed. workers ≤ 1 (or n ≤ 1) runs inline with no

@@ -56,7 +56,6 @@ func forColumnRef(c *dataset.Column) *Index {
 		idx.Clusters[id] = append(idx.Clusters[id], int32(i))
 	}
 	idx.NumClusters = len(idx.Clusters)
-	idx.CodeCluster = remap
 	return idx
 }
 
@@ -71,17 +70,6 @@ func indexEqualCanonical(t *testing.T, label string, got, want *Index) {
 	}
 	if !reflect.DeepEqual(got.NumKeys, want.NumKeys) {
 		t.Fatalf("%s: NumKeys differs", label)
-	}
-	// Compare CodeCluster semantically through LookupCode: the fast
-	// path represents the identity mapping as nil.
-	for k, v := range want.CodeCluster {
-		g, ok := got.LookupCode(k)
-		if !ok || g != v {
-			t.Fatalf("%s: LookupCode(%d) = (%d,%v), want (%d,true)", label, k, g, ok, v)
-		}
-	}
-	if _, ok := got.LookupCode(-1); ok {
-		t.Fatalf("%s: LookupCode(-1) resolved", label)
 	}
 	if len(got.Clusters) != len(want.Clusters) {
 		t.Fatalf("%s: cluster count differs", label)
@@ -152,10 +140,8 @@ func TestStringFallbackPath(t *testing.T) {
 	got := ForColumn(c)
 	want := forColumnRef(c)
 	indexEqualCanonical(t, "fallback", got, want)
-	for code, wantID := range map[int32]int32{5: 0, 2: 1, 9: 2} {
-		if id, ok := got.LookupCode(code); !ok || id != wantID {
-			t.Fatalf("fallback renumbering wrong: LookupCode(%d) = (%d,%v)", code, id, ok)
-		}
+	if !reflect.DeepEqual(got.ClusterOf, []int32{0, 1, 0, 2}) {
+		t.Fatalf("fallback renumbering wrong: ClusterOf = %v, want [0 1 0 2]", got.ClusterOf)
 	}
 }
 

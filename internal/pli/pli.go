@@ -21,6 +21,8 @@ import (
 // row to a dense cluster ID; rows share a cluster iff they hold equal
 // values. For numeric columns, cluster IDs increase with the value, so
 // ClusterOf doubles as a dense rank and order predicates compare ranks.
+// For a string column with a dictionary, whose codes are dense and in
+// first-occurrence order, a row's cluster ID is its code.
 type Index struct {
 	ClusterOf   []int32
 	Clusters    [][]int32
@@ -32,13 +34,6 @@ type Index struct {
 	// Store.Extend place appended rows into existing clusters by binary
 	// search instead of rebuilding the index.
 	NumKeys []float64
-	// CodeCluster, for string columns, maps the column's dictionary code
-	// of a value to its cluster ID, retained for incremental extension
-	// (Store.Extend). nil means identity: the column's codes were
-	// already dense in first-occurrence order (every constructor-built
-	// column), so cluster id == code for all codes < NumClusters and no
-	// map is materialized. Use LookupCode instead of indexing directly.
-	CodeCluster map[int32]int32
 }
 
 // ForColumn builds the index of a column.
@@ -114,9 +109,9 @@ func forNumericColumn(c *dataset.Column) *Index {
 // forStringColumn groups rows by dictionary code. Columns built by the
 // dataset constructors always carry codes in dense first-occurrence
 // order, so the common path is a counting sort over codes — no map, no
-// comparison sort; a column with arbitrary codes (hand-built) falls
-// back to the original map-based renumbering. Both paths produce the
-// same Index.
+// comparison sort — and each code is its own cluster ID; a column with
+// arbitrary codes (hand-built, without a dictionary) falls back to a
+// map-based renumbering. Both paths produce the same Index.
 func forStringColumn(c *dataset.Column) *Index {
 	n := c.Len()
 	codes := c.Codes
@@ -156,27 +151,11 @@ func forStringColumn(c *dataset.Column) *Index {
 		buf[starts[code]] = int32(i)
 		starts[code]++
 	}
-	// Codes are their own cluster ids: CodeCluster stays nil (identity)
-	// rather than materializing a map per cold build, which would give
-	// back the per-distinct map cost the counting sort just removed.
 	return idx
 }
 
-// LookupCode resolves a dictionary code to its cluster ID, honoring
-// the nil-means-identity convention of CodeCluster.
-func (idx *Index) LookupCode(code int32) (int32, bool) {
-	if idx.CodeCluster == nil {
-		if code >= 0 && int(code) < idx.NumClusters {
-			return code, true
-		}
-		return 0, false
-	}
-	id, ok := idx.CodeCluster[code]
-	return id, ok
-}
-
-// stringIndexSlow renumbers arbitrary dictionary codes densely in
-// first-appearance order (the historical path).
+// stringIndexSlow renumbers arbitrary codes densely in first-appearance
+// order.
 func stringIndexSlow(c *dataset.Column) *Index {
 	n := c.Len()
 	idx := &Index{ClusterOf: make([]int32, n)}
@@ -193,7 +172,6 @@ func stringIndexSlow(c *dataset.Column) *Index {
 		idx.Clusters[id] = append(idx.Clusters[id], int32(i))
 	}
 	idx.NumClusters = len(idx.Clusters)
-	idx.CodeCluster = remap
 	return idx
 }
 
@@ -233,8 +211,7 @@ func BuildIndexes(cols []*dataset.Column, which []int, workers int) []*Index {
 
 // MemBytes estimates the heap footprint of the index, for cache
 // accounting: ClusterOf and the cluster entries at 4 bytes per row,
-// slice headers, numeric keys, and the code map at a nominal 16 bytes
-// per entry.
+// slice headers, and numeric keys.
 func (idx *Index) MemBytes() int64 {
 	b := int64(len(idx.ClusterOf)) * 4
 	b += int64(len(idx.Clusters)) * 24
@@ -242,7 +219,6 @@ func (idx *Index) MemBytes() int64 {
 		b += int64(len(cl)) * 4
 	}
 	b += int64(len(idx.NumKeys)) * 8
-	b += int64(len(idx.CodeCluster)) * 16
 	return b
 }
 

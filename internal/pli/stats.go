@@ -244,10 +244,3 @@ func (idx *Index) RankRows() (rows []int32, keys []float64, starts []int32) {
 	starts[len(keys)] = int32(len(rows))
 	return rows, keys, starts
 }
-
-// SearchKey returns the position of v in ascending keys via binary
-// search (the first index with keys[k] >= v); a shared helper so every
-// range-probe consumer resolves boundaries identically.
-func SearchKey(keys []float64, v float64) int {
-	return sort.SearchFloat64s(keys, v)
-}

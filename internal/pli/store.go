@@ -220,42 +220,24 @@ func extendIndex(idx *Index, c *dataset.Column, oldRows int) (*Index, bool) {
 		out.NumClusters = len(out.Clusters)
 		return out, true
 	}
-	// codeCluster stays nil while every appended code resolves through
-	// the old index (LookupCode honors nil-means-identity); the first
-	// unseen code materializes a map seeded with the old mapping.
-	var codeCluster map[int32]int32
+	// A column with a dictionary numbers its values densely in
+	// first-occurrence order (the dataset constructors, AppendRows and
+	// RestoreStringColumn all guarantee it), so a row's code is its
+	// cluster ID and a value new to the column takes the next one. A
+	// hand-built column without a dictionary is rebuilt instead.
+	if _, _, err := c.DictSnapshot(); err != nil {
+		return nil, false
+	}
 	for r := oldRows; r < n; r++ {
 		code := c.Codes[r]
-		id, ok := int32(0), false
-		if codeCluster == nil {
-			id, ok = idx.LookupCode(code)
-		} else {
-			id, ok = codeCluster[code]
-		}
-		if !ok {
-			if codeCluster == nil {
-				codeCluster = make(map[int32]int32, idx.NumClusters+1)
-				if idx.CodeCluster == nil {
-					for k := int32(0); int(k) < idx.NumClusters; k++ {
-						codeCluster[k] = k
-					}
-				} else {
-					for k, v := range idx.CodeCluster {
-						codeCluster[k] = v
-					}
-				}
-			}
-			id = int32(len(out.Clusters))
-			codeCluster[code] = id
+		switch {
+		case code < 0 || int(code) > len(out.Clusters):
+			return nil, false
+		case int(code) == len(out.Clusters):
 			out.Clusters = append(out.Clusters, nil)
-			grown[id] = true // freshly allocated, no sharing to break
+			grown[code] = true // freshly allocated, no sharing to break
 		}
-		add(id, r)
-	}
-	if codeCluster == nil {
-		out.CodeCluster = idx.CodeCluster // possibly nil: identity carries over
-	} else {
-		out.CodeCluster = codeCluster
+		add(code, r)
 	}
 	out.NumClusters = len(out.Clusters)
 	return out, true

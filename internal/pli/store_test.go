@@ -3,6 +3,7 @@ package pli
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -96,8 +97,60 @@ func TestStoreExtendPatchesExistingValues(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := oldStr.CodeCluster[grown[0].Codes[len(newS)-1]]; ok {
-		t.Fatalf("old index's code map gained the appended value")
+	if oldStr.NumClusters != 3 || len(oldStr.Clusters) != 3 {
+		t.Fatalf("old string index gained the appended value's cluster")
+	}
+}
+
+// TestStoreExtendStringClustersAreCodes appends batches mixing known
+// and new values, to both a constructed and an ingested (interned)
+// column: after every append the extended index must equal a rebuild
+// of the grown column, and every row's cluster ID must be its code.
+func TestStoreExtendStringClustersAreCodes(t *testing.T) {
+	ingested, err := dataset.ReadCSV(strings.NewReader("s\nb\na\nb\n"), "r", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []*dataset.Relation{
+		dataset.MustNewRelation("r", []*dataset.Column{dataset.NewStringColumn("s", []string{"b", "a", "b"})}),
+		ingested,
+	} {
+		s := NewStore(rel.Columns)
+		s.Index(0)
+		for _, batch := range [][]string{{"a", "c"}, {"c", "c"}, {"d", "b", "e", "d"}, {"a"}, {"f"}} {
+			recs := make([][]string, len(batch))
+			for k, v := range batch {
+				recs[k] = []string{v}
+			}
+			grown, err := rel.AppendRows(recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, patched, _ := s.Extend(grown.Columns, rel.NumRows())
+			if patched != 1 {
+				t.Fatalf("append %v: string index not patched", batch)
+			}
+			ext := next.Index(0)
+			if !reflect.DeepEqual(ext, ForColumn(grown.Columns[0])) {
+				t.Fatalf("append %v: extended index differs from a rebuild", batch)
+			}
+			if !reflect.DeepEqual(ext.ClusterOf, grown.Columns[0].Codes) {
+				t.Fatalf("append %v: cluster IDs %v, codes %v", batch, ext.ClusterOf, grown.Columns[0].Codes)
+			}
+			rel, s = grown, next
+		}
+	}
+
+	// A hand-built column has no dictionary to vouch for its codes, so
+	// its index is dropped and rebuilt, not extended.
+	hand := &dataset.Column{Name: "s", Type: dataset.String,
+		Strings: []string{"x", "y", "x"}, Codes: []int32{5, 2, 5}}
+	s := NewStore([]*dataset.Column{hand})
+	s.Index(0)
+	grownHand := &dataset.Column{Name: "s", Type: dataset.String,
+		Strings: []string{"x", "y", "x", "y"}, Codes: []int32{5, 2, 5, 2}}
+	if _, patched, dropped := s.Extend([]*dataset.Column{grownHand}, 3); patched != 0 || dropped != 1 {
+		t.Fatalf("hand-built column: Extend = (%d patched, %d dropped), want (0, 1)", patched, dropped)
 	}
 }
 

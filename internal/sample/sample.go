@@ -1,46 +1,12 @@
-// Package sample implements the statistics of Section 7: the
-// violating-pair density estimator p̂, its Chebyshev error bound, the
-// normal-approximation confidence interval, and the sample threshold
-// ε_J of Inequality 2 that makes a DC accepted on a sample an ADC of
-// the full database with probability at least 1 − α.
+// Package sample implements the statistics of Section 7.2 that the
+// miner applies to a sample: the one-sided normal quantile z behind f1′,
+// and the sample threshold ε_J of Inequality 2 that makes a DC accepted
+// on a sample an ADC of the full database with probability at least
+// 1 − α. The estimator p̂ itself is the f1 loss on the sample, which
+// the miner computes from the evidence set.
 package sample
 
 import "math"
-
-// EstimateP returns p̂ = violations / (rows · (rows − 1)), the unbiased
-// estimator of the violating-pair density from a uniform sample
-// (Section 7.1). It is 1 − f1 computed on the sample.
-func EstimateP(violations int64, rows int) float64 {
-	if rows < 2 {
-		return 0
-	}
-	return float64(violations) / (float64(rows) * float64(rows-1))
-}
-
-// ChebyshevBound returns the paper's distribution-free bound on
-// Pr(|p̂ − p| > a) for a sample with the given number of rows:
-//
-//	Pr(|p̂−p| > a) ≤ p/a² · [ (C + C(C,2)·?) ... ]
-//
-// concretely, with C = rows·(rows−1)/2 unordered pairs,
-// var(p̂) ≤ p·((C + C·(C−1)/2)/C² − p), and the bound is var/a².
-// The bound is loose by construction: it assumes nothing about the
-// dependence structure of violations.
-func ChebyshevBound(p float64, rows int, a float64) float64 {
-	if rows < 2 || a <= 0 {
-		return 1
-	}
-	c := float64(rows) * float64(rows-1) / 2
-	v := p * ((c+c*(c-1)/2)/(c*c) - p)
-	if v < 0 {
-		v = 0
-	}
-	b := v / (a * a)
-	if b > 1 {
-		return 1
-	}
-	return b
-}
 
 // Z returns the one-sided normal quantile z such that
 // Pr(N(0,1) ≤ z) = 1 − alpha, the z_{1−2α} of the paper's confidence
@@ -56,20 +22,6 @@ func StdErr(pHat float64, pairs int64) float64 {
 		return 0
 	}
 	return math.Sqrt(pHat * (1 - pHat) / float64(pairs))
-}
-
-// NormalCI returns the two-sided confidence interval of level 1−2α
-// around p̂ under the binomial/normal approximation (Equation 1).
-func NormalCI(pHat float64, pairs int64, alpha float64) (lo, hi float64) {
-	d := Z(alpha) * StdErr(pHat, pairs)
-	lo, hi = pHat-d, pHat+d
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
 }
 
 // Threshold returns ε_J^ϕ, the threshold to apply to p̂ on the sample so
@@ -88,12 +40,6 @@ func Threshold(eps, pHat float64, rows int, alpha float64) float64 {
 		return 0
 	}
 	return t
-}
-
-// Accept reports whether a DC with sample density p̂ passes the
-// Inequality 2 criterion for database threshold eps at confidence 1−α.
-func Accept(pHat float64, rows int, eps, alpha float64) bool {
-	return pHat <= Threshold(eps, pHat, rows, alpha)
 }
 
 // NormalQuantile computes Φ⁻¹(p), the inverse CDF of the standard

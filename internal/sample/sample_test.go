@@ -41,15 +41,6 @@ func TestNormalQuantileExtremes(t *testing.T) {
 	}
 }
 
-func TestEstimateP(t *testing.T) {
-	if got := EstimateP(16, 15); math.Abs(got-16.0/210.0) > 1e-15 {
-		t.Errorf("EstimateP = %v, want 16/210", got)
-	}
-	if EstimateP(5, 1) != 0 {
-		t.Error("EstimateP on <2 rows should be 0")
-	}
-}
-
 func TestThresholdConvergesToEps(t *testing.T) {
 	eps, pHat, alpha := 0.01, 0.005, 0.05
 	prev := Threshold(eps, pHat, 10, alpha)
@@ -72,51 +63,6 @@ func TestThresholdConvergesToEps(t *testing.T) {
 func TestThresholdClampsAtZero(t *testing.T) {
 	if got := Threshold(0.001, 0.5, 5, 0.01); got != 0 {
 		t.Errorf("threshold = %v, want 0 (clamped)", got)
-	}
-}
-
-func TestAcceptMatchesThreshold(t *testing.T) {
-	eps, alpha := 0.05, 0.05
-	for _, rows := range []int{50, 500} {
-		for _, pHat := range []float64{0, 0.01, 0.049, 0.05, 0.2} {
-			want := pHat <= Threshold(eps, pHat, rows, alpha)
-			if got := Accept(pHat, rows, eps, alpha); got != want {
-				t.Errorf("Accept(%v, %d) = %v, want %v", pHat, rows, got, want)
-			}
-		}
-	}
-}
-
-func TestNormalCI(t *testing.T) {
-	lo, hi := NormalCI(0.1, 10000, 0.025)
-	if lo >= 0.1 || hi <= 0.1 {
-		t.Errorf("CI [%v, %v] does not bracket p̂", lo, hi)
-	}
-	width := hi - lo
-	lo2, hi2 := NormalCI(0.1, 1000000, 0.025)
-	if hi2-lo2 >= width {
-		t.Error("CI should narrow as sample grows")
-	}
-	lo3, hi3 := NormalCI(0.0001, 100, 0.025)
-	if lo3 < 0 || hi3 > 1 {
-		t.Error("CI not clamped to [0,1]")
-	}
-}
-
-func TestChebyshevBound(t *testing.T) {
-	// Bound must be in [0,1], decrease in a, and return 1 degenerately.
-	if ChebyshevBound(0.1, 1, 0.1) != 1 || ChebyshevBound(0.1, 100, 0) != 1 {
-		t.Error("degenerate inputs should give the trivial bound 1")
-	}
-	b1 := ChebyshevBound(0.1, 100, 0.05)
-	b2 := ChebyshevBound(0.1, 100, 0.2)
-	if b2 > b1 {
-		t.Errorf("bound should shrink with larger a: %v vs %v", b1, b2)
-	}
-	for _, b := range []float64{b1, b2} {
-		if b < 0 || b > 1 {
-			t.Errorf("bound %v out of range", b)
-		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -104,6 +104,30 @@ func TestIngestAndValidate(t *testing.T) {
 		map[string]any{"dcs": []string{zipStateDC}, "epsilon": 0.5})
 	if code != http.StatusOK || !resp["ok"].(bool) {
 		t.Errorf("epsilon 0.5 validate: status %d ok=%v", code, resp["ok"])
+	}
+}
+
+// TestValidateHugeWorkers sends a worker count far past the checker's
+// cap: the validate must answer 200 with the verdicts of a default one,
+// on the forced scan (one count array per worker) and the planner.
+func TestValidateHugeWorkers(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	c := ts.Client()
+	id := ingestCSV(t, c, ts.URL, dirtyCSV)
+	for _, path := range []string{"scan", "auto"} {
+		body := map[string]any{"dcs": []string{zipStateDC}, "path": path}
+		code, want := call(t, c, "POST", ts.URL+"/datasets/"+id+"/validate", body)
+		if code != http.StatusOK {
+			t.Fatalf("%s validate: status %d: %v", path, code, want)
+		}
+		body["workers"] = 1000000
+		code, got := call(t, c, "POST", ts.URL+"/datasets/"+id+"/validate", body)
+		if code != http.StatusOK {
+			t.Fatalf("%s validate with 1000000 workers: status %d: %v", path, code, got)
+		}
+		if !reflect.DeepEqual(got["dcs"], want["dcs"]) || got["ok"] != want["ok"] || got["violations"] != want["violations"] {
+			t.Errorf("%s validate with 1000000 workers = %v, want %v", path, got, want)
+		}
 	}
 }
 

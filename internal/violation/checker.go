@@ -372,7 +372,7 @@ func (c *Checker) MemBytes() int64 {
 			b += int64(len(rp.rows))*4 + int64(len(rp.keys))*8 + int64(len(rp.starts))*4
 		}
 		if cp := p.cnt.Load(); cp != nil {
-			b += int64(len(cp.all)) * 4
+			b += int64(len(cp.all)+cp.ownSorted) * 4
 		}
 	}
 	return b

@@ -68,11 +68,13 @@ type countPlan struct {
 	// keys are the ≠ columns (countNeq).
 	keys []keyCol
 	// orderCols and orderOps are the order residuals (countOrder);
-	// sorted is the eqjoin pushdown's per-group rows sorted by the first
-	// column, NaN rows dropped, nil for groups it left unsorted.
+	// sorted is every group's rows in sweep order (sortByValue on the
+	// first column), shared with the eqjoin pushdown for the groups it
+	// sorted; ownSorted counts the rows of the rest, for MemBytes.
 	orderCols []*dataset.Column
 	orderOps  []predicate.Operator
 	sorted    [][]int32
+	ownSorted int
 }
 
 // keyCol is one ≠ column's values as the refinement compares them:
@@ -151,14 +153,15 @@ func prepareCountPlan(cache *pliCache, p *dcPlan) *countPlan {
 	default:
 		return nil
 	}
+	var pushed [][]int32
 	if grouped {
 		pp := p.pliPlan(cache)
 		cp.groups = pp.groups
-		if cp.kind == countOrder && pp.driver != nil {
+		if pp.driver != nil {
 			// The pushdown drives by the residual's first order-keyed
-			// predicate, which here is residual[0]: its sorted rows are
-			// the sweep order.
-			cp.sorted = pp.groupRows
+			// predicate, which for countOrder is residual[0]: the groups
+			// it sorted are already in sweep order.
+			pushed = pp.groupRows
 		}
 	} else {
 		cp.all = make([]int32, cache.rel.NumRows())
@@ -169,6 +172,17 @@ func prepareCountPlan(cache *pliCache, p *dcPlan) *countPlan {
 	}
 	for _, g := range cp.groups {
 		cp.maxGroup = max(cp.maxGroup, len(g))
+	}
+	if cp.kind == countOrder {
+		cp.sorted = make([][]int32, len(cp.groups))
+		for k, g := range cp.groups {
+			if pushed != nil && pushed[k] != nil {
+				cp.sorted[k] = pushed[k]
+			} else {
+				cp.sorted[k] = sortByValue(g, cp.orderCols[0])
+				cp.ownSorted += len(cp.sorted[k])
+			}
+		}
 	}
 	return cp
 }
@@ -421,25 +435,10 @@ func (cp *countPlan) countOrder(w *countWorker, k int, mask []bool, counts []int
 		c2 = cp.orderCols[1]
 	}
 	pts := scratch(w.pts, 0, w.size)
-	if cp.sorted != nil && cp.sorted[k] != nil {
-		for _, r := range cp.sorted[k] {
-			if v2 := c2.Num(int(r)); v2 == v2 {
-				pts = append(pts, orderPt{v1: c1.Num(int(r)), v2: v2, row: r})
-			}
+	for _, r := range cp.sorted[k] {
+		if v2 := c2.Num(int(r)); v2 == v2 {
+			pts = append(pts, orderPt{v1: c1.Num(int(r)), v2: v2, row: r})
 		}
-	} else {
-		for _, r := range cp.groups[k] {
-			v1, v2 := c1.Num(int(r)), c2.Num(int(r))
-			if v1 == v1 && v2 == v2 {
-				pts = append(pts, orderPt{v1: v1, v2: v2, row: r})
-			}
-		}
-		slices.SortFunc(pts, func(a, b orderPt) int {
-			if c := cmp.Compare(a.v1, b.v1); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.row, b.row)
-		})
 	}
 	w.pts = pts
 	l := len(pts)

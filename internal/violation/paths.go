@@ -1,6 +1,7 @@
 package violation
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"sort"
@@ -87,17 +88,14 @@ func mergeCollectors(cs []*collector) *collector {
 	return base
 }
 
+// clampWorkers resolves a check's worker count: 0 or less means
+// GOMAXPROCS, and the count is capped by par.Clamp and by the n rows to
+// share out, but is at least 1.
 func clampWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(min(par.Clamp(workers), n), 1)
 }
 
 // shardRows runs the first-tuple rows [0, n) on up to workers
@@ -338,22 +336,7 @@ func (plan *pliPlan) pushdownOrder(cache *pliCache) {
 		if len(g) < groupRangeMinSize {
 			continue
 		}
-		rows := make([]int32, 0, len(g))
-		for _, r := range g {
-			if v := bv.Num(int(r)); v == v {
-				rows = append(rows, r)
-			}
-		}
-		slices.SortStableFunc(rows, func(a, b int32) int {
-			va, vb := bv.Num(int(a)), bv.Num(int(b))
-			switch {
-			case va < vb:
-				return -1
-			case va > vb:
-				return 1
-			}
-			return int(a - b)
-		})
+		rows := sortByValue(g, bv)
 		vals := make([]float64, len(rows))
 		for i, r := range rows {
 			vals[i] = bv.Num(int(r))
@@ -361,6 +344,26 @@ func (plan *pliPlan) pushdownOrder(cache *pliCache) {
 		plan.groupRows[k] = rows
 		plan.groupVals[k] = vals
 	}
+}
+
+// sortByValue returns the rows of g whose value in c is not NaN (NaN
+// satisfies no order comparison), sorted by that value, ties in row
+// order: the order in which the eqjoin pushdown binary-searches a group
+// and the count phase sweeps one.
+func sortByValue(g []int32, c *dataset.Column) []int32 {
+	rows := make([]int32, 0, len(g))
+	for _, r := range g {
+		if v := c.Num(int(r)); v == v {
+			rows = append(rows, r)
+		}
+	}
+	slices.SortFunc(rows, func(a, b int32) int {
+		if o := cmp.Compare(c.Num(int(a)), c.Num(int(b))); o != 0 {
+			return o
+		}
+		return cmp.Compare(a, b)
+	})
+	return rows
 }
 
 // sameAttrGroups intersects the PLI clusters of the join columns: rows

@@ -86,6 +86,8 @@ type Options struct {
 	// reference every other executor must agree with.
 	Path string
 	// Workers is the number of goroutines per DC; 0 means GOMAXPROCS.
+	// It is capped at max(32, 4·GOMAXPROCS) (par.Clamp) and at the row
+	// count.
 	Workers int
 	// MaxPairs caps the violating pairs recorded per DC in the report:
 	// the lexicographically smallest MaxPairs pairs are kept, and memory

@@ -10,6 +10,7 @@ import (
 	"adc/internal/datagen"
 	"adc/internal/dataset"
 	"adc/internal/evidence"
+	"adc/internal/par"
 	"adc/internal/predicate"
 )
 
@@ -327,5 +328,49 @@ func TestValidateListsNoPairs(t *testing.T) {
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(256*n) {
 			t.Errorf("%s: Validate allocated %d bytes for %d rows", path, alloc, n)
 		}
+	}
+}
+
+// allocBytes returns the bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWorkersClamped pins the cap on a check's worker count, which
+// HTTP clients set: every worker of a scan collects into an n-entry
+// count array, so an uncapped count would grow a check's memory as
+// workers × n. A forced scan asking for 1<<20 workers must report what
+// Workers 0 reports and allocate no more than twice what the cap's own
+// count allocates.
+func TestWorkersClamped(t *testing.T) {
+	d, err := datagen.ByName("tax", 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []predicate.DCSpec{{
+		{A: "Zip", B: "Zip", Op: predicate.Eq, Cross: true},
+		{A: "State", B: "State", Op: predicate.Neq, Cross: true},
+	}}
+	check := func(workers int) *Report {
+		rep, err := Check(d.Rel, specs, Options{Path: PathScan, Workers: workers, MaxPairs: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	want, huge := check(0), check(1<<20)
+	if !reflect.DeepEqual(huge, want) {
+		t.Fatalf("Workers 1<<20 reports differently from Workers 0")
+	}
+	limit := par.Clamp(math.MaxInt)
+	atLimit := allocBytes(func() { check(limit) })
+	atHuge := allocBytes(func() { check(1 << 20) })
+	if atHuge > 2*atLimit {
+		t.Fatalf("Workers 1<<20 allocated %d bytes, the cap's %d workers %d", atHuge, limit, atLimit)
 	}
 }

@@ -38,9 +38,11 @@ func SaveSnapshot(path string, rel *Relation, idx *IndexStore) error {
 	return colstore.WriteFile(path, snap)
 }
 
-// LoadSnapshot fully decodes the snapshot at path into heap-backed
-// structures: the relation, and an index store pre-populated with every
-// index the snapshot carries (remaining columns index lazily as usual).
+// LoadSnapshot reads the snapshot at path into memory and decodes it:
+// the relation, and an index store pre-populated with every index the
+// snapshot carries (remaining columns index lazily as usual). Their
+// large arrays view one heap buffer holding the file, which stays
+// allocated while any of them is referenced.
 func LoadSnapshot(path string) (*Relation, *IndexStore, error) {
 	snap, err := colstore.Load(path)
 	if err != nil {
