@@ -337,13 +337,13 @@ func TestSampleThresholdReExport(t *testing.T) {
 	}
 }
 
-// TestSampleF1Unbiased checks Section 7.1's estimator on the code the
-// miner runs: the f1 loss that Violations reports on a uniform sample
-// (Relation.Sample) is the fraction of the sample's ordered pairs that
-// violate, and every ordered pair of distinct rows is sampled with the
-// same probability, so its mean over samples is the full relation's
-// loss. The mean over 240 seeds must fall within 3 standard errors.
-func TestSampleF1Unbiased(t *testing.T) {
+// sampleF1Losses checks a DC that some but not all ordered pairs of
+// tax-200 violate, on the full relation and on uniform samples of a
+// quarter of its rows (Relation.Sample, as the miner draws them), one
+// per seed 0..seeds-1. It returns the full relation's result and the f1
+// loss that Violations reports on each sample.
+func sampleF1Losses(t *testing.T, seeds int) (adc.DCViolations, []float64) {
+	t.Helper()
 	d, err := datagen.ByName("tax", 200, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -352,23 +352,37 @@ func TestSampleF1Unbiased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loss := func(rel *adc.Relation) float64 {
+	check := func(rel *adc.Relation) adc.DCViolations {
 		rep, err := adc.Violations(rel, specs, adc.CheckOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.Results[0].LossF1
+		return rep.Results[0]
 	}
-	truth := loss(d.Rel)
-	if truth <= 0 || truth >= 1 {
-		t.Fatalf("full-relation f1 loss = %v, want a DC that some pairs violate", truth)
+	full := check(d.Rel)
+	if full.LossF1 <= 0 || full.LossF1 >= 1 {
+		t.Fatalf("full-relation f1 loss = %v, want a DC that some pairs violate", full.LossF1)
 	}
-	const seeds = 240
 	losses := make([]float64, seeds)
-	var mean, ss float64
 	for seed := range losses {
-		losses[seed] = loss(d.Rel.Sample(0.25, rand.New(rand.NewSource(int64(seed)))))
-		mean += losses[seed] / seeds
+		losses[seed] = check(d.Rel.Sample(0.25, rand.New(rand.NewSource(int64(seed))))).LossF1
+	}
+	return full, losses
+}
+
+// TestSampleF1Unbiased checks Section 7.1's estimator on the code the
+// miner runs: the f1 loss that Violations reports on a uniform sample
+// (Relation.Sample) is the fraction of the sample's ordered pairs that
+// violate, and every ordered pair of distinct rows is sampled with the
+// same probability, so its mean over samples is the full relation's
+// loss. The mean over 240 seeds must fall within 3 standard errors.
+func TestSampleF1Unbiased(t *testing.T) {
+	full, losses := sampleF1Losses(t, 240)
+	truth := full.LossF1
+	seeds := float64(len(losses))
+	var mean, ss float64
+	for _, l := range losses {
+		mean += l / seeds
 	}
 	for _, l := range losses {
 		ss += (l - mean) * (l - mean)
@@ -376,5 +390,67 @@ func TestSampleF1Unbiased(t *testing.T) {
 	se := math.Sqrt(ss / (seeds - 1) / seeds)
 	if !(se > 0) || math.Abs(mean-truth) > 3*se {
 		t.Errorf("mean sample f1 loss = %v, full relation %v, standard error %v", mean, truth, se)
+	}
+}
+
+// TestSampleF1ChebyshevHolds checks Section 7.1's Chebyshev bound on the
+// code the miner runs: a sample's f1 loss p̂ deviates from the full
+// relation's p by a or more with probability at most Var(p̂)/a². The
+// variance is exact, computed from the full relation's violating pairs:
+// p̂ = T/(k(k−1)) where T sums w_e = v_ij + v_ji over the unordered pairs
+// e = {i, j} that the k sampled rows of n contain, and two pairs are
+// both sampled with probability π2, π3 or π4 as they span 2, 3 or 4
+// rows, so with W = Σ w_e, Q = Σ w_e² and row degrees d_i (the report's
+// TupleCounts),
+//
+//	E[T²] = π2·Q + π3·(Σ d_i² − 2Q) + π4·(W² + Q − Σ d_i²).
+//
+// Over 240 seeds, the share of samples off by two standard deviations
+// must stay within the bound of 1/4 (plus 0.05 for the sampling noise
+// of a share of 240 draws), and the samples' spread must match the
+// exact variance.
+func TestSampleF1ChebyshevHolds(t *testing.T) {
+	full, losses := sampleF1Losses(t, 240)
+	n := float64(len(full.TupleCounts))
+	k := math.Floor(n * 0.25)
+	w := map[[2]int]float64{}
+	for _, p := range full.Pairs {
+		w[[2]int{min(p[0], p[1]), max(p[0], p[1])}]++
+	}
+	var q, d2 float64
+	for _, we := range w {
+		q += we * we
+	}
+	for _, d := range full.TupleCounts {
+		d2 += float64(d) * float64(d)
+	}
+	big := float64(full.Violations)
+	pi2 := k * (k - 1) / (n * (n - 1))
+	pi3 := pi2 * (k - 2) / (n - 2)
+	pi4 := pi3 * (k - 3) / (n - 3)
+	et2 := pi2*q + pi3*(d2-2*q) + pi4*(big*big+q-d2)
+	variance := (et2 - pi2*big*pi2*big) / (k * (k - 1) * k * (k - 1))
+	if !(variance > 0) {
+		t.Fatalf("exact variance of the sampled f1 loss = %v", variance)
+	}
+	a := 2 * math.Sqrt(variance)
+	bound := variance / (a * a)
+	var exceed int
+	var ss float64
+	for _, l := range losses {
+		dev := l - full.LossF1
+		if math.Abs(dev) >= a {
+			exceed++
+		}
+		ss += dev * dev
+	}
+	seeds := float64(len(losses))
+	if rate := float64(exceed) / seeds; rate > bound+0.05 {
+		t.Errorf("share of samples off by ≥ %v = %v, Chebyshev bound %v", a, rate, bound)
+	}
+	// The mean squared deviation from p estimates Var(p̂) with a relative
+	// standard error near √(2/240) ≈ 0.09; allow a bit over 3 of them.
+	if got := ss / seeds; math.Abs(got/variance-1) > 0.3 {
+		t.Errorf("samples' mean squared deviation = %v, exact variance %v", got, variance)
 	}
 }
