@@ -29,8 +29,9 @@
 // story: applying constraints back to data. Violations finds the tuple
 // pairs violating a set of DCs (mined or hand-written), counting a DC in
 // closed form when its pair list is capped, and otherwise choosing per
-// DC between a PLI cluster-intersection join, a range probe and a
-// sharded parallel refutation scan; Validate scores DCs against a
+// DC between a grouped join (on the DC's equality clusters, or all rows
+// as one group, each narrowed by an order predicate) and a sharded
+// parallel refutation scan; Validate scores DCs against a
 // relation under f1, f2, or f3 and a threshold; Repair computes a
 // greedy deletion set that satisfies every constraint. ParseDCSpec
 // reads constraints in the paper's textual notation, so golden or
@@ -588,16 +589,16 @@ type (
 	// RepairResult is the outcome of Repair: the tuples to delete and
 	// the repaired relation.
 	RepairResult = violation.RepairResult
-	// PlanExplain is the executed query plan of one DC: shape, join
-	// cascade, pushed-down range predicate, residual order, and
-	// estimated vs. examined candidate pairs.
+	// PlanExplain is the executed query plan of one DC: shape (the
+	// grouping, or the scan), join cascade, driving order predicate,
+	// residual order, and estimated vs. examined candidate pairs.
 	PlanExplain = violation.PlanExplain
 )
 
 // Execution paths for CheckOptions.Path. AutoPath (the default) runs
-// the greedy cost-ordered planner, which picks a PLI join, a range
-// probe, or the scan per DC; ScanPath forces the refutation scan, the
-// reference the planner's executors are tested against.
+// the greedy cost-ordered planner, which picks the grouped join or the
+// scan per DC; ScanPath forces the refutation scan, the reference the
+// grouped executor is tested against.
 const (
 	AutoPath = violation.PathAuto
 	ScanPath = violation.PathScan
@@ -625,9 +626,10 @@ var NewChecker = violation.NewChecker
 // approximation losses under f1, f2, and f3. With CheckOptions.MaxPairs
 // set, a countable DC is counted per join group and only the first
 // MaxPairs pairs are listed; otherwise each DC runs on the plan the
-// cost-ordered planner chooses (a PLI cluster-intersection join, a
-// sorted-rank range probe, or the parallel refutation scan), or on the
-// scan when CheckOptions.Path forces it.
+// cost-ordered planner chooses (the grouped join over its equality
+// clusters, or over all rows narrowed by an order predicate, or the
+// parallel refutation scan), or on the scan when CheckOptions.Path
+// forces it.
 func Violations(rel *Relation, dcs []DCSpec, opts CheckOptions) (*ViolationReport, error) {
 	return violation.Check(rel, dcs, opts)
 }

@@ -594,12 +594,14 @@ func BenchmarkMineSampled(b *testing.B) {
 // benchPlanDC measures one DC under one execution path on the dirtied
 // adult dataset against a warm checker — the serving steady state,
 // where indexes and compiled plans amortize across requests. The
-// BenchmarkPlan* family feeds BENCH_planner.json. Its two gated ratios
-// are BenchmarkPlanMultiPredScan / BenchmarkPlanMultiPred, the
+// BenchmarkPlan* family feeds BENCH_planner.json. Its three gated
+// ratios are BenchmarkPlanMultiPredScan / BenchmarkPlanMultiPred, the
 // planner-vs-scan speedup on a DC with no equality predicate to join
-// on, which the planner drives through a sorted-rank range probe, and
-// BenchmarkPlanEqJoinScan / BenchmarkPlanEqJoin, the count phase
-// against enumeration.
+// on, which the planner runs as one all-rows group narrowed by its
+// driver; BenchmarkPlanEqJoinScan / BenchmarkPlanEqJoin, the count
+// phase against enumeration; and BenchmarkPlanPushdownScan /
+// BenchmarkPlanPushdown, the eqjoin groups sorted by their driver
+// against the scan, on a DC the count phase does not take.
 func benchPlanDC(b *testing.B, path, dc string) {
 	d := benchDataset(b, "adult", 2000)
 	rng := rand.New(rand.NewSource(benchSeed))
@@ -647,6 +649,9 @@ const benchPlanEqJoinDC = "not(t.Education = t'.Education and t.EducationNum != 
 func BenchmarkPlanEqJoin(b *testing.B)     { benchPlanDC(b, adc.AutoPath, benchPlanEqJoinDC) }
 func BenchmarkPlanEqJoinScan(b *testing.B) { benchPlanDC(b, adc.ScanPath, benchPlanEqJoinDC) }
 
+// BenchmarkPlanRangeProbe and BenchmarkPlanResidual time the count
+// phase's order sweep, ungrouped and grouped by Education: at MaxPairs
+// 64 both DCs are counted, and neither enumerates its candidates.
 func BenchmarkPlanRangeProbe(b *testing.B) {
 	benchPlanDC(b, adc.AutoPath, "not(t.EducationNum > t'.EducationNum and t.Age <= t'.Age)")
 }
@@ -654,6 +659,16 @@ func BenchmarkPlanRangeProbe(b *testing.B) {
 func BenchmarkPlanResidual(b *testing.B) {
 	benchPlanDC(b, adc.AutoPath, "not(t.Education = t'.Education and t.Age <= t'.Age and t.Fnlwgt >= t'.Fnlwgt)")
 }
+
+// benchPlanPushdownDC is not countable (an order driver plus a ≠
+// residual), so the planner enumerates it: the Education groups, each
+// sorted by Fnlwgt once, hand each row its partners under the driver by
+// binary search, and the residuals refute only those.
+const benchPlanPushdownDC = "not(t.Education = t'.Education and t.Age <= t'.Age" +
+	" and t.Fnlwgt >= t'.Fnlwgt and t.HoursPerWeek != t'.HoursPerWeek)"
+
+func BenchmarkPlanPushdown(b *testing.B)     { benchPlanDC(b, adc.AutoPath, benchPlanPushdownDC) }
+func BenchmarkPlanPushdownScan(b *testing.B) { benchPlanDC(b, adc.ScanPath, benchPlanPushdownDC) }
 
 func BenchmarkPlanMultiPred(b *testing.B)     { benchPlanDC(b, adc.AutoPath, benchPlanMultiPredDC) }
 func BenchmarkPlanMultiPredScan(b *testing.B) { benchPlanDC(b, adc.ScanPath, benchPlanMultiPredDC) }

@@ -87,7 +87,7 @@ func main() {
 	flag.IntVar(&cfg.maxPairs, "max-pairs", 10, "violating pairs shown per DC (0 = all)")
 	flag.IntVar(&cfg.top, "top", 5, "dirtiest tuples shown (0 = none)")
 	flag.BoolVar(&cfg.repair, "repair", false, "compute a greedy repair set")
-	flag.BoolVar(&cfg.explain, "explain", false, "print each DC's query plan (shape, join order, estimated vs. examined pairs; a DC counted under -max-pairs examines only the pairs it lists)")
+	flag.BoolVar(&cfg.explain, "explain", false, "print each DC's query plan (grouping: eqjoin, crossjoin, range or scan; join order; driving order predicate; estimated vs. examined pairs; a DC counted under -max-pairs examines only the pairs it lists)")
 	flag.BoolVar(&cfg.asJSON, "json", false, "emit a JSON report instead of text")
 	flag.Var(&dcFlags, "dc", "constraint in paper notation (repeatable)")
 	flag.Parse()
@@ -319,10 +319,10 @@ func printText(out io.Writer, rep *adc.ViolationReport, verdicts []adc.DCValidat
 	}
 }
 
-// formatPlan renders a query plan on one line: the executor shape, the
-// equality cascade, the pushed-down order predicate, the residual
-// refutation order, and the planner's estimate against what actually
-// ran.
+// formatPlan renders a query plan on one line: the grouping (or the
+// scan), the equality cascade, the order predicate driving each group,
+// the residual refutation order, and the planner's estimate against
+// what actually ran.
 func formatPlan(p *adc.PlanExplain) string {
 	var b strings.Builder
 	b.WriteString(p.Shape)

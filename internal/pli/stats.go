@@ -165,8 +165,8 @@ func histFromColumn(c *dataset.Column) ColHist {
 		return ColHist{}
 	}
 	// ±0 collapse into one map entry (map lookup uses ==), matching the
-	// index's single ±0 cluster; NaN rows are skipped, matching the
-	// NaN-free RankRows view.
+	// index's single ±0 cluster; NaN rows are skipped, as Index.Hist
+	// skips the NaN clusters.
 	freq := make(map[float64]int32, 64)
 	n := c.Len()
 	for i := 0; i < n; i++ {
@@ -217,30 +217,4 @@ func (s *Store) HistFor(col int) ColHist {
 	}
 	s.mu.Unlock()
 	return h
-}
-
-// RankRows lists the rows of a numeric column's index in ascending
-// value order, NaN rows excluded, together with the distinct non-NaN
-// keys and per-key offsets: rows[starts[k]:starts[k+1]] holds the rows
-// of keys[k]. This is the sorted-rank view the planner's range-probe
-// executor walks; a probe value's qualifying rows are one contiguous
-// slice found by binary search over keys.
-func (idx *Index) RankRows() (rows []int32, keys []float64, starts []int32) {
-	first := 0
-	for first < len(idx.NumKeys) && idx.NumKeys[first] != idx.NumKeys[first] {
-		first++
-	}
-	keys = idx.NumKeys[first:]
-	starts = make([]int32, len(keys)+1)
-	total := 0
-	for k := first; k < idx.NumClusters; k++ {
-		total += len(idx.Clusters[k])
-	}
-	rows = make([]int32, 0, total)
-	for k := first; k < idx.NumClusters; k++ {
-		starts[k-first] = int32(len(rows))
-		rows = append(rows, idx.Clusters[k]...)
-	}
-	starts[len(keys)] = int32(len(rows))
-	return rows, keys, starts
 }

@@ -80,31 +80,6 @@ func TestQuickStatsPaths(t *testing.T) {
 	}
 }
 
-func TestRankRowsSkipsNaN(t *testing.T) {
-	nan := math.NaN()
-	c := dataset.NewFloatColumn("f", []float64{2, nan, 1, 2, nan, 3})
-	rows, keys, starts := ForColumn(c).RankRows()
-	if len(keys) != 3 || keys[0] != 1 || keys[1] != 2 || keys[2] != 3 {
-		t.Fatalf("keys = %v", keys)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %v (NaN rows leaked in)", rows)
-	}
-	// rows[starts[k]:starts[k+1]] holds the rows of keys[k].
-	wantRows := [][]int32{{2}, {0, 3}, {5}}
-	for k := range keys {
-		got := rows[starts[k]:starts[k+1]]
-		if len(got) != len(wantRows[k]) {
-			t.Fatalf("key %v rows = %v, want %v", keys[k], got, wantRows[k])
-		}
-		for i, r := range got {
-			if r != wantRows[k][i] {
-				t.Fatalf("key %v rows = %v, want %v", keys[k], got, wantRows[k])
-			}
-		}
-	}
-}
-
 // TestHistForAgreesWithIndex: like StatsFor, the value histogram must
 // be identical whether derived from a built index or computed in a
 // column pass — including NaN exclusion and the ±0 merge — and must

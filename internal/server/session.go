@@ -481,7 +481,7 @@ func (r *registry) stats() (sessions int, memBytes int64, planHits, planMisses, 
 
 // planShapes aggregates executed plan-shape counts across sessions —
 // the per-plan observability that lets mixed validate/mine traffic be
-// diagnosed by which executors it actually ran.
+// diagnosed by which plans (groupings or the scan) it actually ran.
 func (r *registry) planShapes() map[string]int64 {
 	r.mu.RLock()
 	all := make([]*session, 0, len(r.byID))

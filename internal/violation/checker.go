@@ -14,7 +14,7 @@ import (
 // Checker binds a relation to the cached state that makes repeated
 // constraint checks cheap: a concurrency-safe position-list-index store
 // (built per column at most once) and, per DC spec, the compiled
-// predicates, single-tuple mask, and prepared PLI join plan. One-shot
+// predicates, single-tuple mask, and prepared grouped plan. One-shot
 // callers get the same behavior through the package-level Check /
 // Validate / Repair, which run on a throwaway Checker; long-lived
 // callers (the server's dataset sessions) construct one Checker per
@@ -57,22 +57,19 @@ func (s *shapeCounters) inc(shape string) {
 // dcPlan is the cached compilation of one DC spec against the
 // relation: predicates split, cross-tuple predicates in greedy
 // cost-to-refute order with their selectivity estimates, the
-// single-tuple mask, and (each built lazily on first need) the PLI
-// join plan, the sorted-rank range probe, the planner's shape choice,
-// and the count phase. All fields are immutable once built.
+// single-tuple mask, and (each built lazily on first need) the grouped
+// plan, the planner's choice, and the count phase. All fields are
+// immutable once built.
 type dcPlan struct {
 	singles, cross []compiledPred
 	sels           []float64 // estimated selectivity per cross predicate
 	mask           []bool
 
-	pliOnce sync.Once
-	// pli is atomic so stat readers (MemBytes) can observe it without
-	// triggering the lazy build; nil means not built yet or no joinable
-	// equality predicate. Same convention for rng and qp.
-	pli atomic.Pointer[pliPlan]
-
-	rngOnce sync.Once
-	rng     atomic.Pointer[rangeProbe]
+	grpOnce sync.Once
+	// grp is atomic so stat readers (MemBytes) can observe it without
+	// triggering the lazy build; nil means not built yet. Same
+	// convention for qp and cnt.
+	grp atomic.Pointer[groupPlan]
 
 	qpOnce sync.Once
 	qp     atomic.Pointer[queryPlan]
@@ -142,18 +139,10 @@ func (c *Checker) plan(spec predicate.DCSpec) (*dcPlan, error) {
 	return p, nil
 }
 
-// pliPlan returns the DC's prepared PLI join plan, building it on first
-// use (nil when the DC has no equality predicate to join on).
-func (p *dcPlan) pliPlan(cache *pliCache) *pliPlan {
-	p.pliOnce.Do(func() { p.pli.Store(preparePLIPlan(cache, p.cross, p.sels)) })
-	return p.pli.Load()
-}
-
-// rangePlan returns the DC's sorted-rank range probe, building it on
-// first use (nil when no predicate is orderKeyed).
-func (p *dcPlan) rangePlan(cache *pliCache) *rangeProbe {
-	p.rngOnce.Do(func() { p.rng.Store(prepareRangeProbe(cache, p.cross, p.sels)) })
-	return p.rng.Load()
+// groupPlan returns the DC's grouped plan, building it on first use.
+func (p *dcPlan) groupPlan(cache *pliCache) *groupPlan {
+	p.grpOnce.Do(func() { p.grp.Store(prepareGroupPlan(cache, p.cross, p.sels)) })
+	return p.grp.Load()
 }
 
 // queryPlan returns the planner's shape choice for the DC, deciding on
@@ -225,13 +214,10 @@ func (c *Checker) checkOne(spec predicate.DCSpec, opts Options) (*DCResult, erro
 func (c *Checker) execute(spec predicate.DCSpec, plan *dcPlan, qp *queryPlan, opts Options) *DCResult {
 	n := c.cache.rel.NumRows()
 	var col *collector
-	switch qp.shape {
-	case ShapeEqJoin, ShapeCrossJoin:
-		col = runPLI(qp.join, n, plan.mask, opts.Workers, opts.MaxPairs)
-	case ShapeRange:
-		col = runRange(qp.rng, n, plan.mask, opts.Workers, opts.MaxPairs)
-	default:
-		col = scanPairs(n, plan.mask, qp.residual, opts.Workers, opts.MaxPairs)
+	if qp.group != nil {
+		col = qp.group.run(n, plan.mask, opts.Workers, opts.MaxPairs)
+	} else {
+		col = scanPairs(n, plan.mask, plan.cross, opts.Workers, opts.MaxPairs)
 	}
 	return c.report(spec, qp, col, opts)
 }
@@ -240,7 +226,7 @@ func (c *Checker) execute(spec predicate.DCSpec, plan *dcPlan, qp *queryPlan, op
 // that explains them.
 func (c *Checker) report(spec predicate.DCSpec, qp *queryPlan, col *collector, opts Options) *DCResult {
 	n := c.cache.rel.NumRows()
-	c.shapes.inc(qp.shape)
+	c.shapes.inc(qp.explain.Shape)
 
 	// Each worker's retained pairs are its lexicographically smallest;
 	// sorting the merged retention and re-capping yields the globally
@@ -253,7 +239,7 @@ func (c *Checker) report(spec predicate.DCSpec, qp *queryPlan, col *collector, o
 		Violations:  col.violations,
 		Pairs:       col.pairs,
 		TupleCounts: col.counts,
-		Path:        pathName(qp.shape),
+		Path:        pathName(qp.explain.Shape),
 		Plan:        &explain,
 	}
 	if opts.MaxPairs > 0 && len(res.Pairs) > opts.MaxPairs {
@@ -323,7 +309,7 @@ func (c *Checker) AppendRows(records [][]string) (next *Checker, patched, droppe
 }
 
 // PlanStats returns cumulative plan-cache hits and misses (a miss
-// compiles the spec and, if needed, prepares its join plan).
+// compiles the spec; its grouped plan is prepared on first need).
 func (c *Checker) PlanStats() (hits, misses int64) {
 	return c.planHits.Load(), c.planMisses.Load()
 }
@@ -348,7 +334,8 @@ func (c *Checker) IndexStats() (hits, misses int64) {
 func (c *Checker) CachedIndexes() int { return c.cache.store.CachedColumns() }
 
 // MemBytes estimates the heap footprint of the cached state (indexes,
-// masks, and join plans; the relation itself is not counted).
+// masks, and grouped plans, which the count phase shares; the relation
+// itself is not counted).
 func (c *Checker) MemBytes() int64 {
 	b := c.cache.store.MemBytes()
 	c.mu.RLock()
@@ -356,23 +343,20 @@ func (c *Checker) MemBytes() int64 {
 	for _, p := range c.plans {
 		b += int64(len(p.mask))
 		b += int64(len(p.singles)+len(p.cross)) * 64
-		if pp := p.pli.Load(); pp != nil {
-			for _, g := range pp.groups {
-				b += int64(len(g))*4 + 24
+		if gp := p.grp.Load(); gp != nil {
+			b += int64(len(gp.offs)) * 8
+			sides := [][][]int32{gp.left}
+			if gp.driver != nil || gp.shape == ShapeCrossJoin {
+				sides = append(sides, gp.right) // not the left rows again
 			}
-			b += int64(len(pp.probe)) * 4
-			for _, rows := range pp.build {
-				b += int64(len(rows))*4 + 24
+			for _, side := range sides {
+				for _, g := range side {
+					b += int64(len(g))*4 + 24
+				}
 			}
-			for k := range pp.groupRows {
-				b += int64(len(pp.groupRows[k]))*4 + int64(len(pp.groupVals[k]))*8 + 48
+			for _, v := range gp.vals {
+				b += int64(len(v))*8 + 24
 			}
-		}
-		if rp := p.rng.Load(); rp != nil {
-			b += int64(len(rp.rows))*4 + int64(len(rp.keys))*8 + int64(len(rp.starts))*4
-		}
-		if cp := p.cnt.Load(); cp != nil {
-			b += int64(len(cp.all)+cp.ownSorted) * 4
 		}
 	}
 	return b

@@ -22,8 +22,7 @@ type compiledPred struct {
 	// wide marks an Int–Int predicate over a column holding a value
 	// beyond ±2^53 (pliCache.wideInt). The numeric indexes key values by
 	// float64, which merges such neighbours, so the predicate is never a
-	// join key, range driver or count key; it is evaluated as int64 per
-	// pair.
+	// join key, driver or count key; it is evaluated as int64 per pair.
 	wide bool
 	// eval evaluates the predicate on the ordered tuple pair (i, j).
 	// Single-tuple predicates ignore j.
@@ -31,8 +30,8 @@ type compiledPred struct {
 }
 
 // sameAttrEq reports whether the predicate is a cross-tuple equality on
-// one attribute (t[A] = t'[A]) — the cluster-joinable form the PLI path
-// exploits.
+// one attribute (t[A] = t'[A]) — the cluster-joinable form the eqjoin
+// grouping exploits.
 func (p compiledPred) sameAttrEq() bool {
 	return p.cross && p.op == predicate.Eq && p.a == p.b && !p.wide
 }
@@ -51,8 +50,8 @@ func (p compiledPred) crossColEq() bool {
 }
 
 // orderKeyed reports whether the predicate is a cross-tuple order
-// comparison the sorted numeric values can answer: a range driver, a
-// pushed-down group probe, or a count key.
+// comparison the sorted numeric values can answer: a grouped plan's
+// driver or a count key.
 func (p compiledPred) orderKeyed() bool {
 	return p.cross && isOrderOp(p.op) && p.numeric && !p.wide
 }

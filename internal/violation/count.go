@@ -13,15 +13,15 @@ import (
 )
 
 // The count phase answers a capped check (MaxPairs > 0) of a countable
-// DC without visiting every violating pair. Rows are grouped by the
-// DC's same-attribute equalities — the eqjoin groups, or the whole
-// relation when there are none — and within each group every tuple's
-// out-degree (pairs it leads) and in-degree (pairs it follows) are
-// computed in closed form, the single-tuple mask weighting the leading
-// tuple. The f1/f2/f3 losses need only these counts. The pair list is
-// then materialized from the smallest rows with a nonzero out-degree,
-// in ascending order, so it holds the lexicographically smallest
-// MaxPairs pairs, as the enumerating executors return.
+// DC without visiting every violating pair. Rows are grouped as the
+// DC's grouped plan groups them — by its same-attribute equalities, or
+// all rows as one group when there are none — and within each group
+// every tuple's out-degree (pairs it leads) and in-degree (pairs it
+// follows) are computed in closed form, the single-tuple mask weighting
+// the leading tuple. The f1/f2/f3 losses need only these counts. The
+// pair list is then materialized from the smallest rows with a nonzero
+// out-degree, in ascending order, so it holds the lexicographically
+// smallest MaxPairs pairs, as enumeration returns them.
 //
 // A DC is countable when the cross-tuple predicates the grouping leaves
 // are one of:
@@ -55,26 +55,23 @@ type countPlan struct {
 	// residual is every cross-tuple predicate the grouping leaves; the
 	// materialization evaluates them per candidate pair.
 	residual []compiledPred
-	// groups are the eqjoin groups: the rows agreeing on every
-	// same-attribute equality, in groups of at least two, rows ascending
-	// as PLI clusters list them. A DC with no such equality has all rows
-	// as one group.
+	// groups are the grouped plan's left sides: the rows agreeing on
+	// every same-attribute equality, in groups of at least two, rows
+	// ascending as PLI clusters list them. A DC with no such equality
+	// has all rows as one group.
 	groups [][]int32
-	// all is the whole-relation group, when groups is [all].
-	all []int32
 	// maxGroup is the largest group's size, the size of a worker's
 	// scratch.
 	maxGroup int
 	// keys are the ≠ columns (countNeq).
 	keys []keyCol
 	// orderCols and orderOps are the order residuals (countOrder);
-	// sorted is every group's rows in sweep order (sortByValue on the
-	// first column), shared with the eqjoin pushdown for the groups it
-	// sorted; ownSorted counts the rows of the rest, for MemBytes.
+	// sorted is every group's rows in sweep order, the grouped plan's
+	// right sides: its driver is the first order residual, so they are
+	// sorted by orderCols[0] (sortByValue).
 	orderCols []*dataset.Column
 	orderOps  []predicate.Operator
 	sorted    [][]int32
-	ownSorted int
 }
 
 // keyCol is one ≠ column's values as the refinement compares them:
@@ -116,14 +113,13 @@ func (k keyCol) cmpRows(r, s int32) int {
 
 // prepareCountPlan returns the DC's count phase, or nil when the DC is
 // not countable. Countability depends on the DC's predicates alone, not
-// on the shape the planner picks for enumeration.
+// on the plan the planner picks for enumeration. A countable DC has no
+// cross-column equality, so its grouped plan groups by same-attribute
+// equalities or takes all rows.
 func prepareCountPlan(cache *pliCache, p *dcPlan) *countPlan {
 	cp := &countPlan{}
-	grouped := false
 	for _, q := range p.cross {
-		if q.sameAttrEq() {
-			grouped = true
-		} else {
+		if !q.sameAttrEq() {
 			cp.residual = append(cp.residual, q)
 		}
 	}
@@ -153,36 +149,13 @@ func prepareCountPlan(cache *pliCache, p *dcPlan) *countPlan {
 	default:
 		return nil
 	}
-	var pushed [][]int32
-	if grouped {
-		pp := p.pliPlan(cache)
-		cp.groups = pp.groups
-		if pp.driver != nil {
-			// The pushdown drives by the residual's first order-keyed
-			// predicate, which for countOrder is residual[0]: the groups
-			// it sorted are already in sweep order.
-			pushed = pp.groupRows
-		}
-	} else {
-		cp.all = make([]int32, cache.rel.NumRows())
-		for i := range cp.all {
-			cp.all[i] = int32(i)
-		}
-		cp.groups = [][]int32{cp.all}
-	}
+	gp := p.groupPlan(cache)
+	cp.groups = gp.left
 	for _, g := range cp.groups {
 		cp.maxGroup = max(cp.maxGroup, len(g))
 	}
 	if cp.kind == countOrder {
-		cp.sorted = make([][]int32, len(cp.groups))
-		for k, g := range cp.groups {
-			if pushed != nil && pushed[k] != nil {
-				cp.sorted[k] = pushed[k]
-			} else {
-				cp.sorted[k] = sortByValue(g, cp.orderCols[0])
-				cp.ownSorted += len(cp.sorted[k])
-			}
-		}
+		cp.sorted = gp.right
 	}
 	return cp
 }

@@ -110,14 +110,17 @@ func fuzzDCSpec(r *rand.Rand, rel *dataset.Relation) predicate.DCSpec {
 
 // FuzzCheckPaths is the cross-executor equivalence property behind the
 // planner: on any relation and well-typed DC, at a MaxPairs drawn from
-// {0, 1, 3, 10}, the forced PLI join, the forced range probe, and the
-// planner (which counts a countable DC when MaxPairs > 0) report the
-// scan's violations, pairs, truncation, tuple counts, and losses — and
-// the scan matches the reference evaluator predicate.DC.ViolatingPairs
-// whenever the mined predicate space admits the DC and no Int column
-// is wide (the reference compares numbers as float64). The seed corpus
-// under testdata/fuzz runs on every plain `go test`; `go test
-// -fuzz=FuzzCheckPaths` explores further.
+// {0, 1, 3, 10}, the forced grouped plan (on 1–4 workers, which split
+// even these 2–19 rows into chunks) and the planner (which counts a
+// countable DC when MaxPairs > 0) report the scan's violations, pairs,
+// truncation, tuple counts, and losses. At MaxPairs 0 every grouped
+// run examines exactly the candidates the planner's count gives, so a
+// dropped or doubled chunk fails. The scan matches the reference
+// evaluator predicate.DC.ViolatingPairs whenever the mined predicate
+// space admits the DC and no Int column is wide (the reference compares
+// numbers as float64). The seed corpus under testdata/fuzz runs on
+// every plain `go test`; `go test -fuzz=FuzzCheckPaths` explores
+// further.
 func FuzzCheckPaths(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed, byte(seed*29))
@@ -130,22 +133,22 @@ func FuzzCheckPaths(f *testing.F) {
 		specs := []predicate.DCSpec{fuzzDCSpec(r, rel)}
 		maxPairs := []int{0, 1, 3, 10}[r.Intn(4)]
 
-		// Occasionally force the within-group order pushdown onto tiny
-		// groups; fuzz bodies run serially per process, so mutating the
-		// package knob is race-free.
-		if shape&0x20 != 0 {
-			old := groupRangeMinSize
-			groupRangeMinSize = 2
-			defer func() { groupRangeMinSize = old }()
-		}
-
 		base, err := Check(rel, specs, Options{Path: PathScan, MaxPairs: maxPairs})
 		if err != nil {
 			t.Fatalf("scan: %v", err)
 		}
 		want := base.Results[0]
-		for _, path := range []string{PathPLI, PathRange, PathAuto} {
+		c := NewChecker(rel)
+		plan, err := c.plan(specs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cand := plan.groupPlan(c.cache).candidates(plan.mask)
+		for _, path := range []string{execGrouped, PathAuto} {
 			got := checkExec(t, rel, specs[0], path, Options{Workers: 1 + r.Intn(4), MaxPairs: maxPairs})
+			if maxPairs == 0 && (path == execGrouped || got.Plan.Shape != ShapeScan) && got.Plan.ActualPairs != cand {
+				t.Errorf("%s: examined %d pairs, the plan has %d candidates (plan %+v)", path, got.Plan.ActualPairs, cand, got.Plan)
+			}
 			if got.Violations != want.Violations {
 				t.Errorf("%s: %d violations, scan found %d", path, got.Violations, want.Violations)
 			}

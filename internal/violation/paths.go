@@ -148,7 +148,7 @@ func scanRange(c *collector, lo, hi, n int, mask []bool, preds []compiledPred) {
 	}
 }
 
-// ---- PLI path ------------------------------------------------------------
+// ---- Grouped path --------------------------------------------------------
 
 // pliCache shares per-column position list indexes across the DCs of a
 // Checker — and, since the backing pli.Store is concurrency-safe and
@@ -195,161 +195,243 @@ func (c *pliCache) wideInt(col int) bool {
 	return c.wide[col]
 }
 
-// pliPlan is the prepared cluster-intersection join for one DC. Exactly
-// one of groups (same-attribute equality join, possibly composite) or
-// probe/build (cross-column equality join) is populated. residual holds
-// the cross-tuple predicates not consumed by the join, ordered
-// most-selective-first. candPairs is the exact count of ordered
-// candidate pairs the join emits; estPairs is what the planner
-// predicted from column statistics before building (the explain
-// output's estimated side); joinCols names the equality cascade.
-type pliPlan struct {
-	groups    [][]int32
-	probe     []int32
-	build     map[int32][]int32
-	residual  []compiledPred
-	candPairs int64
-	estPairs  int64
-	joinCols  []string
-
-	// Within-group order pushdown (eqjoin shape only): driver is an
-	// order predicate answered by binary search over each large group's
-	// rows pre-sorted by build-side value, instead of per-pair
-	// refutation. groupRows/groupVals align with groups; nil entries
-	// (small groups) evaluate driver per pair. Sorting happens once at
-	// plan build, so warm checks pay nothing.
-	driver    *compiledPred
-	driverA   *dataset.Column
-	groupRows [][]int32
-	groupVals [][]float64
+// groupPlan is the grouped join of one DC, the one enumerating
+// executor besides the scan. A leading row i of group k pairs with the
+// rows of the group's right side that satisfy the driver with it, and
+// only those candidates evaluate the residual. Every DC has exactly one
+// grouping:
+//
+//   - eqjoin: the rows agreeing on every same-attribute equality (their
+//     PLI clusters intersected), each group its own right side;
+//   - crossjoin: the merged-code buckets of the most selective
+//     cross-column equality t[A] = t'[B], A-rows left and B-rows right;
+//   - all rows as one group: range when a driver narrows it. Without a
+//     driver it pairs like the scan and reports as the scan; the
+//     planner never runs it, and the count phase reads its group.
+//
+// The driver is the residual's most selective order-keyed predicate.
+// Each group's right side is sorted by the driver's t' column once, at
+// plan build, so a leading row's partners under it are one contiguous
+// run found by binary search (rangeBounds). The plan is immutable once
+// built.
+type groupPlan struct {
+	shape string
+	// left lists each group's leading rows, ascending. offs[k] counts
+	// the left rows of the groups before k: the index space the
+	// executor hands out in chunks.
+	left [][]int32
+	offs []int
+	// right lists each group's partner rows: sorted by the driver's t'
+	// value with NaN rows dropped (sortByValue), those values in vals;
+	// without a driver, the left rows again, or a crossjoin bucket's
+	// B-rows in row order.
+	right [][]int32
+	vals  [][]float64
+	// keys are the equalities the grouping answers. The driver, with
+	// driverA its t column, narrows each group; residual holds the
+	// predicates every candidate pair still evaluates, most selective
+	// first.
+	keys     []compiledPred
+	driver   *compiledPred
+	driverA  *dataset.Column
+	residual []compiledPred
+	// estPairs is the candidate estimate from column statistics before
+	// the build: the grouping's selectivity times the driver's.
+	estPairs int64
+	joinCols []string
 }
 
-// preparePLIPlan builds the cluster-intersection join for a DC, or
-// returns nil when the DC has no cross-tuple equality predicate to join
-// on. Same-attribute equalities are preferred: all of them cascade into
-// one composite join key (their PLI clusters are intersected exactly),
-// most selective column first so intermediate groups shrink fastest.
-// Otherwise the cross-column equality with the lowest estimated
-// selectivity is joined via merged codes — chosen from statistics, so
-// only one join is ever materialized. cross must already be in greedy
+// prepareGroupPlan groups the DC's rows and sorts each group's right
+// side by the driver. Same-attribute equalities are preferred: all of
+// them cascade into one composite key, most selective column first so
+// intermediate groups shrink fastest. Otherwise the cross-column
+// equality with the lowest estimated selectivity buckets the rows; with
+// neither, all rows form one group. cross must already be in greedy
 // order with sels aligned (orderCross).
-func preparePLIPlan(cache *pliCache, cross []compiledPred, sels []float64) *pliPlan {
-	n := cache.rel.NumRows()
-	var joinCols []int
-	seen := map[int]bool{}
-	for _, p := range cross {
-		if p.sameAttrEq() && !seen[p.a] {
-			seen[p.a] = true
-			joinCols = append(joinCols, p.a)
-		}
-	}
-	if len(joinCols) > 0 {
-		// Cascade order: most selective equality first. EqFraction is
-		// exact per column; the composite estimate assumes independence.
-		slices.SortStableFunc(joinCols, func(a, b int) int {
-			fa, fb := cache.store.StatsFor(a).EqFraction(), cache.store.StatsFor(b).EqFraction()
-			switch {
-			case fa < fb:
-				return -1
-			case fa > fb:
-				return 1
-			}
-			return 0
-		})
-		est := 1.0
-		plan := &pliPlan{}
-		for _, col := range joinCols {
-			est *= cache.store.StatsFor(col).EqFraction()
-			plan.joinCols = append(plan.joinCols, cache.rel.Columns[col].Name)
-		}
-		plan.estPairs = estPairs(est, n)
-		plan.groups = sameAttrGroups(cache, joinCols)
-		for _, p := range cross {
-			if !p.sameAttrEq() {
-				plan.residual = append(plan.residual, p)
-			}
-		}
-		for _, g := range plan.groups {
-			plan.candPairs += int64(len(g)) * int64(len(g)-1)
-		}
-		plan.pushdownOrder(cache)
-		return plan
-	}
-
-	// No same-attribute equality: join on the cross-column equality with
-	// the lowest estimated selectivity, if any.
+func prepareGroupPlan(cache *pliCache, cross []compiledPred, sels []float64) *groupPlan {
+	rel := cache.rel
+	n := rel.NumRows()
+	gp := &groupPlan{shape: ShapeRange}
+	sel := 1.0
+	var eqCols []int
 	best := -1
 	for k, p := range cross {
-		if p.crossColEq() && (best < 0 || sels[k] < sels[best]) {
+		switch {
+		case p.sameAttrEq():
+			gp.keys = append(gp.keys, p)
+			if !slices.Contains(eqCols, p.a) {
+				eqCols = append(eqCols, p.a)
+			}
+		case p.crossColEq() && (best < 0 || sels[k] < sels[best]):
 			best = k
 		}
 	}
-	if best < 0 {
-		return nil
+	switch {
+	case len(eqCols) > 0:
+		// EqFraction is exact per column; the composite estimate
+		// assumes independence.
+		slices.SortStableFunc(eqCols, func(a, b int) int {
+			return cmp.Compare(cache.store.StatsFor(a).EqFraction(), cache.store.StatsFor(b).EqFraction())
+		})
+		gp.shape = ShapeEqJoin
+		for _, col := range eqCols {
+			sel *= cache.store.StatsFor(col).EqFraction()
+			gp.joinCols = append(gp.joinCols, rel.Columns[col].Name)
+		}
+		gp.left = sameAttrGroups(cache, eqCols)
+	case best >= 0:
+		bp := cross[best]
+		gp.shape = ShapeCrossJoin
+		gp.keys = []compiledPred{bp}
+		sel = sels[best]
+		gp.joinCols = []string{rel.Columns[bp.a].Name + "=" + rel.Columns[bp.b].Name}
+		gp.left, gp.right = crossColJoin(rel, bp.a, bp.b)
+	default:
+		all := make([]int32, n)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		gp.left = [][]int32{all}
 	}
-	bp := cross[best]
-	probe, build, cand := crossColJoin(cache.rel, bp.a, bp.b)
-	plan := &pliPlan{
-		probe:     probe,
-		build:     build,
-		candPairs: cand,
-		estPairs:  estPairs(sels[best], n),
-		joinCols:  []string{cache.rel.Columns[bp.a].Name + "=" + cache.rel.Columns[bp.b].Name},
+	if gp.right == nil {
+		gp.right = gp.left
 	}
+	gp.offs = make([]int, len(gp.left)+1)
+	for k, g := range gp.left {
+		gp.offs[k+1] = gp.offs[k] + len(g)
+	}
+
+	driver := -1
 	for k, p := range cross {
-		if k != best {
-			plan.residual = append(plan.residual, p)
+		switch {
+		case p.sameAttrEq(), k == best && gp.shape == ShapeCrossJoin:
+			// answered by the grouping
+		case driver < 0 && p.orderKeyed():
+			driver = k
+		default:
+			gp.residual = append(gp.residual, p)
 		}
 	}
-	return plan
+	if driver >= 0 {
+		d := cross[driver]
+		sel *= sels[driver]
+		gp.driver = &d
+		gp.driverA = rel.Columns[d.a]
+		bv := rel.Columns[d.b]
+		sides := gp.right
+		gp.right = make([][]int32, len(sides))
+		gp.vals = make([][]float64, len(sides))
+		for k, g := range sides {
+			gp.right[k] = sortByValue(g, bv)
+			gp.vals[k] = make([]float64, len(gp.right[k]))
+			for x, r := range gp.right[k] {
+				gp.vals[k][x] = bv.Num(int(r))
+			}
+		}
+	} else if gp.shape == ShapeRange {
+		gp.shape = ShapeScan
+	}
+	gp.estPairs = estPairs(sel, n)
+	return gp
 }
 
-// pushdownOrder extracts the most selective order predicate from an
-// eqjoin's residual and pre-sorts every group of at least
-// groupRangeMinSize rows by the predicate's build-side value (NaN rows
-// dropped — they satisfy no order comparison), so the executor finds a
-// probe row's qualifying partners by binary search instead of
-// evaluating the predicate per pair.
-func (plan *pliPlan) pushdownOrder(cache *pliCache) {
-	driver := bestOrderPred(plan.residual)
-	if driver < 0 {
-		return
-	}
-	big := false
-	for _, g := range plan.groups {
-		if len(g) >= groupRangeMinSize {
-			big = true
-			break
+// chunksPerWorker is how many chunks of left rows the executor cuts per
+// worker, so that groups of unequal cost still even out.
+const chunksPerWorker = 8
+
+// run enumerates the plan's candidate pairs and collects those the
+// residual admits. The left rows of all groups form one index space,
+// handed out through an atomic cursor in chunks of about
+// rows/(workers·chunksPerWorker): one giant group, such as the single
+// group of the range shape, is split across every worker, and a chunk
+// may span many small groups.
+func (gp *groupPlan) run(n int, mask []bool, workers, cap int) *collector {
+	rows := gp.offs[len(gp.left)]
+	workers = clampWorkers(workers, rows)
+	parts := workers * chunksPerWorker
+	chunk := (rows + parts - 1) / parts
+	cs := make([]*collector, workers)
+	var cursor atomic.Int64
+	par.Do(workers, workers, func(w int) {
+		cs[w] = newCollector(n, cap)
+		for lo := int(cursor.Add(int64(chunk))) - chunk; lo < rows; lo = int(cursor.Add(int64(chunk))) - chunk {
+			gp.runChunk(cs[w], lo, min(lo+chunk, rows), mask)
 		}
-	}
-	if !big {
-		return
-	}
-	d := plan.residual[driver]
-	plan.driver = &d
-	plan.driverA = cache.rel.Columns[d.a]
-	plan.residual = append(plan.residual[:driver:driver], plan.residual[driver+1:]...)
-	bv := cache.rel.Columns[d.b]
-	plan.groupRows = make([][]int32, len(plan.groups))
-	plan.groupVals = make([][]float64, len(plan.groups))
-	for k, g := range plan.groups {
-		if len(g) < groupRangeMinSize {
+	})
+	return mergeCollectors(cs)
+}
+
+// runChunk runs the left rows at positions [lo, hi) of the index space.
+func (gp *groupPlan) runChunk(c *collector, lo, hi int, mask []bool) {
+	k := sort.SearchInts(gp.offs, lo+1) - 1 // the group holding position lo
+	for pos := lo; pos < hi; pos++ {
+		for pos >= gp.offs[k+1] {
+			k++
+		}
+		i := int(gp.left[k][pos-gp.offs[k]])
+		if mask != nil && !mask[i] {
 			continue
 		}
-		rows := sortByValue(g, bv)
-		vals := make([]float64, len(rows))
-		for i, r := range rows {
-			vals[i] = bv.Num(int(r))
+		for _, j32 := range gp.partners(k, i) {
+			j := int(j32)
+			if j == i {
+				continue
+			}
+			c.examined++
+			if holds(gp.residual, i, j) {
+				c.add(i, j)
+			}
 		}
-		plan.groupRows[k] = rows
-		plan.groupVals[k] = vals
 	}
+}
+
+// partners returns the rows of group k's right side that satisfy the
+// driver with leading row i: a contiguous run of the sorted side.
+func (gp *groupPlan) partners(k, i int) []int32 {
+	if gp.driver == nil {
+		return gp.right[k]
+	}
+	lo, hi := rangeBounds(gp.vals[k], gp.driverA.Num(i), gp.driver.op)
+	return gp.right[k][lo:hi]
+}
+
+// candidates counts the pairs run hands to the residual: every masked
+// leading row's partners, itself excluded. Row i is among its own
+// partners exactly when the pair (i, i) satisfies the grouping's
+// equalities and the driver. With a driver this binary-searches every
+// leading row, so the planner calls it only when pairBound does not
+// already decide.
+func (gp *groupPlan) candidates(mask []bool) int64 {
+	var cand int64
+	for k, g := range gp.left {
+		for _, i32 := range g {
+			i := int(i32)
+			if mask != nil && !mask[i] {
+				continue
+			}
+			cand += int64(len(gp.partners(k, i)))
+			if holds(gp.keys, i, i) && (gp.driver == nil || gp.driver.eval(i, i)) {
+				cand--
+			}
+		}
+	}
+	return cand
+}
+
+// pairBound bounds candidates from above without the driver: every
+// masked leading row against its group's whole right side.
+func (gp *groupPlan) pairBound(mask []bool) int64 {
+	var b int64
+	for k, g := range gp.left {
+		b += maskedIn(g, mask) * int64(len(gp.right[k]))
+	}
+	return b
 }
 
 // sortByValue returns the rows of g whose value in c is not NaN (NaN
 // satisfies no order comparison), sorted by that value, ties in row
-// order: the order in which the eqjoin pushdown binary-searches a group
-// and the count phase sweeps one.
+// order: the order in which the grouped executor binary-searches a
+// group's right side and the count phase sweeps a group.
 func sortByValue(g []int32, c *dataset.Column) []int32 {
 	rows := make([]int32, 0, len(g))
 	for _, r := range g {
@@ -396,174 +478,49 @@ func sameAttrGroups(cache *pliCache, cols []int) [][]int32 {
 	return groups
 }
 
-// crossColJoin prepares a t[A] = t'[B] join: shared equality codes for
-// both columns, a build-side index from code to rows of B, and the
-// candidate-pair estimate Σᵢ |build[probe[i]]| (the estimate includes
-// the i = j probes, which the executor skips).
-func crossColJoin(rel *dataset.Relation, a, b int) (probe []int32, build map[int32][]int32, cand int64) {
+// crossColJoin buckets a t[A] = t'[B] join by the two columns' merged
+// equality codes, which are dense: a counting sort lists each code's
+// A-rows and B-rows in row order, and every code holding both becomes
+// one group, its A-rows on the left and its B-rows on the right.
+func crossColJoin(rel *dataset.Relation, a, b int) (left, right [][]int32) {
 	var ca, cb []int32
 	if rel.Columns[a].Type.Numeric() {
 		ca, cb = pli.MergedRanks(rel.Columns[a], rel.Columns[b])
 	} else {
 		ca, cb = pli.MergedCodes(rel.Columns[a], rel.Columns[b])
 	}
-	build = make(map[int32][]int32)
-	for j, code := range cb {
-		build[code] = append(build[code], int32(j))
+	size := int32(0)
+	for _, codes := range [][]int32{ca, cb} {
+		for _, c := range codes {
+			size = max(size, c+1)
+		}
 	}
-	for _, code := range ca {
-		cand += int64(len(build[code]))
+	rowsA, startA := bucketRows(ca, size)
+	rowsB, startB := bucketRows(cb, size)
+	for c := range size {
+		if startA[c] < startA[c+1] && startB[c] < startB[c+1] {
+			left = append(left, rowsA[startA[c]:startA[c+1]])
+			right = append(right, rowsB[startB[c]:startB[c+1]])
+		}
 	}
-	return ca, build, cand
+	return left, right
 }
 
-// runPLI executes a prepared plan: candidate pairs from the equality
-// join, residual predicates checked with early exit. Groups are handed
-// to workers through an atomic cursor, so one giant cluster cannot
-// starve the pool; the probe side is sharded by row like the scan.
-func runPLI(plan *pliPlan, n int, mask []bool, workers, cap int) *collector {
-	if plan.build == nil { // same-attribute join (groups may be empty)
-		return runGroups(plan, n, mask, workers, cap)
+// bucketRows counting-sorts the rows by their codes in [0, size):
+// rows[start[c]:start[c+1]] are the rows of code c, ascending.
+func bucketRows(codes []int32, size int32) (rows, start []int32) {
+	start = make([]int32, size+1)
+	for _, c := range codes {
+		start[c+1]++
 	}
-	return shardRows(n, workers, cap, func(c *collector, lo, hi int) {
-		probeRange(c, lo, hi, plan, mask)
-	})
-}
-
-func runGroups(plan *pliPlan, n int, mask []bool, workers, cap int) *collector {
-	workers = max(min(clampWorkers(workers, n), len(plan.groups)), 1)
-	cs := make([]*collector, workers)
-	var cursor atomic.Int64
-	par.Do(workers, workers, func(w int) {
-		cs[w] = newCollector(n, cap)
-		for k := int(cursor.Add(1)) - 1; k < len(plan.groups); k = int(cursor.Add(1)) - 1 {
-			groupPairs(cs[w], plan, k, mask)
-		}
-	})
-	return mergeCollectors(cs)
-}
-
-func groupPairs(c *collector, plan *pliPlan, k int, mask []bool) {
-	g := plan.groups[k]
-	if plan.groupRows != nil && plan.groupRows[k] != nil {
-		// Pushed-down order driver: the group's rows are pre-sorted by
-		// the driver's build-side value, so each probe row visits only
-		// the contiguous run that satisfies the driver.
-		rows, vals := plan.groupRows[k], plan.groupVals[k]
-		for _, i32 := range g {
-			i := int(i32)
-			if mask != nil && !mask[i] {
-				continue
-			}
-			lo, hi := rangeBounds(vals, plan.driverA.Num(i), plan.driver.op)
-			for _, j32 := range rows[lo:hi] {
-				j := int(j32)
-				if j == i {
-					continue
-				}
-				c.examined++
-				sat := true
-				for r := range plan.residual {
-					if !plan.residual[r].eval(i, j) {
-						sat = false
-						break
-					}
-				}
-				if sat {
-					c.add(i, j)
-				}
-			}
-		}
-		return
+	for c := range size {
+		start[c+1] += start[c]
 	}
-	for ai, i32 := range g {
-		i := int(i32)
-		if mask != nil && !mask[i] {
-			continue
-		}
-		for bi, j32 := range g {
-			if ai == bi {
-				continue
-			}
-			j := int(j32)
-			c.examined++
-			if plan.driver != nil && !plan.driver.eval(i, j) {
-				continue
-			}
-			sat := true
-			for k := range plan.residual {
-				if !plan.residual[k].eval(i, j) {
-					sat = false
-					break
-				}
-			}
-			if sat {
-				c.add(i, j)
-			}
-		}
+	next := slices.Clone(start[:size])
+	rows = make([]int32, len(codes))
+	for r, c := range codes {
+		rows[next[c]] = int32(r)
+		next[c]++
 	}
-}
-
-// ---- Range path ----------------------------------------------------------
-
-// runRange executes a sorted-rank probe plan: each probe row's
-// qualifying partners under the driver order predicate are found by
-// binary search over the build column's value-ordered rows, and only
-// residual predicates run per candidate. Sharded by probe row like the
-// scan path.
-func runRange(rp *rangeProbe, n int, mask []bool, workers, cap int) *collector {
-	return shardRows(n, workers, cap, func(c *collector, lo, hi int) {
-		rangeScan(c, lo, hi, rp, mask)
-	})
-}
-
-func rangeScan(c *collector, lo, hi int, rp *rangeProbe, mask []bool) {
-	for i := lo; i < hi; i++ {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		klo, khi := rangeBounds(rp.keys, rp.av.Num(i), rp.driver.op)
-		for _, j32 := range rp.rows[rp.starts[klo]:rp.starts[khi]] {
-			j := int(j32)
-			if j == i {
-				continue
-			}
-			c.examined++
-			sat := true
-			for k := range rp.residual {
-				if !rp.residual[k].eval(i, j) {
-					sat = false
-					break
-				}
-			}
-			if sat {
-				c.add(i, j)
-			}
-		}
-	}
-}
-
-func probeRange(c *collector, lo, hi int, plan *pliPlan, mask []bool) {
-	for i := lo; i < hi; i++ {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		for _, j32 := range plan.build[plan.probe[i]] {
-			j := int(j32)
-			if j == i {
-				continue
-			}
-			c.examined++
-			sat := true
-			for k := range plan.residual {
-				if !plan.residual[k].eval(i, j) {
-					sat = false
-					break
-				}
-			}
-			if sat {
-				c.add(i, j)
-			}
-		}
-	}
+	return rows, start
 }

@@ -10,29 +10,19 @@ import (
 	"adc/internal/predicate"
 )
 
+// execGrouped names the grouped executor in checkExec.
+const execGrouped = "grouped"
+
 // checkExec checks one DC on the named executor. Options.Path selects
-// only the planner or the scan, so tests reach the join (PathPLI) and
-// range (PathRange) executors by building their plans directly; a DC
-// without the structure runs the scan, as DCResult.Path then reports.
-// Any other name is passed as Options.Path.
+// only the planner or the scan, so tests force the grouped executor
+// (execGrouped) by running the DC's grouped plan directly, whatever the
+// planner would choose and whatever the cap; DCResult.Path then reports
+// the grouping (scan for all rows without a driver). Any other name is
+// passed as Options.Path.
 func checkExec(t testing.TB, rel *dataset.Relation, spec predicate.DCSpec, exec string, opts Options) *DCResult {
 	t.Helper()
 	c := NewChecker(rel)
-	plan, err := c.plan(spec)
-	if err != nil {
-		t.Fatalf("%s: %v", exec, err)
-	}
-	var qp *queryPlan
-	switch exec {
-	case PathPLI:
-		if pp := plan.pliPlan(c.cache); pp != nil {
-			qp = joinQueryPlan(pp)
-		}
-	case PathRange:
-		if rp := plan.rangePlan(c.cache); rp != nil {
-			qp = rangeQueryPlan(rp)
-		}
-	default:
+	if exec != execGrouped {
 		opts.Path = exec
 		rep, err := c.Check([]predicate.DCSpec{spec}, opts)
 		if err != nil {
@@ -40,15 +30,16 @@ func checkExec(t testing.TB, rel *dataset.Relation, spec predicate.DCSpec, exec 
 		}
 		return &rep.Results[0]
 	}
-	if qp == nil {
-		qp = scanQueryPlan(plan, rel.NumRows())
+	plan, err := c.plan(spec)
+	if err != nil {
+		t.Fatalf("%s: %v", exec, err)
 	}
-	return c.execute(spec, plan, qp, opts)
+	return c.execute(spec, plan, groupQueryPlan(plan.groupPlan(c.cache)), opts)
 }
 
 // TestPathsAgreeOnGeneratedData dirties generated Table 4 datasets and
-// asserts that, for every golden DC, the PLI cluster-intersection path
-// and the parallel refutation scan return identical violation sets —
+// asserts that, for every golden DC, the grouped executor and the
+// parallel refutation scan return identical violation sets —
 // and that both match the O(n²·|P|) reference evaluator where the
 // mined predicate space contains the constraint.
 func TestPathsAgreeOnGeneratedData(t *testing.T) {
@@ -72,10 +63,10 @@ func TestPathsAgreeOnGeneratedData(t *testing.T) {
 
 		injected := int64(0)
 		for k := range d.Golden {
-			p := checkExec(t, dirty, d.Golden[k], PathPLI, Options{})
+			p := checkExec(t, dirty, d.Golden[k], execGrouped, Options{})
 			s, a := scanRep.Results[k], autoRep.Results[k]
 			if !reflect.DeepEqual(p.Pairs, s.Pairs) {
-				t.Errorf("%s: %s: pli %d pairs != scan %d pairs",
+				t.Errorf("%s: %s: grouped %d pairs != scan %d pairs",
 					name, d.Golden[k], len(p.Pairs), len(s.Pairs))
 			}
 			if !reflect.DeepEqual(a.Pairs, s.Pairs) {

@@ -1,75 +1,61 @@
 package violation
 
 import (
+	"slices"
 	"sort"
 
-	"adc/internal/dataset"
 	"adc/internal/pli"
 	"adc/internal/predicate"
 )
 
-// Plan shapes: the executor families the planner chooses between.
-// eqjoin and crossjoin both surface as Path "pli" in results (they are
-// the two forms of the cluster-intersection join); range and scan
-// surface under their own names.
+// Plan shapes: the groupings of the grouped executor, and the scan.
+// eqjoin and crossjoin both surface as Path "pli" in results (they join
+// on equality clusters); range and scan surface under their own names.
 const (
-	ShapeEqJoin    = "eqjoin"    // composite same-attribute cluster join
-	ShapeCrossJoin = "crossjoin" // t[A] = t'[B] merged-code hash join
-	ShapeRange     = "range"     // sorted-rank probe on an order predicate
+	ShapeEqJoin    = "eqjoin"    // groups of equal same-attribute values
+	ShapeCrossJoin = "crossjoin" // t[A] = t'[B] merged-code buckets
+	ShapeRange     = "range"     // all rows as one group, narrowed by a driver
 	ShapeScan      = "scan"      // sharded refutation scan over all pairs
 )
 
-// pliAdvantage is the cost-heuristic margin: the PLI join is chosen when
-// its candidate pairs, scaled by this factor (its per-pair overhead over
-// the scan's), still undercut the n·(n−1) pairs of the full scan.
-const pliAdvantage = 2
+// advantage is the cost-heuristic margin: the grouped plan is chosen
+// when its candidate pairs, scaled by this factor (its per-pair
+// overhead over the scan's), still undercut the scan's pairs.
+const advantage = 2
 
-// rangeAdvantage mirrors pliAdvantage for the range shape: a sorted-rank
-// probe is chosen only when its candidate pairs, scaled by this per-pair
-// overhead factor, undercut the scan's.
-const rangeAdvantage = 2
-
-// groupRangeMinSize is the smallest cluster-join group worth the
-// per-group sort that pushes an order predicate into a binary-searched
-// probe; below it the plain nested loop with early exit wins. Var, not
-// const, so tests can force the probe path on tiny relations.
-var groupRangeMinSize = 16
-
-// PlanExplain is the printable query plan of one DC: which executor
-// shape the planner chose, the equality cascade and pushed-down order
-// predicate, the residual refutation order, and the planner's
-// candidate-pair estimate against the pairs actually evaluated.
+// PlanExplain is the printable query plan of one DC: the grouping the
+// planner chose (or the scan), the equality cascade and the order
+// predicate driving each group, the residual refutation order, and the
+// planner's candidate-pair estimate against the pairs actually
+// evaluated.
 type PlanExplain struct {
-	// Shape is the executor family: "eqjoin", "crossjoin", "range", or
-	// "scan".
+	// Shape names the grouping: "eqjoin", "crossjoin", "range" (all
+	// rows, with a driver), or "scan".
 	Shape string `json:"shape"`
 	// JoinCols lists the equality join cascade, most selective first
 	// (column names for eqjoin; "A=B" for crossjoin).
 	JoinCols []string `json:"join_cols,omitempty"`
-	// Range is the order predicate pushed into a sorted-rank probe —
-	// the range shape's driver, or an eqjoin's within-group pushdown.
+	// Range is the driver: the order predicate each group's sorted
+	// right side answers by binary search.
 	Range string `json:"range,omitempty"`
 	// Residual lists the remaining cross-tuple predicates in refutation
 	// order (most selective first).
 	Residual []string `json:"residual,omitempty"`
 	// EstPairs is the planner's candidate-pair estimate from PLI
-	// statistics. ActualPairs is the pairs the check evaluated: every
-	// candidate the executor examined when it enumerated, or, when the
-	// DC was counted, only the pairs evaluated to materialize the
-	// capped pair list.
+	// statistics: the grouping's selectivity times the driver's.
+	// ActualPairs is the pairs the check evaluated: every candidate the
+	// executor examined when it enumerated, or, when the DC was counted,
+	// only the pairs evaluated to materialize the capped pair list.
 	EstPairs    int64 `json:"est_pairs"`
 	ActualPairs int64 `json:"actual_pairs"`
 }
 
-// queryPlan is the planner's decision for one DC: the chosen shape, the
-// prepared structure that executes it, and the explain skeleton
-// (ActualPairs is filled per run from the collector).
+// queryPlan is the planner's decision for one DC: the grouped plan to
+// run, or nil for the scan, and the explain skeleton (ActualPairs is
+// filled per run from the collector).
 type queryPlan struct {
-	shape    string
-	join     *pliPlan
-	rng      *rangeProbe
-	residual []compiledPred // scan shape: all cross predicates, ordered
-	explain  PlanExplain
+	group   *groupPlan
+	explain PlanExplain
 }
 
 // isOrderOp reports whether the operator is an inequality the sorted
@@ -201,32 +187,11 @@ func lessSel(sa float64, a compiledPred, sb float64, b compiledPred) bool {
 	return selRank(a.op) < selRank(b.op)
 }
 
-// ---- Range probe ---------------------------------------------------------
-
-// rangeProbe answers an order predicate t[A] op t'[B] from the sorted
-// numeric PLI of column B: rows holds B's rows concatenated in ascending
-// value order (NaN rows excluded — NaN satisfies no order comparison),
-// keys the distinct values, and starts the per-key prefix offsets, so a
-// probe value's qualifying rows are one contiguous rows[starts[lo]:
-// starts[hi]] slice found by two binary searches. The remaining
-// cross-tuple predicates refute per candidate, most selective first.
-type rangeProbe struct {
-	driver   compiledPred
-	av       *dataset.Column
-	keys     []float64
-	starts   []int32
-	rows     []int32
-	residual []compiledPred
-	est      int64 // stats-based candidate estimate (pre-build)
-	count    int64 // exact candidate pairs, summed over all probe rows
-}
-
 // rangeBounds returns the half-open index range [lo, hi) of the
-// ascending vals whose entries x satisfy "v op x" — the build-side
-// values an A-row with value v pairs with. NaN probes match nothing.
-// Shared by the standalone range shape (over distinct keys) and the
-// eqjoin within-group pushdown (over per-group sorted values), so both
-// resolve boundaries identically.
+// ascending vals whose entries x satisfy "v op x" — the right-side
+// values a leading row with value v pairs with. NaN probes match
+// nothing. The grouped executor narrows each group with it, and the
+// count phase's sweep counts its second order predicate with it.
 func rangeBounds(vals []float64, v float64, op predicate.Operator) (lo, hi int) {
 	if v != v {
 		return 0, 0
@@ -243,38 +208,6 @@ func rangeBounds(vals []float64, v float64, op predicate.Operator) (lo, hi int) 
 	default: // Geq: x <= v
 		return 0, upper
 	}
-}
-
-// prepareRangeProbe builds the sorted-rank probe for the DC's most
-// selective order predicate, or returns nil when no predicate is
-// orderKeyed. cross must already be in greedy order (orderCross), so
-// the first qualifying predicate is the best driver.
-func prepareRangeProbe(cache *pliCache, cross []compiledPred, sels []float64) *rangeProbe {
-	driver := bestOrderPred(cross)
-	if driver < 0 {
-		return nil
-	}
-	d := cross[driver]
-	rows, keys, starts := cache.index(d.b).RankRows()
-	rp := &rangeProbe{
-		driver: d,
-		av:     cache.rel.Columns[d.a],
-		keys:   keys,
-		starts: starts,
-		rows:   rows,
-	}
-	for k, p := range cross {
-		if k != driver {
-			rp.residual = append(rp.residual, p)
-		}
-	}
-	n := cache.rel.NumRows()
-	rp.est = estPairs(sels[driver], n)
-	for i := 0; i < n; i++ {
-		lo, hi := rangeBounds(keys, rp.av.Num(i), d.op)
-		rp.count += int64(rp.starts[hi] - rp.starts[lo])
-	}
-	return rp
 }
 
 // estPairs scales a selectivity estimate to the relation's ordered-pair
@@ -307,27 +240,22 @@ func maskedRows(mask []bool, n int) int64 {
 	return m
 }
 
-// prepareQueryPlan is the greedy planner: equality join first (exact
-// candidate count once built, estimate decides nothing — the join
-// build is O(n) and its count is free), sorted-rank range probe when
-// the join loses or does not exist, full scan as the floor. Structures
-// are built lazily — a DC whose join wins never builds the range
-// probe, and a pure-inequality DC never builds a join.
+// prepareQueryPlan is the greedy planner: the grouped plan when its
+// exact candidate pairs, scaled by advantage, undercut the scan's, and
+// the scan otherwise. The driver's partners are counted only when the
+// groups alone lose. A DC without an equality groups all rows, so it
+// is first screened by its driver's estimate and never built when the
+// estimate loses.
 func prepareQueryPlan(cache *pliCache, p *dcPlan, n int) *queryPlan {
-	total := int64(n) * int64(n-1)
 	scanCost := maskedRows(p.mask, n) * int64(n-1)
-
-	if pp := p.pliPlan(cache); pp != nil {
-		if pp.candPairs*pliAdvantage <= total {
-			return joinQueryPlan(pp)
+	if !slices.ContainsFunc(p.cross, func(q compiledPred) bool { return q.sameAttrEq() || q.crossColEq() }) {
+		if k := bestOrderPred(p.cross); k < 0 || estPairs(p.sels[k], n)*advantage > scanCost {
+			return scanQueryPlan(p, n)
 		}
 	}
-	// Join absent or beaten by the scan: consider the range shape. The
-	// stats estimate gates the build; the exact count makes the call.
-	if k := bestOrderPred(p.cross); k >= 0 && estPairs(p.sels[k], n)*rangeAdvantage <= scanCost {
-		if rp := p.rangePlan(cache); rp != nil && rp.count*rangeAdvantage <= scanCost {
-			return rangeQueryPlan(rp)
-		}
+	gp := p.groupPlan(cache)
+	if gp.pairBound(p.mask)*advantage <= scanCost || gp.candidates(p.mask)*advantage <= scanCost {
+		return groupQueryPlan(gp)
 	}
 	return scanQueryPlan(p, n)
 }
@@ -343,47 +271,25 @@ func bestOrderPred(preds []compiledPred) int {
 	return -1
 }
 
-func joinQueryPlan(pp *pliPlan) *queryPlan {
-	shape := ShapeEqJoin
-	if pp.build != nil {
-		shape = ShapeCrossJoin
-	}
-	qp := &queryPlan{shape: shape, join: pp}
-	qp.explain = PlanExplain{
-		Shape:    shape,
-		JoinCols: pp.joinCols,
-		EstPairs: pp.estPairs,
-		Residual: specStrings(pp.residual),
-	}
-	if pp.driver != nil {
-		qp.explain.Range = pp.driver.spec.String()
+func groupQueryPlan(gp *groupPlan) *queryPlan {
+	qp := &queryPlan{group: gp, explain: PlanExplain{
+		Shape:    gp.shape,
+		JoinCols: gp.joinCols,
+		EstPairs: gp.estPairs,
+		Residual: specStrings(gp.residual),
+	}}
+	if gp.driver != nil {
+		qp.explain.Range = gp.driver.spec.String()
 	}
 	return qp
 }
 
-func rangeQueryPlan(rp *rangeProbe) *queryPlan {
-	return &queryPlan{
-		shape: ShapeRange,
-		rng:   rp,
-		explain: PlanExplain{
-			Shape:    ShapeRange,
-			Range:    rp.driver.spec.String(),
-			EstPairs: rp.est,
-			Residual: specStrings(rp.residual),
-		},
-	}
-}
-
 func scanQueryPlan(p *dcPlan, n int) *queryPlan {
-	return &queryPlan{
-		shape:    ShapeScan,
-		residual: p.cross,
-		explain: PlanExplain{
-			Shape:    ShapeScan,
-			EstPairs: maskedRows(p.mask, n) * int64(n-1),
-			Residual: specStrings(p.cross),
-		},
-	}
+	return &queryPlan{explain: PlanExplain{
+		Shape:    ShapeScan,
+		EstPairs: maskedRows(p.mask, n) * int64(n-1),
+		Residual: specStrings(p.cross),
+	}}
 }
 
 func specStrings(preds []compiledPred) []string {

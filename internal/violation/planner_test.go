@@ -2,10 +2,12 @@ package violation
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"adc/internal/datagen"
 	"adc/internal/dataset"
 	"adc/internal/predicate"
 )
@@ -28,7 +30,7 @@ func TestNaNCrossColumnDifferential(t *testing.T) {
 	// no NaN occurrence equals anything, itself included.
 	want := [][2]int{{1, 4}, {2, 1}}
 
-	for _, path := range []string{PathScan, PathPLI, PathRange, PathAuto} {
+	for _, path := range []string{PathScan, execGrouped, PathAuto} {
 		if got := checkExec(t, rel, spec, path, Options{}).Pairs; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: pairs = %v, want %v", path, got, want)
 		}
@@ -64,7 +66,7 @@ func TestNaNSameAttrPaths(t *testing.T) {
 	// Group {0,1,5} under G=1: V 5>3 gives (0,1); row 5's V is NaN, so
 	// it neither dominates nor is dominated.
 	want := [][2]int{{0, 1}}
-	for _, path := range []string{PathScan, PathPLI, PathAuto} {
+	for _, path := range []string{PathScan, execGrouped, PathAuto} {
 		if got := checkExec(t, rel, spec, path, Options{}).Pairs; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: pairs = %v, want %v", path, got, want)
 		}
@@ -89,9 +91,9 @@ func rangeTestRel() *dataset.Relation {
 }
 
 // TestRangePathAgreesAndIsChosen pins the planner's range capability:
-// an order-dominated DC, which has no equality to join on, runs as a
-// sorted-rank range probe under the planner — with an identical
-// violation set.
+// an order-dominated DC, which has no equality to join on, runs as one
+// all-rows group narrowed by its driver under the planner — with an
+// identical violation set.
 func TestRangePathAgreesAndIsChosen(t *testing.T) {
 	rel := rangeTestRel()
 	spec := predicate.DCSpec{
@@ -99,7 +101,7 @@ func TestRangePathAgreesAndIsChosen(t *testing.T) {
 		{A: "Score", B: "Score", Op: predicate.Lt, Cross: true},
 	}
 	var scanPairs [][2]int
-	for _, path := range []string{PathScan, PathPLI, PathRange, PathAuto} {
+	for _, path := range []string{PathScan, execGrouped, PathAuto} {
 		res := checkExec(t, rel, spec, path, Options{Workers: 2})
 		if res.Violations == 0 {
 			t.Fatalf("%s: no violations; test is vacuous", path)
@@ -112,12 +114,7 @@ func TestRangePathAgreesAndIsChosen(t *testing.T) {
 			t.Errorf("%s: pairs differ from scan", path)
 		}
 		switch path {
-		case PathPLI:
-			// No equality predicate: the forced join falls back to the scan.
-			if res.Path != PathScan {
-				t.Errorf("pli ran %q, want scan", res.Path)
-			}
-		case PathRange, PathAuto:
+		case execGrouped, PathAuto:
 			if res.Path != PathRange {
 				t.Errorf("%s ran %q, want range", path, res.Path)
 			}
@@ -127,7 +124,7 @@ func TestRangePathAgreesAndIsChosen(t *testing.T) {
 			if res.Plan.Range == "" || res.Plan.ActualPairs == 0 {
 				t.Errorf("%s: incomplete explain %+v", path, res.Plan)
 			}
-			// The probe must actually examine fewer pairs than the scan.
+			// The driver must actually examine fewer pairs than the scan.
 			if total := int64(rel.NumRows()) * int64(rel.NumRows()-1); res.Plan.ActualPairs >= total {
 				t.Errorf("%s: examined %d of %d pairs — no pruning", path, res.Plan.ActualPairs, total)
 			}
@@ -135,14 +132,10 @@ func TestRangePathAgreesAndIsChosen(t *testing.T) {
 	}
 }
 
-// TestGroupRangePushdown forces the within-group order pushdown (tiny
-// threshold) and asserts the eqjoin shape still matches the scan
-// exactly, including NaN driver values on both sides.
+// TestGroupRangePushdown asserts that the eqjoin groups, sorted by
+// their driver, match the scan exactly, including NaN driver values on
+// both sides, with the groups split across workers.
 func TestGroupRangePushdown(t *testing.T) {
-	old := groupRangeMinSize
-	groupRangeMinSize = 2
-	defer func() { groupRangeMinSize = old }()
-
 	nan := math.NaN()
 	n := 40
 	g := make([]int64, n)
@@ -165,7 +158,7 @@ func TestGroupRangePushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, p := scanRep.Results[0], checkExec(t, rel, spec, PathPLI, Options{Workers: 3})
+	s, p := scanRep.Results[0], checkExec(t, rel, spec, execGrouped, Options{Workers: 3})
 	if s.Violations == 0 {
 		t.Fatal("no violations; test is vacuous")
 	}
@@ -179,6 +172,34 @@ func TestGroupRangePushdown(t *testing.T) {
 	// pair count.
 	if p.Plan.ActualPairs >= s.Plan.ActualPairs {
 		t.Errorf("pushdown examined %d pairs, scan %d — no pruning", p.Plan.ActualPairs, s.Plan.ActualPairs)
+	}
+}
+
+// TestEstimateCountsDriver pins that a grouped plan's estimate is the
+// grouping's times its driver's selectivity, as the executor examines
+// only the driver's partners: on the tax golden order DC at 20k rows,
+// the estimate stays within 1.5x of the pairs examined. Counting the
+// groups alone overestimated them 2.28x.
+func TestEstimateCountsDriver(t *testing.T) {
+	d, err := datagen.ByName("tax", 20000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := datagen.AddNoise(d.Rel, datagen.Spread, 0.01, rand.New(rand.NewSource(1)))
+	spec, err := predicate.ParseDCSpec("not(t.State = t'.State and t.Salary > t'.Salary and t.Rate < t'.Rate)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Check(dirty, []predicate.DCSpec{spec}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := rep.Results[0].Plan
+	if pl.Shape != ShapeEqJoin || pl.Range == "" {
+		t.Fatalf("plan %+v, want eqjoin with a driver", pl)
+	}
+	if ratio := float64(pl.EstPairs) / float64(pl.ActualPairs); ratio > 1.5 || ratio < 1/1.5 {
+		t.Errorf("estimated %d pairs, examined %d (%.2fx)", pl.EstPairs, pl.ActualPairs, ratio)
 	}
 }
 
@@ -374,7 +395,7 @@ func TestWideIntKeys(t *testing.T) {
 		{predicate.DCSpec{{A: "A", B: "A", Op: predicate.Gt, Cross: true}}, [][2]int{{0, 1}, {0, 2}, {1, 2}}},
 	}
 	for _, tc := range cases {
-		for _, exec := range []string{PathScan, PathPLI, PathRange, PathAuto} {
+		for _, exec := range []string{PathScan, execGrouped, PathAuto} {
 			for _, maxPairs := range []int{0, 10} {
 				got := checkExec(t, rel, tc.spec, exec, Options{MaxPairs: maxPairs})
 				if got.Violations != int64(len(tc.want)) || !pairsEqual(got.Pairs, tc.want) {

@@ -22,35 +22,37 @@
 //
 // Enumeration runs the plan a greedy cost-ordered planner chooses:
 // predicate selectivities are estimated from PLI column statistics
-// (cluster counts, rank cardinalities — pli.ColStats, no index build
-// required), cross-tuple predicates are ordered by estimated
-// cost-to-refute, and the cheapest of three executor shapes runs:
+// (cluster counts, value histograms — pli.ColStats and pli.ColHist, no
+// index build required), cross-tuple predicates are ordered by
+// estimated cost-to-refute, and one of two executors runs:
 //
-//   - The PLI join shapes (eqjoin, crossjoin) cascade the DC's
-//     cross-tuple equality predicates into a position-list-index
-//     cluster-intersection join (package pli, the same machinery behind
-//     the evidence builder), most selective equality first, so
-//     only pairs inside intersected clusters are ever examined; an
-//     order predicate in the residual is pushed into binary-searched
-//     per-group probes. Wins whenever equality predicates are selective
-//     — functional-dependency-shaped DCs, keys.
-//   - The range shape answers the DC's most selective order predicate
-//     (<, ≤, >, ≥) from the sorted numeric PLI: each probe row's
-//     qualifying partners are one contiguous slice of the build
-//     column's value-ordered rows, found by binary search, with only
-//     residual predicates evaluated per candidate. Wins on
-//     order-dominated DCs.
-//   - The scan shape is a sharded, goroutine-parallel refutation scan
-//     over all ordered pairs with most-selective-first early exit per
-//     predicate — the general-case floor.
+//   - The grouped executor splits the rows into groups whose pairs are
+//     the only candidates. Each DC has one grouping: the clusters of its
+//     same-attribute equalities, intersected into a composite key
+//     (eqjoin, the PLI machinery behind the evidence builder); else the
+//     merged-code buckets of its most selective cross-column equality
+//     t[A] = t'[B], A-rows leading and B-rows following (crossjoin);
+//     else all rows as one group (range). The DC's most selective order
+//     predicate (<, ≤, >, ≥), if it has one, drives the grouping: each
+//     group's following rows are sorted by it once per plan, so a
+//     leading row's partners under it are one contiguous run found by
+//     binary search, and only the remaining residual predicates are
+//     evaluated per candidate. Work is handed out in chunks of leading
+//     rows, so one giant group still occupies every worker.
+//   - The scan is a sharded, goroutine-parallel refutation scan over
+//     all ordered pairs with most-selective-first early exit per
+//     predicate — the general-case floor, chosen whenever the grouped
+//     plan's candidates, scaled by its per-pair overhead, do not
+//     undercut the scan's pairs.
 //
-// The chosen plan is explicit: DCResult.Plan records the shape, join
-// cascade, pushed-down range predicate, residual order, and estimated
-// vs. actually-evaluated pairs (dccheck -explain prints it); a counted
-// DC reports the plan enumeration would run. Options.Path can force
-// the scan, which is the oracle: tests run every executor and the count
-// phase against it and against the O(n²·|P|) reference of
-// predicate.DC.ViolatingPairs, and all produce identical results.
+// The chosen plan is explicit: DCResult.Plan records the grouping (the
+// shape eqjoin, crossjoin, range or scan), join cascade, driver,
+// residual order, and estimated vs. actually-evaluated pairs (dccheck
+// -explain prints it); a counted DC reports the plan enumeration would
+// run. Options.Path can force the scan, which is the oracle: tests run
+// the grouped executor and the count phase against it and against the
+// O(n²·|P|) reference of predicate.DC.ViolatingPairs, and all produce
+// identical results.
 package violation
 
 import (
@@ -71,8 +73,8 @@ const (
 	PathAuto = "auto"
 	// PathScan is the refutation scan over all ordered pairs.
 	PathScan = "scan"
-	// PathPLI is the cluster-intersection join (both join shapes) and
-	// PathRange the sorted-rank range probe, chosen by the planner.
+	// PathPLI reports the grouped executor over equality groups (eqjoin
+	// and crossjoin) and PathRange over all rows with a driver.
 	PathPLI   = "pli"
 	PathRange = "range"
 )
@@ -135,8 +137,8 @@ type DCResult struct {
 	// Path records the execution path that ran ("pli", "range", or
 	// "scan").
 	Path string
-	// Plan is the executed query plan: shape, join cascade, pushed-down
-	// range predicate, residual order, and estimated vs. examined
+	// Plan is the executed query plan: shape, join cascade, driving
+	// order predicate, residual order, and estimated vs. examined
 	// candidate pairs.
 	Plan *PlanExplain
 }

@@ -65,7 +65,7 @@ func TestRunningExample(t *testing.T) {
 	const n = 15
 	const totalPairs = n * (n - 1)
 	for _, tc := range cases {
-		for _, path := range []string{PathAuto, PathPLI, PathScan} {
+		for _, path := range []string{PathAuto, execGrouped, PathScan} {
 			res := checkExec(t, rel, tc.spec, path, Options{})
 			if !reflect.DeepEqual(res.Pairs, tc.pairs) {
 				t.Errorf("%s/%s: pairs = %v, want %v", tc.name, path, res.Pairs, tc.pairs)
@@ -218,10 +218,10 @@ func TestSingleTupleDC(t *testing.T) {
 	// it with every other tuple as first tuple.
 	spec := predicate.DCSpec{{A: "High", B: "Low", Op: predicate.Lt, Cross: false}}
 	want := [][2]int{{2, 0}, {2, 1}, {2, 3}}
-	for _, path := range []string{PathPLI, PathScan} {
+	for _, path := range []string{execGrouped, PathScan} {
 		res := checkExec(t, rel, spec, path, Options{})
-		// No equality predicate to join on: even the forced join must
-		// fall back to (and report) the scan.
+		// No equality to group on and no order predicate to drive: the
+		// forced grouped plan pairs all rows, and reports the scan.
 		if res.Path != PathScan {
 			t.Errorf("path %s: reported %q, want scan fallback", path, res.Path)
 		}
@@ -245,14 +245,14 @@ func TestCrossColumnEqualityJoin(t *testing.T) {
 	// A=1 rows {0}, B=1 rows {1,3}; A=2 rows {1}, B=2 rows {0}.
 	// (0,1): X u=u equal, no. (0,3): u != w → violation. (1,0): u=u, no.
 	want := [][2]int{{0, 3}}
-	for _, path := range []string{PathAuto, PathPLI, PathScan} {
+	for _, path := range []string{PathAuto, execGrouped, PathScan} {
 		res := checkExec(t, rel, spec, path, Options{})
 		if !reflect.DeepEqual(res.Pairs, want) {
 			t.Errorf("path %s: pairs = %v, want %v", path, res.Pairs, want)
 		}
-		// The forced join must actually use the cross-column join.
-		if path == PathPLI && res.Path != PathPLI {
-			t.Errorf("forced pli reported %q", res.Path)
+		// The forced grouped plan must actually use the cross-column join.
+		if path == execGrouped && res.Path != PathPLI {
+			t.Errorf("forced grouped plan reported %q", res.Path)
 		}
 	}
 }
