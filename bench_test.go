@@ -594,14 +594,16 @@ func BenchmarkMineSampled(b *testing.B) {
 // benchPlanDC measures one DC under one execution path on the dirtied
 // adult dataset against a warm checker — the serving steady state,
 // where indexes and compiled plans amortize across requests. The
-// BenchmarkPlan* family feeds BENCH_planner.json. Its three gated
+// BenchmarkPlan* family feeds BENCH_planner.json. Its four gated
 // ratios are BenchmarkPlanMultiPredScan / BenchmarkPlanMultiPred, the
 // planner-vs-scan speedup on a DC with no equality predicate to join
 // on, which the planner runs as one all-rows group narrowed by its
 // driver; BenchmarkPlanEqJoinScan / BenchmarkPlanEqJoin, the count
-// phase against enumeration; and BenchmarkPlanPushdownScan /
-// BenchmarkPlanPushdown, the eqjoin groups sorted by their driver
-// against the scan, on a DC the count phase does not take.
+// phase's ≠ classes against enumeration; BenchmarkPlanRangeProbeScan /
+// BenchmarkPlanRangeProbe, its order sweep against enumeration; and
+// BenchmarkPlanPushdownScan / BenchmarkPlanPushdown, the eqjoin groups
+// sorted by their driver against the scan, on a DC the count phase does
+// not take.
 func benchPlanDC(b *testing.B, path, dc string) {
 	d := benchDataset(b, "adult", 2000)
 	rng := rand.New(rand.NewSource(benchSeed))
@@ -652,9 +654,13 @@ func BenchmarkPlanEqJoinScan(b *testing.B) { benchPlanDC(b, adc.ScanPath, benchP
 // BenchmarkPlanRangeProbe and BenchmarkPlanResidual time the count
 // phase's order sweep, ungrouped and grouped by Education: at MaxPairs
 // 64 both DCs are counted, and neither enumerates its candidates.
-func BenchmarkPlanRangeProbe(b *testing.B) {
-	benchPlanDC(b, adc.AutoPath, "not(t.EducationNum > t'.EducationNum and t.Age <= t'.Age)")
-}
+// BenchmarkPlanRangeProbeScan enumerates the first DC by the forced
+// scan; its ratio to BenchmarkPlanRangeProbe gates the sweep in
+// BENCH_planner.json.
+const benchPlanRangeProbeDC = "not(t.EducationNum > t'.EducationNum and t.Age <= t'.Age)"
+
+func BenchmarkPlanRangeProbe(b *testing.B)     { benchPlanDC(b, adc.AutoPath, benchPlanRangeProbeDC) }
+func BenchmarkPlanRangeProbeScan(b *testing.B) { benchPlanDC(b, adc.ScanPath, benchPlanRangeProbeDC) }
 
 func BenchmarkPlanResidual(b *testing.B) {
 	benchPlanDC(b, adc.AutoPath, "not(t.Education = t'.Education and t.Age <= t'.Age and t.Fnlwgt >= t'.Fnlwgt)")

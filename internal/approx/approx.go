@@ -19,7 +19,7 @@ package approx
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"adc/internal/bitset"
 	"adc/internal/evidence"
@@ -155,25 +155,66 @@ func (g GreedyF3) Loss(ev *evidence.Set, uncovered []int) float64 {
 }
 
 // TupleLoss is Loss from per-tuple violation counts: counts lists, in
-// any order, how many violating pairs each involved tuple takes part in
-// (it is sorted in place, ascending), u is the number of violating
-// pairs, and rows is |D|. It takes tuples in decreasing order of
-// participation until the taken participation covers u, and returns
-// |R| / |D|. Only the multiset of counts matters, so ties need no order.
+// any order, how many violating pairs each tuple takes part in (0 for a
+// tuple in none), u is the number of violating pairs, and rows is |D|.
+// It takes tuples in decreasing order of participation until the taken
+// participation covers u, and returns |R| / |D|. Only the multiset of
+// counts matters, so ties need no order. Counts must not be negative;
+// TupleLoss only reads them.
 func (GreedyF3) TupleLoss(counts []int64, u int64, rows int) float64 {
-	if u == 0 || rows == 0 {
+	if u <= 0 || rows == 0 {
 		return 0
 	}
-	slices.Sort(counts)
-	// The covered count may exceed u because a violation between two
-	// taken tuples is counted twice (see paper, Section 5).
-	var covered int64
-	removed := 0
-	for k := len(counts) - 1; k >= 0 && covered < u; k-- {
-		covered += counts[k]
-		removed++
+	// The greedy takes every tuple whose count exceeds t, the count of
+	// the last tuple it takes, and as many of count t as the rest of u
+	// needs. The covered count may exceed u because a violation between
+	// two taken tuples is counted twice (see paper, Section 5). A radix
+	// select finds t without sorting: its bit length first, then its
+	// lower bits eight at a time. Throughout, the counts above the
+	// current bucket (above of them, summing to sumAbove) are taken, and
+	// sumAbove < u ≤ sumAbove + the bucket's sum.
+	var above, sumAbove int64
+	// pick takes whole buckets from the top while they leave u
+	// uncovered, and returns the bucket t falls in.
+	pick := func(num, sum []int64) int {
+		d := len(sum) - 1
+		for ; sumAbove+sum[d] < u; d-- {
+			above += num[d]
+			sumAbove += sum[d]
+		}
+		return d
 	}
-	return float64(removed) / float64(rows)
+	var num, sum [65]int64 // by bit length; 0 holds the uninvolved
+	for _, c := range counts {
+		l := bits.Len64(uint64(c))
+		num[l]++
+		sum[l] += c
+	}
+	var total int64
+	for _, s := range sum {
+		total += s
+	}
+	if total < u { // every involved tuple is taken
+		return float64(int64(len(counts))-num[0]) / float64(rows)
+	}
+	// t has bit length l: its bits above shift are prefix.
+	l := pick(num[:], sum[:])
+	prefix, shift := uint64(1), l-1
+	for shift > 0 {
+		low := max(shift-8, 0)
+		var dnum, dsum [256]int64 // by the bits in [low, shift)
+		for _, c := range counts {
+			if v := uint64(c); v>>shift == prefix {
+				d := v >> low & (1<<(shift-low) - 1)
+				dnum[d]++
+				dsum[d] += c
+			}
+		}
+		d := pick(dnum[:1<<(shift-low)], dsum[:1<<(shift-low)])
+		prefix, shift = prefix<<(shift-low)|uint64(d), low
+	}
+	t := int64(prefix)
+	return float64(above+(u-sumAbove+t-1)/t) / float64(rows)
 }
 
 // F1Adjusted is the sample-side function f1′ of Section 7.2:

@@ -3,6 +3,7 @@ package approx_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -220,6 +221,60 @@ func TestGreedyF3Bounds(t *testing.T) {
 		// bound: if any pair violates, at least one tuple must go.
 		if fx.ev.ViolationCount(dc.HittingSet()) > 0 && l == 0 {
 			t.Fatalf("greedy f3 loss 0 despite violations for %s", dc)
+		}
+	}
+}
+
+// sortedGreedyF3 is Figure 2's greedy by sorting, the reference for
+// TupleLoss's selection: the number of involved tuples taken, largest
+// count first, until their counts cover u.
+func sortedGreedyF3(counts []int64, u int64) int {
+	sorted := slices.Clone(counts)
+	slices.Sort(sorted)
+	var covered int64
+	taken := 0
+	for k := len(sorted) - 1; k >= 0 && sorted[k] > 0 && covered < u; k-- {
+		covered += sorted[k]
+		taken++
+	}
+	return taken
+}
+
+// TestGreedyF3Selection checks TupleLoss against the sort-based greedy
+// on random multisets of counts: ties from narrow ranges, counts wide
+// enough to need several radix digits, uninvolved tuples (count 0),
+// and u at 0, 1, random, the counts' total and above it. TupleLoss must
+// not write the counts.
+func TestGreedyF3Selection(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 2000; trial++ {
+		counts := make([]int64, rng.Intn(60))
+		width := []int64{1, 3, 200, 1 << 12, 1 << 20, 1 << 40}[rng.Intn(6)]
+		var total int64
+		for k := range counts {
+			if rng.Intn(4) > 0 {
+				counts[k] = 1 + rng.Int63n(width)
+				total += counts[k]
+			}
+		}
+		orig := slices.Clone(counts)
+		rows := len(counts) + rng.Intn(5) + 1
+		us := []int64{0, 1, total, total + 1, 2*total + 7}
+		if total > 0 {
+			us = append(us, 1+rng.Int63n(total), 1+rng.Int63n(total))
+		}
+		for _, u := range us {
+			got := approx.GreedyF3{}.TupleLoss(counts, u, rows)
+			want := 0.0
+			if u > 0 {
+				want = float64(sortedGreedyF3(counts, u)) / float64(rows)
+			}
+			if got != want {
+				t.Fatalf("counts %v, u %d: loss %v, sorted greedy %v", orig, u, got, want)
+			}
+			if !slices.Equal(counts, orig) {
+				t.Fatalf("TupleLoss wrote its counts: %v, was %v", counts, orig)
+			}
 		}
 	}
 }

@@ -41,7 +41,7 @@ type Evaluator struct {
 	isF3      bool
 	viosList  [][]tupleCount // per distinct set: (tuple, participation)
 	scratch   []int64        // per-tuple delta workspace
-	order     []int64        // reusable sort buffer for greedy f3
+	order     []int64        // reusable counts buffer for greedy f3
 	generic   []int          // reusable sorted copy for custom functions
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"adc/internal/approx"
 	"adc/internal/dataset"
 	"adc/internal/pli"
 	"adc/internal/predicate"
@@ -152,10 +153,10 @@ func (p *dcPlan) queryPlan(cache *pliCache, n int) *queryPlan {
 	return p.qp.Load()
 }
 
-// countPlan returns the DC's count phase, preparing it on first use
-// (nil when the DC is not countable).
-func (p *dcPlan) countPlan(cache *pliCache) *countPlan {
-	p.cntOnce.Do(func() { p.cnt.Store(prepareCountPlan(cache, p)) })
+// countPlan returns the DC's count phase, preparing it on first use on
+// up to workers goroutines (nil when the DC is not countable).
+func (p *dcPlan) countPlan(cache *pliCache, workers int) *countPlan {
+	p.cntOnce.Do(func() { p.cnt.Store(prepareCountPlan(cache, p, workers)) })
 	return p.cnt.Load()
 }
 
@@ -168,11 +169,7 @@ func (c *Checker) Check(specs []predicate.DCSpec, opts Options) (*Report, error)
 		return nil, err
 	}
 	n := c.cache.rel.NumRows()
-	rep := &Report{
-		NumRows:         n,
-		TotalPairs:      int64(n) * int64(n-1),
-		TupleViolations: make([]int64, n),
-	}
+	rep := &Report{NumRows: n, TotalPairs: int64(n) * int64(n-1)}
 	for _, spec := range specs {
 		res, err := c.checkOne(spec, opts)
 		if err != nil {
@@ -180,8 +177,15 @@ func (c *Checker) Check(specs []predicate.DCSpec, opts Options) (*Report, error)
 		}
 		rep.Results = append(rep.Results, *res)
 		rep.Violations += res.Violations
-		for t, cnt := range res.TupleCounts {
-			rep.TupleViolations[t] += cnt
+	}
+	if len(rep.Results) == 1 {
+		rep.TupleViolations = rep.Results[0].TupleCounts
+	} else {
+		rep.TupleViolations = make([]int64, n)
+		for _, res := range rep.Results {
+			for t, cnt := range res.TupleCounts {
+				rep.TupleViolations[t] += cnt
+			}
 		}
 	}
 	rep.Clean = rep.Violations == 0
@@ -202,7 +206,7 @@ func (c *Checker) checkOne(spec predicate.DCSpec, opts Options) (*DCResult, erro
 	}
 	qp := plan.queryPlan(c.cache, n)
 	if opts.MaxPairs > 0 {
-		if cp := plan.countPlan(c.cache); cp != nil {
+		if cp := plan.countPlan(c.cache, opts.Workers); cp != nil {
 			return c.report(spec, qp, cp.count(n, plan.mask, opts.Workers, opts.MaxPairs), opts), nil
 		}
 	}
@@ -248,7 +252,7 @@ func (c *Checker) report(spec predicate.DCSpec, qp *queryPlan, col *collector, o
 	res.Truncated = res.Violations > int64(len(res.Pairs))
 	res.LossF1 = lossF1(col.violations, int64(n)*int64(n-1))
 	res.LossF2 = lossF2(col.counts, n)
-	res.LossF3 = lossF3(col.counts, col.violations, n)
+	res.LossF3 = approx.GreedyF3{}.TupleLoss(col.counts, col.violations, n)
 	return res
 }
 
@@ -334,8 +338,8 @@ func (c *Checker) IndexStats() (hits, misses int64) {
 func (c *Checker) CachedIndexes() int { return c.cache.store.CachedColumns() }
 
 // MemBytes estimates the heap footprint of the cached state (indexes,
-// masks, and grouped plans, which the count phase shares; the relation
-// itself is not counted).
+// masks, grouped plans, and the count phase's class ids and sweep
+// points; the relation itself is not counted).
 func (c *Checker) MemBytes() int64 {
 	b := c.cache.store.MemBytes()
 	c.mu.RLock()
@@ -357,6 +361,13 @@ func (c *Checker) MemBytes() int64 {
 			for _, v := range gp.vals {
 				b += int64(len(v))*8 + 24
 			}
+		}
+		if cp := p.cnt.Load(); cp != nil {
+			// groups and offs are the grouped plan's, counted above.
+			for _, cls := range cp.classes {
+				b += int64(len(cls))*4 + 24
+			}
+			b += int64(len(cp.ptRows)+len(cp.ptR1)+len(cp.ptR2))*4 + int64(len(cp.ptOffs))*8
 		}
 	}
 	return b

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"adc/internal/dataset"
 	"adc/internal/predicate"
@@ -53,6 +54,47 @@ func TestCheckerMatchesCheckAndCachesPlans(t *testing.T) {
 	}
 	if c.MemBytes() <= 0 {
 		t.Errorf("MemBytes = %d, want > 0", c.MemBytes())
+	}
+}
+
+// TestCheckerMemBytesCountsCountPlans checks that the count phase's
+// per-plan arrays are charged: once uncapped checks have built the
+// grouped plans, warm capped checks build the count plans, and MemBytes
+// grows by at least the ≠ DC's class ids and the order DC's sweep
+// points.
+func TestCheckerMemBytesCountsCountPlans(t *testing.T) {
+	rel, specs := checkerFixture(t)
+	c := NewChecker(rel)
+	if _, err := c.Check(specs, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	before := c.MemBytes()
+	for round := 0; round < 3; round++ {
+		if _, err := c.Check(specs, Options{MaxPairs: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var classBytes, pointBytes int64
+	for _, spec := range specs {
+		p, err := c.plan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := p.cnt.Load()
+		if cp == nil {
+			t.Fatalf("%s: no count plan after capped checks", spec)
+		}
+		for _, cls := range cp.classes {
+			classBytes += int64(len(cls)) * int64(unsafe.Sizeof(int32(0)))
+		}
+		pointBytes += int64(len(cp.ptRows)+len(cp.ptR1)+len(cp.ptR2)) * int64(unsafe.Sizeof(int32(0)))
+	}
+	if classBytes == 0 || pointBytes == 0 {
+		t.Fatalf("class bytes %d, point bytes %d: the fixture lost its ≠ or order DC", classBytes, pointBytes)
+	}
+	if grew := c.MemBytes() - before; grew < classBytes+pointBytes {
+		t.Errorf("MemBytes grew %d bytes over capped checks, want at least %d (classes %d, points %d)",
+			grew, classBytes+pointBytes, classBytes, pointBytes)
 	}
 }
 

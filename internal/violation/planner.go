@@ -190,8 +190,7 @@ func lessSel(sa float64, a compiledPred, sb float64, b compiledPred) bool {
 // rangeBounds returns the half-open index range [lo, hi) of the
 // ascending vals whose entries x satisfy "v op x" — the right-side
 // values a leading row with value v pairs with. NaN probes match
-// nothing. The grouped executor narrows each group with it, and the
-// count phase's sweep counts its second order predicate with it.
+// nothing. The grouped executor narrows each group with it.
 func rangeBounds(vals []float64, v float64, op predicate.Operator) (lo, hi int) {
 	if v != v {
 		return 0, 0
@@ -245,11 +244,14 @@ func maskedRows(mask []bool, n int) int64 {
 // the scan otherwise. The driver's partners are counted only when the
 // groups alone lose. A DC without an equality groups all rows, so it
 // is first screened by its driver's estimate and never built when the
-// estimate loses.
+// estimate loses. Only masked rows lead pairs, on either side, so the
+// estimate is scaled to them like the scan's cost.
 func prepareQueryPlan(cache *pliCache, p *dcPlan, n int) *queryPlan {
-	scanCost := maskedRows(p.mask, n) * int64(n-1)
+	masked := maskedRows(p.mask, n)
+	scanCost := masked * int64(n-1)
 	if !slices.ContainsFunc(p.cross, func(q compiledPred) bool { return q.sameAttrEq() || q.crossColEq() }) {
-		if k := bestOrderPred(p.cross); k < 0 || estPairs(p.sels[k], n)*advantage > scanCost {
+		k := bestOrderPred(p.cross)
+		if k < 0 || estPairs(p.sels[k]*float64(masked)/float64(max(n, 1)), n)*advantage > scanCost {
 			return scanQueryPlan(p, n)
 		}
 	}

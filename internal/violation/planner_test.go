@@ -132,6 +132,47 @@ func TestRangePathAgreesAndIsChosen(t *testing.T) {
 	}
 }
 
+// TestRangeScreenMasked pins the range screen on a masked DC: only the
+// 10% of rows with Flag = Zero lead pairs, so the driver's estimate,
+// scaled to them, undercuts the scan's pairs (masked rows × (n − 1))
+// and the planner runs the all-rows group, examining exactly the pairs
+// the forced grouped plan examines. Compared unscaled, the estimate
+// sent the DC to the scan.
+func TestRangeScreenMasked(t *testing.T) {
+	n := 2000
+	flag, zero, grade, score := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range n {
+		if i%10 != 0 {
+			flag[i] = 1
+		}
+		grade[i] = int64(i % 100)
+		score[i] = int64((i*37)%100) + 45 // P(grade > score) ≈ 0.15
+	}
+	rel := dataset.MustNewRelation("masked", []*dataset.Column{
+		dataset.NewIntColumn("Flag", flag),
+		dataset.NewIntColumn("Zero", zero),
+		dataset.NewIntColumn("Grade", grade),
+		dataset.NewIntColumn("Score", score),
+	})
+	spec, err := predicate.ParseDCSpec("not(t.Flag = t.Zero and t.Grade > t'.Score)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := checkExec(t, rel, spec, PathScan, Options{})
+	grouped := checkExec(t, rel, spec, execGrouped, Options{})
+	auto := checkExec(t, rel, spec, PathAuto, Options{})
+	if scan.Violations == 0 {
+		t.Fatal("no violations; test is vacuous")
+	}
+	if auto.Plan.Shape != ShapeRange || auto.Plan.ActualPairs != grouped.Plan.ActualPairs {
+		t.Errorf("planner ran %s examining %d pairs; the grouped plan examines %d (scan %d)",
+			auto.Plan.Shape, auto.Plan.ActualPairs, grouped.Plan.ActualPairs, scan.Plan.ActualPairs)
+	}
+	if !reflect.DeepEqual(auto.Pairs, scan.Pairs) || !reflect.DeepEqual(auto.TupleCounts, scan.TupleCounts) {
+		t.Error("planner's pairs or tuple counts differ from the scan's")
+	}
+}
+
 // TestGroupRangePushdown asserts that the eqjoin groups, sorted by
 // their driver, match the scan exactly, including NaN driver values on
 // both sides, with the groups split across workers.

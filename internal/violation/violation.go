@@ -16,7 +16,11 @@
 // sort-and-Fenwick dominance counting behind IEJoin), and only the
 // first MaxPairs pairs are materialized. A DC is countable when the
 // predicates left after the grouping are none, same-attribute ≠ only,
-// or one or two same-attribute order comparisons (count.go). Every
+// or one or two same-attribute order comparisons (count.go). The
+// orderings the closed forms need — each row's ≠ class under every
+// subset of the ≠ columns, each group's sweep points with the ranks of
+// their order values — depend on the plan alone and are built once
+// with it, so a warm check makes linear passes over its groups. Every
 // other DC, every uncapped check (MaxPairs 0, as Repair needs), and
 // the forced scan enumerate.
 //
@@ -61,7 +65,6 @@ import (
 	"math"
 	"slices"
 
-	"adc/internal/approx"
 	"adc/internal/dataset"
 	"adc/internal/predicate"
 )
@@ -153,6 +156,7 @@ type Report struct {
 	// Violations is the total violating ordered pairs across all DCs.
 	Violations int64
 	// TupleViolations[t] sums tuple t's participation across all DCs.
+	// With one DC it is that DC's TupleCounts, the same slice.
 	TupleViolations []int64
 	// Clean reports whether no DC had any violation.
 	Clean bool
@@ -240,28 +244,6 @@ func lossF2(counts []int64, n int) float64 {
 		}
 	}
 	return float64(involved) / float64(n)
-}
-
-// lossF3 is approx.GreedyF3's loss, the greedy stand-in for the
-// cardinality-repair fraction (Figure 2), over the involved tuples'
-// participation counts.
-func lossF3(counts []int64, violations int64, n int) float64 {
-	if violations == 0 {
-		return 0
-	}
-	k := 0
-	for _, c := range counts {
-		if c > 0 {
-			k++
-		}
-	}
-	involved := make([]int64, 0, k)
-	for _, c := range counts {
-		if c > 0 {
-			involved = append(involved, c)
-		}
-	}
-	return approx.GreedyF3{}.TupleLoss(involved, violations, n)
 }
 
 // Validation is the verdict of one DC under a chosen approximation
