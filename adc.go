@@ -346,7 +346,7 @@ func Mine(rel *Relation, opts Options) (*Result, error) {
 				rel.NumRows()-prev.NumRows > prev.NumRows:
 				res.EvidenceDeltaFallback = true
 			default:
-				next, dst, derr := prev.ApplyDelta(space, indexes)
+				next, dst, derr := evidence.ClusterBuilder{Indexes: indexes}.Delta(prev, space)
 				if derr != nil {
 					res.EvidenceDeltaFallback = true
 				} else {

@@ -180,7 +180,7 @@ func BenchmarkEvidenceClusterAdult(b *testing.B) {
 // deltaBenchOnce builds the incremental-maintenance gate workload once:
 // adult at 2000 rows with a 1% append (20 rows duplicating existing
 // rows, so every appended value already occurs and the grown predicate
-// space keeps the base structure — ApplyDelta never falls back). The
+// space keeps the base structure — Delta never falls back). The
 // fixture holds the base evidence and the grown space; the two
 // benchmarks below then time the two ways of reaching the grown
 // relation's evidence.
@@ -213,7 +213,7 @@ var deltaBenchOnce = sync.OnceValues(func() (*deltaBenchFixture, error) {
 		return nil, err
 	}
 	space := predicate.Build(grown, popts)
-	if _, _, err := prev.ApplyDelta(space, nil); err != nil {
+	if _, _, err := (evidence.ClusterBuilder{Workers: 1}).Delta(prev, space); err != nil {
 		return nil, fmt.Errorf("delta fixture is not delta-maintainable: %w", err)
 	}
 	return &deltaBenchFixture{space: space, prev: prev}, nil
@@ -221,7 +221,7 @@ var deltaBenchOnce = sync.OnceValues(func() (*deltaBenchFixture, error) {
 
 // The CI gate compares the next two benchmarks (BENCH_delta.json records
 // the ratio, min of 3 runs) and requires the incremental path ≥ 5x the
-// single-threaded scratch rebuild; the differential suite in
+// scratch rebuild, both on one worker; the differential suite in
 // internal/evidence proves the two outputs identical.
 func BenchmarkEvidenceDeltaScratch(b *testing.B) {
 	fx, err := deltaBenchOnce()
@@ -245,7 +245,7 @@ func BenchmarkEvidenceDeltaDelta(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := fx.prev.ApplyDelta(fx.space, nil); err != nil {
+		if _, _, err := (evidence.ClusterBuilder{Workers: 1}).Delta(fx.prev, fx.space); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,14 +42,21 @@ import (
 //     directly on the bitset words (word-level FNV hash, arena-backed,
 //     no string allocation); worker-local tables merge with a
 //     word-level combine instead of re-hashing through Go maps.
+//   - The rows split in two at a split row. Rows at or above it ("new")
+//     never share a super-row with rows below it ("old"); new super-rows
+//     sort after the old ones, and the tile grid restarts at the first
+//     of them. The kernel runs only the tiles with a new super-row on
+//     either side. Build splits at row 0, so every row is new and every
+//     tile runs; Delta splits at the append boundary, so it builds just
+//     the pairs that touch an appended row.
 //
 // The result is bit-for-bit identical to NaiveBuilder's up to the order
 // of distinct sets (tests and the fuzz corpus enforce this); for a fixed
 // worker count the order is deterministic.
 type ClusterBuilder struct {
 	// Workers is the number of goroutines. 0 chooses from the data: one
-	// worker below autoSerialPairs super-row pairs, where the goroutine
-	// fan-out costs more than the work, and GOMAXPROCS above.
+	// worker below autoSerialPairs super-row pairs to build, where the
+	// goroutine fan-out costs more than the work, and GOMAXPROCS above.
 	Workers int
 	// TileSize is the tile edge in super-rows; 0 means 64, which keeps
 	// a tile row's evidence L1-resident for typical predicate-space
@@ -62,9 +69,6 @@ type ClusterBuilder struct {
 	Indexes *pli.Store
 }
 
-// Name implements Builder.
-func (ClusterBuilder) Name() string { return "cluster-tiled" }
-
 // autoSerialPairs: below this many super-row pairs a single worker
 // beats the goroutine fan-out cost.
 const autoSerialPairs = 1 << 16
@@ -75,15 +79,21 @@ func (b ClusterBuilder) Build(space *predicate.Space, withVios bool) (*Set, erro
 	if n < 2 {
 		return nil, fmt.Errorf("evidence: need at least 2 rows, have %d", n)
 	}
-	cp := prepareClusters(preparePlan(space, b.Indexes), n, b.TileSize)
-	workers := b.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if int64(cp.s)*int64(cp.s) < autoSerialPairs {
-			workers = 1
-		}
+	cp := prepareClusters(preparePlan(space, b.Indexes), n, b.TileSize, 0)
+	return cp.finish(space, cp.run(withVios, b.workers(cp)), withVios), nil
+}
+
+// workers resolves Workers for a prepared plan: the zero value weighs
+// the super-row pairs the kernel will build, those with a new super-row
+// on either side.
+func (b ClusterBuilder) workers(cp *clusterPlan) int {
+	if b.Workers > 0 {
+		return b.Workers
 	}
-	return cp.run(space, withVios, workers), nil
+	if int64(cp.s)*int64(cp.s)-int64(cp.old)*int64(cp.old) < autoSerialPairs {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // ---- Plan ----------------------------------------------------------------
@@ -105,7 +115,7 @@ type crossGroup struct {
 }
 
 // plan holds the precomputed per-row masks and cross-group rank/mask
-// tables shared by the cluster builder and the delta path.
+// tables.
 type plan struct {
 	rowMask []bitset.Bits
 	cross   []crossGroup
@@ -251,22 +261,6 @@ func maxCode(ra, rb []int32) int32 {
 	return m
 }
 
-// mask selects the operator mask the group contributes to the ordered
-// pair (i, j).
-func (cg *crossGroup) mask(i, j int) bitset.Bits {
-	a, b := cg.ra[i], cg.rb[j]
-	switch {
-	case a == nanCode || b == nanCode:
-		return cg.maskNaN
-	case a == b:
-		return cg.maskEq
-	case a < b:
-		return cg.maskLt
-	default:
-		return cg.maskGt
-	}
-}
-
 // ---- Cluster plan --------------------------------------------------------
 
 // sparseMask is an operator mask reduced to its nonzero words, so ORs
@@ -305,12 +299,19 @@ type colTileIndex struct {
 
 // clusterPlan is a plan reorganized around super-rows: rows collapsed
 // by full predicate signature, sorted by PLI rank for run batching,
-// with per-group structure-of-arrays code buffers.
+// with per-group structure-of-arrays code buffers. The super-rows of
+// rows below the split come first ("old"); the rest are "new".
 type clusterPlan struct {
 	p    *plan
 	n    int // original rows
 	s    int // super-rows
+	old  int // super-rows of rows below the split: [0, old)
 	tile int
+	// tiles bounds the tiles: tile t spans super-rows
+	// [tiles[t], tiles[t+1]). The grid restarts at old, so tiles
+	// [newTile, len(tiles)-1) hold exactly the new super-rows.
+	tiles   []int
+	newTile int
 
 	members  [][]int32     // super-row -> original row indexes (weight = len)
 	baseMask []bitset.Bits // super-row -> single-tuple mask (aliases plan.rowMask)
@@ -333,8 +334,10 @@ const defaultTileSize = 64
 func clusterRunThreshold(s int) int { return s / 4 }
 
 // prepareClusters collapses rows into super-rows and lays the plan out
-// for the tiled kernel.
-func prepareClusters(p *plan, n, tileSize int) *clusterPlan {
+// for the tiled kernel. Rows at or above split (all rows when split is
+// 0) are new: they form super-rows of their own, sorted after the old
+// ones, with the tile grid restarting at the first of them.
+func prepareClusters(p *plan, n, tileSize, split int) *clusterPlan {
 	if tileSize <= 0 {
 		tileSize = defaultTileSize
 	}
@@ -345,22 +348,28 @@ func prepareClusters(p *plan, n, tileSize int) *clusterPlan {
 	// row's code in both tuple roles (packed into one word). Two rows
 	// with equal signatures satisfy exactly the same predicates against
 	// every third row and against each other — they are interchangeable
-	// in both pair positions.
-	tab := newInternTable(sigWords, n)
+	// in both pair positions. Each side of the split has its own table.
 	sig := make([]uint64, sigWords)
 	members := make([][]int32, 0, n/2)
-	for i := 0; i < n; i++ {
-		copy(sig, p.rowMask[i])
-		for k := range p.cross {
-			cg := &p.cross[k]
-			sig[p.words+k] = uint64(uint32(cg.ra[i])) | uint64(uint32(cg.rb[i]))<<32
+	collapse := func(lo, hi int) {
+		tab := newInternTable(sigWords, hi-lo)
+		off := len(members)
+		for i := lo; i < hi; i++ {
+			copy(sig, p.rowMask[i])
+			for k := range p.cross {
+				cg := &p.cross[k]
+				sig[p.words+k] = uint64(uint32(cg.ra[i])) | uint64(uint32(cg.rb[i]))<<32
+			}
+			idx, isNew := tab.intern(sig, bitset.HashWords(sig))
+			if isNew {
+				members = append(members, nil)
+			}
+			members[off+int(idx)] = append(members[off+int(idx)], int32(i))
 		}
-		idx, isNew := tab.intern(sig, bitset.HashWords(sig))
-		if isNew {
-			members = append(members, nil)
-		}
-		members[idx] = append(members[idx], int32(i))
 	}
+	collapse(0, split)
+	old := len(members)
+	collapse(split, n)
 	s := len(members)
 
 	// Visit order: lexicographic by group code, lowest-cardinality
@@ -383,7 +392,7 @@ func prepareClusters(p *plan, n, tileSize int) *clusterPlan {
 	for t := range ord {
 		ord[t] = int32(t)
 	}
-	slices.SortFunc(ord, func(a, b int32) int {
+	byCode := func(a, b int32) int {
 		ra, rb := rep[a], rep[b]
 		for _, k := range byCard {
 			cg := &p.cross[k]
@@ -395,12 +404,15 @@ func prepareClusters(p *plan, n, tileSize int) *clusterPlan {
 			}
 		}
 		return int(a - b) // signatures differ only in the mask
-	})
+	}
+	slices.SortFunc(ord[:old], byCode)
+	slices.SortFunc(ord[old:], byCode)
 
 	cp := &clusterPlan{
 		p:        p,
 		n:        n,
 		s:        s,
+		old:      old,
 		tile:     tileSize,
 		members:  make([][]int32, s),
 		baseMask: make([]bitset.Bits, s),
@@ -429,11 +441,19 @@ func prepareClusters(p *plan, n, tileSize int) *clusterPlan {
 		}
 	}
 
+	for t := 0; t < old; t += tileSize {
+		cp.tiles = append(cp.tiles, t)
+	}
+	cp.newTile = len(cp.tiles)
+	for t := old; t < s; t += tileSize {
+		cp.tiles = append(cp.tiles, t)
+	}
+	cp.tiles = append(cp.tiles, s)
+
 	// Classify groups by their realized run structure in the chosen
 	// order (primary sort keys cluster; late or cross-column keys may
 	// not), and pre-sort column tiles for the scattered ones.
 	threshold := clusterRunThreshold(s)
-	numTiles := (s + tileSize - 1) / tileSize
 	for k := 0; k < g; k++ {
 		runs := countRuns(cp.rowCodes[k]) // row runs drive the block pass
 		if runs <= threshold {
@@ -442,13 +462,9 @@ func prepareClusters(p *plan, n, tileSize int) *clusterPlan {
 		}
 		cp.scattered = append(cp.scattered, int32(k))
 		cc := cp.colCodes[k]
-		idx := make([]colTileIndex, numTiles)
+		idx := make([]colTileIndex, len(cp.tiles)-1)
 		for ti := range idx {
-			c0 := ti * tileSize
-			c1 := c0 + tileSize
-			if c1 > s {
-				c1 = s
-			}
+			c0, c1 := cp.tiles[ti], cp.tiles[ti+1]
 			perm := make([]int32, c1-c0)
 			for j := range perm {
 				perm[j] = int32(j)
@@ -488,10 +504,11 @@ func countRuns(codes []int32) int {
 
 // clusterAcc is one worker's private accumulation state.
 type clusterAcc struct {
-	tab *internTable
+	tab   *internTable
+	pairs int64 // ordered tuple pairs interned
 	// superVios, when vios are requested, counts per distinct evidence
 	// set how many ordered pairs each super-row participates in; it is
-	// expanded to per-tuple counts once, at finish.
+	// expanded to per-tuple counts once, by finish or Delta's reconcile.
 	superVios []map[int32]int64
 }
 
@@ -513,28 +530,36 @@ func (a *clusterAcc) vios(idx int32) map[int32]int64 {
 	return a.superVios[idx]
 }
 
-// run executes the tiled kernel across workers and assembles the Set.
-func (cp *clusterPlan) run(space *predicate.Space, withVios bool, workers int) *Set {
-	tileSize := cp.tile
-	numTiles := (cp.s + tileSize - 1) / tileSize
+// run executes the tiled kernel across workers over every tile with a
+// new super-row on either side and returns the merged accumulation.
+func (cp *clusterPlan) run(withVios bool, workers int) *clusterAcc {
+	numTiles := len(cp.tiles) - 1
 	workers = min(workers, numTiles)
 
 	// Strided static assignment: worker w takes row tiles w, w+W, w+2W,
 	// … — interleaving spreads weight skew across workers while keeping
 	// each worker's visit order (and therefore the merged distinct-set
-	// order) deterministic for a fixed W.
+	// order) deterministic for a fixed W. An old row tile pairs only
+	// with the new column tiles.
 	accs := make([]*clusterAcc, workers)
 	par.Do(workers, workers, func(w int) {
 		acc := newClusterAcc(cp.p.words, withVios)
-		buf := make([]uint64, tileSize*tileSize*max(cp.p.words, 1))
+		buf := make([]uint64, cp.tile*cp.tile*max(cp.p.words, 1))
 		for rt := w; rt < numTiles; rt += workers {
-			cp.rowTile(acc, buf, rt*tileSize, withVios)
+			ct := 0
+			if rt < cp.newTile {
+				ct = cp.newTile
+			}
+			for ; ct < numTiles; ct++ {
+				cp.tileKernel(acc, buf, rt, ct, withVios)
+			}
 		}
 		accs[w] = acc
 	})
 
 	base := accs[0]
 	for _, other := range accs[1:] {
+		base.pairs += other.pairs
 		remap := base.tab.mergeFrom(other.tab)
 		if withVios {
 			for k, sv := range other.superVios {
@@ -548,30 +573,15 @@ func (cp *clusterPlan) run(space *predicate.Space, withVios bool, workers int) *
 			}
 		}
 	}
-	return cp.finish(space, base, withVios)
+	return base
 }
 
-// rowTile processes the row band of super-rows [r0, r0+tile) against
-// every column tile.
-func (cp *clusterPlan) rowTile(acc *clusterAcc, buf []uint64, r0 int, withVios bool) {
-	r1 := r0 + cp.tile
-	if r1 > cp.s {
-		r1 = cp.s
-	}
-	for ct := 0; ct*cp.tile < cp.s; ct++ {
-		cp.tileKernel(acc, buf, r0, r1, ct, withVios)
-	}
-}
-
-// tileKernel builds the evidence of every super-pair in the tile
-// [r0,r1) × [c0,c1): base masks copied row-wise, block ORs for
+// tileKernel builds the evidence of every super-pair in the tile of row
+// tile rt and column tile ct: base masks copied row-wise, block ORs for
 // clustered groups, segment ORs for scattered groups, then interning.
-func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, r0, r1, ct int, withVios bool) {
-	c0 := ct * cp.tile
-	c1 := c0 + cp.tile
-	if c1 > cp.s {
-		c1 = cp.s
-	}
+func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, rt, ct int, withVios bool) {
+	r0, r1 := cp.tiles[rt], cp.tiles[rt+1]
+	c0, c1 := cp.tiles[ct], cp.tiles[ct+1]
 	rows, cols := r1-r0, c1-c0
 	words := cp.p.words
 
@@ -690,6 +700,7 @@ func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, r0, r1, ct int,
 			} else {
 				cnt = wa * int64(len(cp.members[b]))
 			}
+			acc.pairs += cnt
 			idx := acc.tab.add(rowBuf[tj*words:(tj+1)*words], cnt)
 			if withVios {
 				sv := acc.vios(idx)

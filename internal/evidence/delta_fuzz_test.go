@@ -10,14 +10,15 @@ import (
 )
 
 // FuzzEvidenceDelta is the incremental-maintenance equivalence
-// property: for any relation, any predicate-space shape, and any split
-// of the rows into a base prefix and an appended suffix, extending the
-// base's evidence with ApplyDelta equals building the full relation's
-// evidence from scratch with the NaiveBuilder oracle — sets, counts,
-// and vios. ErrSpaceChanged is the one legal escape, and only when the
-// split genuinely changes the space structure. The seed corpus
-// (testdata/fuzz/FuzzEvidenceDelta) runs on every plain `go test`;
-// `go test -fuzz=FuzzEvidenceDelta` explores further.
+// property: for any relation, any predicate-space shape, any split of
+// the rows into a base prefix and an appended suffix, and any worker
+// count and tile size, extending the base's evidence with Delta equals
+// building the full relation's evidence from scratch with the
+// NaiveBuilder oracle — sets, counts, and vios. ErrSpaceChanged is the
+// one legal escape, and only when the split genuinely changes the space
+// structure. The seed corpus (testdata/fuzz/FuzzEvidenceDelta) runs on
+// every plain `go test`; `go test -fuzz=FuzzEvidenceDelta` explores
+// further.
 func FuzzEvidenceDelta(f *testing.F) {
 	for seed := int64(0); seed < 10; seed++ {
 		f.Add(seed, byte(seed*31), byte(seed*13))
@@ -28,6 +29,7 @@ func FuzzEvidenceDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, shape, split byte) {
 		r := rand.New(rand.NewSource(seed))
 		rel := fuzzRelation(r, shape)
+		b := evidence.ClusterBuilder{Workers: 1 + r.Intn(4), TileSize: 1 + r.Intn(9)}
 		n := rel.NumRows()
 		if n < 3 {
 			return
@@ -47,7 +49,7 @@ func FuzzEvidenceDelta(f *testing.F) {
 		if err != nil {
 			t.Fatalf("base build: %v", err)
 		}
-		got, st, err := prev.ApplyDelta(fullSpace, nil)
+		got, st, err := b.Delta(prev, fullSpace)
 		if errors.Is(err, evidence.ErrSpaceChanged) {
 			if baseSpace.SameStructure(fullSpace) {
 				t.Fatal("ErrSpaceChanged although the structure is unchanged")
@@ -59,7 +61,7 @@ func FuzzEvidenceDelta(f *testing.F) {
 		}
 		k := int64(n - m)
 		if want := 2*k*int64(m) + k*k - k; st.Pairs != want {
-			t.Fatalf("delta pairs = %d, want %d (append %d onto %d)", st.Pairs, want, k, m)
+			t.Fatalf("delta pairs = %d, want %d (append %d onto %d, %+v)", st.Pairs, want, k, m, b)
 		}
 		scratch, err := evidence.NaiveBuilder{}.Build(fullSpace, withVios)
 		if err != nil {

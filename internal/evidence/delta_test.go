@@ -39,8 +39,9 @@ func prefix(rel *dataset.Relation, m int) *dataset.Relation {
 // TestDeltaMatchesScratchMultiBatch replays randomized multi-batch
 // append schedules on the three golden datasets and requires the
 // delta-maintained evidence — chained, each step extending the previous
-// step's output — to match a from-scratch build exactly (sets, counts,
-// vios) at every point of every schedule.
+// step's output at a random worker count and tile size — to match a
+// from-scratch build exactly (sets, counts, vios) at every point of
+// every schedule.
 func TestDeltaMatchesScratchMultiBatch(t *testing.T) {
 	popts := predicate.DefaultOptions()
 	for _, name := range []string{"adult", "tax", "hospital"} {
@@ -70,7 +71,8 @@ func TestDeltaMatchesScratchMultiBatch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, st, err := prev.ApplyDelta(space, nil)
+				b := evidence.ClusterBuilder{Workers: 1 + rng.Intn(4), TileSize: 1 + rng.Intn(9)}
+				got, st, err := b.Delta(prev, space)
 				switch {
 				case errors.Is(err, evidence.ErrSpaceChanged):
 					// The 30% rule flipped a cross-column pair: the
@@ -82,7 +84,7 @@ func TestDeltaMatchesScratchMultiBatch(t *testing.T) {
 					deltas++
 					k := int64(batch)
 					if want := 2*k*int64(cur.NumRows()) + k*k - k; st.Pairs != want {
-						t.Fatalf("delta pairs = %d, want %d (batch %d onto %d rows)", st.Pairs, want, batch, cur.NumRows())
+						t.Fatalf("delta pairs = %d, want %d (batch %d onto %d rows, %+v)", st.Pairs, want, batch, cur.NumRows(), b)
 					}
 					requireSameEvidence(t, scratch, got, true)
 				}
@@ -118,7 +120,7 @@ func TestDeltaNewSignaturesAndDictCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	space := predicate.Build(next, popts)
-	got, st, err := prev.ApplyDelta(space, nil)
+	got, st, err := evidence.ClusterBuilder{}.Delta(prev, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestDeltaNaNNumerics(t *testing.T) {
 		t.Fatal(err)
 	}
 	space := predicate.Build(next, popts)
-	got, _, err := prev.ApplyDelta(space, nil)
+	got, _, err := evidence.ClusterBuilder{}.Delta(prev, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestDeltaWithoutVios(t *testing.T) {
 		t.Fatal(err)
 	}
 	space := predicate.Build(next, popts)
-	got, _, err := prev.ApplyDelta(space, nil)
+	got, _, err := evidence.ClusterBuilder{}.Delta(prev, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +203,7 @@ func TestDeltaWithoutVios(t *testing.T) {
 
 // TestDeltaSpaceChangedFallback: appends push a cross-column pair over
 // the 30% shared-values threshold, the post-append space grows, and
-// ApplyDelta must refuse with ErrSpaceChanged rather than mis-marry
+// Delta must refuse with ErrSpaceChanged rather than mis-marry
 // bitsets of different widths/meanings.
 func TestDeltaSpaceChangedFallback(t *testing.T) {
 	base := dataset.MustNewRelation("r", []*dataset.Column{
@@ -222,13 +224,16 @@ func TestDeltaSpaceChangedFallback(t *testing.T) {
 	if baseSpace.SameStructure(space) {
 		t.Fatal("append did not change the space; fallback case is vacuous")
 	}
-	if _, _, err := prev.ApplyDelta(space, nil); !errors.Is(err, evidence.ErrSpaceChanged) {
+	if _, _, err := (evidence.ClusterBuilder{}).Delta(prev, space); !errors.Is(err, evidence.ErrSpaceChanged) {
 		t.Fatalf("err = %v, want ErrSpaceChanged", err)
 	}
 }
 
 // TestDeltaDegenerateBases: zero-row appends return the base unchanged;
-// sampled/partial and shrunk bases are rejected.
+// sampled, partial and shrunk bases are rejected. The real sample's
+// evidence has the pair total of a full relation of its size, and
+// without cross-column predicates its space has the grown relation's
+// structure, so only the rows themselves tell it apart.
 func TestDeltaDegenerateBases(t *testing.T) {
 	full, err := datagen.ByName("adult", 30, 1)
 	if err != nil {
@@ -240,23 +245,43 @@ func TestDeltaDegenerateBases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, st, err := prev.ApplyDelta(space, nil)
+	var b evidence.ClusterBuilder
+	same, st, err := b.Delta(prev, space)
 	if err != nil || same != prev || st.AppendedRows != 0 {
 		t.Fatalf("zero-append: got (%p, %+v, %v), want the base set back", same, st, err)
 	}
 
-	sampled := *prev
-	sampled.TotalPairs -= 2
-	if _, _, err := sampled.ApplyDelta(space, nil); err == nil {
+	partial := *prev
+	partial.TotalPairs -= 2
+	if _, _, err := b.Delta(&partial, space); err == nil {
+		t.Fatal("partial base accepted")
+	}
+
+	stock, err := datagen.ByName("stock", 400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sopts := predicate.Options{MinShared: 0.3, SingleTuple: true}
+	sample := stock.Rel.Sample(0.25, rand.New(rand.NewSource(3)))
+	sampleSpace := predicate.Build(sample, sopts)
+	stockSpace := predicate.Build(stock.Rel, sopts)
+	if !sampleSpace.SameStructure(stockSpace) {
+		t.Fatal("sample's space differs in structure; the sampled case is vacuous")
+	}
+	sampled, err := evidence.ClusterBuilder{}.Build(sampleSpace, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.Delta(sampled, stockSpace); err == nil {
 		t.Fatal("sampled base accepted")
 	}
 
 	shrunk := prefix(full.Rel, 10)
-	if _, _, err := prev.ApplyDelta(predicate.Build(shrunk, popts), nil); err == nil {
+	if _, _, err := b.Delta(prev, predicate.Build(shrunk, popts)); err == nil {
 		t.Fatal("shrunk relation accepted")
 	}
 
-	if _, _, err := evidence.FromSets(nil, nil, 5, 20).ApplyDelta(space, nil); err == nil {
+	if _, _, err := b.Delta(evidence.FromSets(nil, nil, 5, 20), space); err == nil {
 		t.Fatal("space-less base accepted")
 	}
 }

@@ -15,8 +15,9 @@
 // weighted super-rows, processed in rank-sorted, cache-sized tiles.
 // NaiveBuilder evaluates every predicate on every ordered pair, as in
 // FASTDC (Chu et al.); it is the correctness oracle and the
-// evidence-cost baseline. Set.ApplyDelta maintains an evidence set
-// across appends.
+// evidence-cost baseline. ClusterBuilder.Delta maintains an evidence set
+// across appends with the same kernel, run over the pairs that touch an
+// appended row.
 package evidence
 
 import (
@@ -98,8 +99,6 @@ func (s *Set) CountOf(k int) int64 { return s.Counts[k] }
 // Builder constructs the evidence set of the relation underlying a
 // predicate space.
 type Builder interface {
-	// Name identifies the builder in benchmarks and experiment output.
-	Name() string
 	// Build constructs Evi(D). When withVios is set, per-tuple
 	// participation counts are recorded (needed by f2 and greedy f3).
 	Build(space *predicate.Space, withVios bool) (*Set, error)
@@ -163,9 +162,6 @@ func (a *accumulator) finish() *Set { return a.out }
 // NaiveBuilder evaluates each predicate on each ordered pair, as in
 // FASTDC. Quadratic in |D| and linear in |P| per pair.
 type NaiveBuilder struct{}
-
-// Name implements Builder.
-func (NaiveBuilder) Name() string { return "naive" }
 
 // Build implements Builder.
 func (NaiveBuilder) Build(space *predicate.Space, withVios bool) (*Set, error) {

@@ -101,7 +101,7 @@ func FuzzBuildersAgree(f *testing.F) {
 		for _, b := range builders {
 			got, err := b.Build(space, withVios)
 			if err != nil {
-				t.Fatalf("%s: %v", b.Name(), err)
+				t.Fatalf("%T: %v", b, err)
 			}
 			requireSameEvidence(t, naive, got, withVios)
 		}

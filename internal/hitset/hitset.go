@@ -78,12 +78,6 @@ type Options struct {
 	// Uno suggest. The default (false) picks the maximum intersection,
 	// the paper's improvement evaluated in Figure 10.
 	ChooseMinIntersection bool
-	// KeepOperatorVariants retains predicates over the same attribute
-	// pair as a chosen predicate in the candidate list. The default
-	// (false) removes them, as in Section 6.2, avoiding trivial DCs like
-	// not(t.A < t'.A and t.A >= t'.A). Ignored when the evidence set has
-	// no predicate space.
-	KeepOperatorVariants bool
 	// MaxPredicates bounds the hitting-set size (DC length); 0 means
 	// unbounded.
 	MaxPredicates int
@@ -560,9 +554,11 @@ func (st *state) updateCanHit() {
 }
 
 // removeOperatorVariants drops from cand all predicates that differ
-// from e only by operator (Section 6.2), returning the removed ones.
+// from e only by operator (Section 6.2), avoiding trivial DCs like
+// not(t.A < t'.A and t.A >= t'.A), and returns the removed ones. An
+// evidence set without a predicate space has no operator variants.
 func (st *state) removeOperatorVariants(e int) []int {
-	if st.ev.Space == nil || st.opts.KeepOperatorVariants {
+	if st.ev.Space == nil {
 		return nil
 	}
 	var removed []int

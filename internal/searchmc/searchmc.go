@@ -41,9 +41,6 @@ type Options struct {
 	Epsilon float64
 	// MaxPredicates bounds cover size; 0 means unbounded.
 	MaxPredicates int
-	// KeepOperatorVariants retains same-attribute-pair operator variants
-	// in deeper candidate lists (default false, matching ADCEnum).
-	KeepOperatorVariants bool
 }
 
 type searcher struct {
@@ -171,7 +168,7 @@ func (s *searcher) search(cands, uncovered []int) {
 }
 
 func (s *searcher) keep(chosen, other int) bool {
-	if s.ev.Space == nil || s.opts.KeepOperatorVariants {
+	if s.ev.Space == nil {
 		return true
 	}
 	for _, m := range s.ev.Space.GroupMembers(chosen) {
