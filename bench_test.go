@@ -332,9 +332,10 @@ func BenchmarkIngestSerial(b *testing.B)    { benchIngest(b, 1) }
 func BenchmarkIngestParallel8(b *testing.B) { benchIngest(b, 8) }
 
 // BenchmarkPLIBuild isolates the indexing half: all-column PLI
-// construction (counting sort for strings, slices.SortFunc rank
-// permutation for numerics) on the already-parsed relation, serial, so
-// the stage table can report parse and index costs separately.
+// construction (a counting sort over dictionary codes for strings,
+// clusters carved from the radix value ordering, pli.Order, for
+// numerics) on the already-parsed relation, serial, so the stage table
+// can report parse and index costs separately.
 func BenchmarkPLIBuild(b *testing.B) {
 	rel, err := dataset.ReadCSVOptions(bytes.NewReader(ingestCSVOnce()), "adult", true,
 		dataset.IngestOptions{})

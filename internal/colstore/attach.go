@@ -3,8 +3,6 @@ package colstore
 import (
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"sync/atomic"
@@ -85,11 +83,9 @@ func ReadMeta(path string) (*FileInfo, error) {
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return nil, corruptf("file shorter than the %d-byte header", fileHeaderLen)
 	}
-	if string(hdr[:4]) != Magic {
-		return nil, corruptf("bad magic %q", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != Version {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrVersion, v, Version)
+	version, err := fileVersion(hdr[:])
+	if err != nil {
+		return nil, err
 	}
 
 	info := &FileInfo{SizeBytes: st.Size()}
@@ -118,9 +114,7 @@ func ReadMeta(path string) (*FileInfo, error) {
 			if _, err := f.ReadAt(payload, off+sectionHeaderLen); err != nil {
 				return nil, corruptf("section at %d is truncated", off)
 			}
-			h := fnv.New64a()
-			h.Write(payload) //nolint:errcheck // hash.Hash never errors
-			if h.Sum64() != sum {
+			if sectionSum(version, payload) != sum {
 				return nil, corruptf("section at %d fails its checksum", off)
 			}
 			switch kind {

@@ -6,12 +6,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"adc/internal/datagen"
@@ -200,7 +200,6 @@ func TestRoundTripIngestedRelation(t *testing.T) {
 // regenerate with -update.
 func TestGoldenFormatStable(t *testing.T) {
 	data := encodeSnapshot(t, smallSnapshot(t))
-	goldenPath := filepath.Join("testdata", "golden_small.adcs")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -220,18 +219,26 @@ func TestGoldenFormatStable(t *testing.T) {
 }
 
 // writeFuzzCorpus refreshes the seed corpora under testdata/fuzz from
-// the golden snapshot bytes.
+// the golden snapshot bytes, and from the version-1 golden, which this
+// package can no longer write.
 func writeFuzzCorpus(t testing.TB, golden []byte) {
 	t.Helper()
 	decodeDir := filepath.Join("testdata", "fuzz", "FuzzSnapshotDecode")
 	if err := os.MkdirAll(decodeDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	v1, err := os.ReadFile(goldenV1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seeds := map[string][]byte{
-		"seed_golden":    golden,
-		"seed_truncated": golden[:len(golden)/2],
-		"seed_header":    golden[:fileHeaderLen],
-		"seed_empty":     {},
+		"seed_golden":       v1,
+		"seed_truncated":    v1[:len(v1)/2],
+		"seed_header":       v1[:fileHeaderLen],
+		"seed_golden_v2":    golden,
+		"seed_truncated_v2": golden[:len(golden)/2],
+		"seed_header_v2":    golden[:fileHeaderLen],
+		"seed_empty":        {},
 	}
 	for name, data := range seeds {
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
@@ -248,6 +255,123 @@ func writeFuzzCorpus(t testing.TB, golden []byte) {
 		if err := os.WriteFile(filepath.Join(rtDir, fmt.Sprintf("seed_%d", seed)), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// goldenPath holds smallSnapshot in format Version, and goldenV1Path
+// as version 1 wrote it, with FNV-64a section checksums: the bytes
+// TestGoldenFormatStable pinned before version 2.
+var (
+	goldenPath   = filepath.Join("testdata", "golden_small.adcs")
+	goldenV1Path = filepath.Join("testdata", "golden_small_v1.adcs")
+)
+
+// readers are the paths that read a whole snapshot file.
+var readers = map[string]func(string) (*Snapshot, error){"Load": Load, "Attach": Attach}
+
+// TestVersion1StillReads pins that the version-1 golden and the
+// version-2 golden restore to the same snapshot by Load, Attach and
+// ReadMeta, and that re-writing the version-1 file gives the version-2
+// golden byte for byte.
+func TestVersion1StillReads(t *testing.T) {
+	want := smallSnapshot(t)
+	for _, tc := range []struct {
+		path    string
+		version uint32
+	}{{goldenV1Path, 1}, {goldenPath, Version}} {
+		data, err := os.ReadFile(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint32(data[4:8]); v != tc.version {
+			t.Fatalf("%s: header version %d, want %d", tc.path, v, tc.version)
+		}
+		for name, read := range readers {
+			snap, err := read(tc.path)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, tc.path, err)
+			}
+			assertSnapEqual(t, name+" "+tc.path, snap, want)
+		}
+		info, err := ReadMeta(tc.path)
+		if err != nil {
+			t.Fatalf("ReadMeta %s: %v", tc.path, err)
+		}
+		if info.Relation != "small" || info.Rows != 9 || info.Columns != 4 || !reflect.DeepEqual(info.Meta, want.Meta) {
+			t.Errorf("ReadMeta %s = %+v", tc.path, info)
+		}
+		snap, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeSnapshot(t, snap), golden) {
+			t.Errorf("%s re-written differs from the version-%d golden", tc.path, Version)
+		}
+	}
+}
+
+// TestSectionChecksums pins which checksum each version verifies. A
+// flipped payload byte fails the version-1 golden through FNV-64a and
+// passes once the section is re-summed with FNV-64a. In the version-2
+// golden each CRC half catches it alone: re-summing only one half
+// still fails, re-summing both passes.
+func TestSectionChecksums(t *testing.T) {
+	name := fileHeaderLen + sectionHeaderLen + 24 // relation payload: rows, columns, name length; then the name
+	check := func(label string, data []byte, want error) {
+		t.Helper()
+		if _, err := Decode(data); !errors.Is(err, want) {
+			t.Errorf("%s: Decode got %v, want %v", label, err, want)
+		}
+		path := filepath.Join(t.TempDir(), "s.adcs")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for rname, read := range readers {
+			if _, err := read(path); !errors.Is(err, want) {
+				t.Errorf("%s: %s got %v, want %v", label, rname, err, want)
+			}
+		}
+		if _, err := ReadMeta(path); !errors.Is(err, want) {
+			t.Errorf("%s: ReadMeta got %v, want %v", label, err, want)
+		}
+	}
+	flip := func(path string) []byte {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data[name:name+5]) != "small" {
+			t.Fatalf("test setup: %s holds %q where the relation name should be", path, data[name:name+5])
+		}
+		data[name] ^= 0x01 // "small" becomes "rmall"
+		return data
+	}
+
+	v1 := flip(goldenV1Path)
+	check("v1 flipped", v1, ErrCorrupt)
+	resum(v1, fileHeaderLen)
+	check("v1 re-summed by FNV-64a", v1, nil)
+
+	v2 := flip(goldenPath)
+	check("v2 flipped", v2, ErrCorrupt)
+	stored := binary.LittleEndian.Uint64(v2[fileHeaderLen+16:])
+	resum(v2, fileHeaderLen)
+	fresh := binary.LittleEndian.Uint64(v2[fileHeaderLen+16:])
+	for _, tc := range []struct {
+		label string
+		sum   uint64
+		want  error
+	}{
+		{"v2 CRC-32C re-summed, CRC-32 stale", fresh&^0xFFFFFFFF | stored&0xFFFFFFFF, ErrCorrupt},
+		{"v2 CRC-32 re-summed, CRC-32C stale", stored&^0xFFFFFFFF | fresh&0xFFFFFFFF, ErrCorrupt},
+		{"v2 both halves re-summed", fresh, nil},
+	} {
+		binary.LittleEndian.PutUint64(v2[fileHeaderLen+16:], tc.sum)
+		check(tc.label, v2, tc.want)
 	}
 }
 
@@ -272,6 +396,8 @@ func TestCorruption(t *testing.T) {
 		{name: "truncated mid section header", mutate: func(b []byte) []byte { return b[:fileHeaderLen+7] }, want: ErrCorrupt},
 		{name: "bad magic", mutate: func(b []byte) []byte { b[0] ^= 0xFF; return b }, want: ErrCorrupt},
 		{name: "version skew", mutate: func(b []byte) []byte { b[4] = 99; return b }, want: ErrVersion},
+		{name: "version 3", mutate: func(b []byte) []byte { b[4] = 3; return b }, want: ErrVersion},
+		{name: "version 0", mutate: func(b []byte) []byte { b[4] = 0; return b }, want: ErrVersion},
 		{name: "flipped payload bit", mutate: func(b []byte) []byte { b[firstPayload+2] ^= 0x10; return b }, want: ErrCorrupt},
 		{name: "flipped checksum bit", mutate: func(b []byte) []byte { b[fileHeaderLen+16] ^= 0x01; return b }, want: ErrCorrupt},
 		{name: "nonzero reserved", mutate: func(b []byte) []byte { b[fileHeaderLen+4] = 1; return b }, want: ErrCorrupt},
@@ -475,13 +601,14 @@ func legacySection(t *testing.T, data []byte, kind uint32, j uint32) (int, []byt
 	return 0, nil
 }
 
-// resum recomputes the checksum of the section at off, so an altered
-// payload is rejected by the decoder's own checks, not the checksum.
+// resum recomputes the checksum of the section at off with the
+// checksum of the file's version, so an altered payload is rejected by
+// the decoder's own checks, not the checksum.
 func resum(data []byte, off int) {
 	plen := int(binary.LittleEndian.Uint64(data[off+8:]))
-	h := fnv.New64a()
-	h.Write(data[off+sectionHeaderLen : off+sectionHeaderLen+plen])
-	binary.LittleEndian.PutUint64(data[off+16:], h.Sum64())
+	version := binary.LittleEndian.Uint32(data[4:8])
+	sum := sectionSum(version, data[off+sectionHeaderLen:off+sectionHeaderLen+plen])
+	binary.LittleEndian.PutUint64(data[off+16:], sum)
 }
 
 // TestLegacyCodeMapSnapshot pins compatibility with snapshots whose
@@ -507,8 +634,10 @@ func TestLegacyCodeMapSnapshot(t *testing.T) {
 	if _, payload := legacySection(t, data, secPLI, 0); binary.LittleEndian.Uint32(payload[24:]) != 1 {
 		t.Fatalf("test setup: the city index of %s carries no code map", path)
 	}
-	loaders := map[string]func(string) (*Snapshot, error){"Load": Load, "Attach": Attach}
-	for name, load := range loaders {
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != 1 {
+		t.Fatalf("test setup: %s is version %d, want 1", path, v)
+	}
+	for name, load := range readers {
 		snap, err := load(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -552,11 +681,46 @@ func TestLegacyCodeMapSnapshot(t *testing.T) {
 		if err := os.WriteFile(p, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for name, load := range loaders {
+		for name, load := range readers {
 			_, err := load(p)
 			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.msg) {
 				t.Errorf("%s, %s: got %v, want ErrCorrupt about %q", tc.name, name, err, tc.msg)
 			}
 		}
+	}
+}
+
+// adultSnapshot is the bytes of a 20,000-row adult snapshot with every
+// index built, the input of the section checksum benchmarks.
+var adultSnapshot = sync.OnceValue(func() []byte {
+	d, err := datagen.ByName("adult", 20000, 1)
+	if err != nil {
+		panic(err)
+	}
+	store := pli.NewStore(d.Rel.Columns)
+	store.Warm(nil, 0)
+	var buf bytes.Buffer
+	if err := Write(&buf, &Snapshot{Relation: d.Rel, Indexes: store.Snapshot()}); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+})
+
+// BenchmarkSectionSumCRC checksums the adult snapshot's bytes as
+// version 2 does; CI gates it at five times faster than
+// BenchmarkSectionSumFNV, version 1's FNV-64a over the same bytes.
+func BenchmarkSectionSumCRC(b *testing.B) { benchSectionSum(b, Version) }
+
+func BenchmarkSectionSumFNV(b *testing.B) { benchSectionSum(b, 1) }
+
+// sumSink keeps the benchmarked checksums live.
+var sumSink uint64
+
+func benchSectionSum(b *testing.B, version uint32) {
+	data := adultSnapshot()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sumSink = sectionSum(version, data)
 	}
 }

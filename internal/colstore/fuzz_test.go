@@ -101,7 +101,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // panic or over-allocate, and whatever it accepts must re-encode and
 // decode to the same snapshot.
 func FuzzSnapshotDecode(f *testing.F) {
-	if data, err := os.ReadFile(filepath.Join("testdata", "golden_small.adcs")); err == nil {
+	if data, err := os.ReadFile(goldenPath); err == nil {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 		f.Add(data[:fileHeaderLen])
@@ -110,6 +110,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(Magic))
 	if data, err := os.ReadFile(filepath.Join("testdata", "legacy_codemap.adcs")); err == nil {
 		f.Add(data) // an identity code map, as earlier builds wrote
+	}
+	if data, err := os.ReadFile(goldenV1Path); err == nil {
+		f.Add(data) // FNV-64a section checksums, as version 1 wrote
+		f.Add(data[:len(data)/2])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(data)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"unsafe"
@@ -171,11 +170,9 @@ func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < fileHeaderLen {
 		return nil, corruptf("file shorter than the %d-byte header", fileHeaderLen)
 	}
-	if string(data[:4]) != Magic {
-		return nil, corruptf("bad magic %q", data[:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != Version {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrVersion, v, Version)
+	version, err := fileVersion(data)
+	if err != nil {
+		return nil, err
 	}
 
 	var (
@@ -206,9 +203,7 @@ func Decode(data []byte) (*Snapshot, error) {
 			return nil, corruptf("section at %d claims %d payload bytes, %d remain", off, plen, len(data)-off-sectionHeaderLen)
 		}
 		payload := data[off+sectionHeaderLen : off+sectionHeaderLen+int(plen)]
-		h := fnv.New64a()
-		h.Write(payload) //nolint:errcheck // hash.Hash never errors
-		if h.Sum64() != sum {
+		if sectionSum(version, payload) != sum {
 			return nil, corruptf("section at %d fails its checksum", off)
 		}
 		padded := (int(plen) + 7) &^ 7

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"path/filepath"
@@ -60,15 +59,13 @@ func (e *enc) int32s(v []int32) {
 }
 
 // writeSection frames one payload: header (kind, reserved, length,
-// FNV-64a checksum), payload, zero padding to an 8-byte boundary.
+// checksum), payload, zero padding to an 8-byte boundary.
 func writeSection(w io.Writer, kind uint32, payload []byte) error {
-	h := fnv.New64a()
-	h.Write(payload) //nolint:errcheck // hash.Hash never errors
 	var hdr [sectionHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], kind)
 	binary.LittleEndian.PutUint32(hdr[4:], 0)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[16:], h.Sum64())
+	binary.LittleEndian.PutUint64(hdr[16:], sectionSum(Version, payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}

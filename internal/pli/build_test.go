@@ -1,48 +1,28 @@
 package pli
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"adc/internal/datagen"
 	"adc/internal/dataset"
 )
 
-// forColumnRef is the historical ForColumn: reflection-based sort.Slice
-// for numerics, map-based renumbering for strings. The rewrite must
-// reproduce it exactly, up to intra-cluster row order (made canonical —
-// ascending — by the rewrite; the reference's tie order was whatever
-// sort.Slice produced).
+// forColumnRef is ForColumn's oracle: the comparator sort for
+// numerics (forNumericColumnSort) and map-based renumbering for
+// strings.
 func forColumnRef(c *dataset.Column) *Index {
-	n := c.Len()
-	idx := &Index{ClusterOf: make([]int32, n), Numeric: c.Type.Numeric()}
-	if idx.Numeric {
-		vals := make([]float64, n)
-		for i := 0; i < n; i++ {
-			vals[i] = c.Num(i)
-		}
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
-		cluster := int32(-1)
-		var prev float64
-		for k, row := range order {
-			if k == 0 || vals[row] != prev {
-				cluster++
-				idx.Clusters = append(idx.Clusters, nil)
-				idx.NumKeys = append(idx.NumKeys, vals[row])
-				prev = vals[row]
-			}
-			idx.ClusterOf[row] = cluster
-			idx.Clusters[cluster] = append(idx.Clusters[cluster], int32(row))
-		}
-		idx.NumClusters = len(idx.Clusters)
-		return idx
+	if c.Type.Numeric() {
+		return forNumericColumnSort(c)
 	}
+	n := c.Len()
+	idx := &Index{ClusterOf: make([]int32, n)}
 	remap := make(map[int32]int32)
 	for i := 0; i < n; i++ {
 		code := c.Codes[i]
@@ -57,6 +37,217 @@ func forColumnRef(c *dataset.Column) *Index {
 	}
 	idx.NumClusters = len(idx.Clusters)
 	return idx
+}
+
+// forNumericColumnSort is the comparator-sort numeric index the radix
+// ordering replaced, kept as its oracle: a rank permutation sorted with
+// slices.SortFunc, NaNs first by row, ties by row, clusters carved from
+// the sorted permutation.
+func forNumericColumnSort(c *dataset.Column) *Index {
+	n := c.Len()
+	idx := &Index{ClusterOf: make([]int32, n), Numeric: true}
+	vals := make([]float64, n)
+	for i := 0; i < n; i++ {
+		vals[i] = c.Num(i)
+	}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		va, vb := vals[a], vals[b]
+		switch {
+		case va < vb:
+			return -1
+		case va > vb:
+			return 1
+		}
+		if aNaN, bNaN := va != va, vb != vb; aNaN != bNaN {
+			if aNaN {
+				return -1
+			}
+			return 1
+		}
+		return int(a) - int(b)
+	})
+	cluster := int32(-1)
+	start := 0
+	var prev float64
+	for k, row := range order {
+		if k == 0 || vals[row] != prev {
+			if k > 0 {
+				idx.Clusters[cluster] = order[start:k:k]
+			}
+			cluster++
+			start = k
+			idx.Clusters = append(idx.Clusters, nil)
+			idx.NumKeys = append(idx.NumKeys, vals[row])
+			prev = vals[row]
+		}
+		idx.ClusterOf[row] = cluster
+	}
+	if n > 0 {
+		idx.Clusters[cluster] = order[start:n:n]
+	}
+	idx.NumClusters = len(idx.Clusters)
+	return idx
+}
+
+// mergedRanksSort is MergedRanks as it was before the radix ordering,
+// kept as its oracle: the non-NaN values of both columns sorted with
+// sort.Float64s and deduplicated, every row binary-searched among them,
+// NaN occurrences numbered first, a's then b's.
+func mergedRanksSort(a, b *dataset.Column) (ra, rb []int32) {
+	vals := make([]float64, 0, a.Len()+b.Len())
+	nans := 0
+	for _, c := range []*dataset.Column{a, b} {
+		for i := 0; i < c.Len(); i++ {
+			if v := c.Num(i); v == v {
+				vals = append(vals, v)
+			} else {
+				nans++
+			}
+		}
+	}
+	sort.Float64s(vals)
+	distinct := vals[:0]
+	for i, v := range vals {
+		if i == 0 || v != vals[i-1] {
+			distinct = append(distinct, v)
+		}
+	}
+	nextNaN := int32(0)
+	rank := func(v float64) int32 {
+		if v != v {
+			nextNaN++
+			return nextNaN - 1
+		}
+		return int32(nans + sort.SearchFloat64s(distinct, v))
+	}
+	ra = make([]int32, a.Len())
+	for i := range ra {
+		ra[i] = rank(a.Num(i))
+	}
+	rb = make([]int32, b.Len())
+	for i := range rb {
+		rb[i] = rank(b.Num(i))
+	}
+	return ra, rb
+}
+
+// orderingColumns returns numeric columns of n rows in the shapes the
+// radix ordering must get right: several NaNs, mixed −0 and +0, ±Inf,
+// heavy duplicates, keys differing only in their lowest or highest
+// bytes, and Int values beyond ±2^53, which order by their float64
+// images (2^53 and 2^53+1 are one value there).
+func orderingColumns(rng *rand.Rand, n int) []*dataset.Column {
+	nan, negZero, inf := math.NaN(), math.Copysign(0, -1), math.Inf(1)
+	floats := func(draw func() float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = draw()
+		}
+		return v
+	}
+	ints := func(draw func() int64) []int64 {
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = draw()
+		}
+		return v
+	}
+	specials := []float64{nan, negZero, 0, inf, -inf, 1, -1, 0.5, -0.5, math.MaxFloat64, -math.SmallestNonzeroFloat64}
+	return []*dataset.Column{
+		dataset.NewFloatColumn("specials", floats(func() float64 { return specials[rng.Intn(len(specials))] })),
+		dataset.NewFloatColumn("nans", floats(func() float64 {
+			if rng.Intn(3) == 0 {
+				return nan
+			}
+			return float64(rng.Intn(5) - 2)
+		})),
+		dataset.NewFloatColumn("zeros", floats(func() float64 { return []float64{negZero, 0}[rng.Intn(2)] })),
+		dataset.NewFloatColumn("dups", floats(func() float64 { return float64(rng.Intn(3)) * 1e6 })),
+		dataset.NewFloatColumn("wide", floats(func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20)) })),
+		dataset.NewFloatColumn("lowbytes", floats(func() float64 { return math.Float64frombits(0x4000_0000_0000_0000 | uint64(rng.Intn(1000))) })),
+		dataset.NewIntColumn("ints", ints(func() int64 { return int64(rng.Intn(200) - 100) })),
+		dataset.NewIntColumn("bigints", ints(func() int64 {
+			return []int64{1 << 53, 1<<53 + 1, 1<<53 + 2, -1 << 53, -1<<53 - 1, math.MaxInt64, math.MinInt64, 0}[rng.Intn(8)]
+		})),
+	}
+}
+
+// sameIndexBits requires got to equal want exactly: ClusterOf, every
+// cluster's rows in order, and NumKeys bit for bit, so that a ±0
+// cluster keeps the sign of its first row's value.
+func sameIndexBits(t *testing.T, label string, got, want *Index) {
+	t.Helper()
+	if !reflect.DeepEqual(got.ClusterOf, want.ClusterOf) || !reflect.DeepEqual(got.Clusters, want.Clusters) ||
+		got.NumClusters != want.NumClusters || got.Numeric != want.Numeric || len(got.NumKeys) != len(want.NumKeys) ||
+		(got.NumKeys == nil) != (want.NumKeys == nil) || (got.Clusters == nil) != (want.Clusters == nil) {
+		t.Fatalf("%s: index differs from the comparator oracle:\n got %+v\nwant %+v", label, got, want)
+	}
+	for k := range want.NumKeys {
+		if math.Float64bits(got.NumKeys[k]) != math.Float64bits(want.NumKeys[k]) {
+			t.Fatalf("%s: NumKeys[%d] = %v, oracle %v", label, k, got.NumKeys[k], want.NumKeys[k])
+		}
+	}
+}
+
+// TestForColumnMatchesSortOracle pins the radix-built numeric index to
+// the comparator oracle exactly, on every ordering shape at 0, 1, 2 and
+// more rows.
+func TestForColumnMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 2, 3, 17, 300, 5000} {
+		for trial := 0; trial < 4; trial++ {
+			for _, c := range orderingColumns(rng, n) {
+				sameIndexBits(t, fmt.Sprintf("%s n=%d", c.Name, n), ForColumn(c), forNumericColumnSort(c))
+			}
+		}
+	}
+}
+
+// TestOrderMatchesSortOracle: Order over a subset of rows, given in any
+// order, is the comparator sort of those rows, ties in the given order.
+func TestOrderMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 20; trial++ {
+		for _, c := range orderingColumns(rng, 1+rng.Intn(200)) {
+			rows := rng.Perm(c.Len())[:rng.Intn(c.Len()+1)]
+			in := make([]int32, len(rows))
+			for x, r := range rows {
+				in[x] = int32(r)
+			}
+			keep := slices.Clone(in)
+			want := slices.Clone(in)
+			slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(c.Num(int(a)), c.Num(int(b))) })
+			if got := Order(c, in); !slices.Equal(got, want) {
+				t.Fatalf("%s: Order = %v, want %v", c.Name, got, want)
+			}
+			if !slices.Equal(in, keep) {
+				t.Fatalf("%s: Order modified its rows", c.Name)
+			}
+		}
+	}
+}
+
+// TestMergedRanksMatchesSortOracle pins MergedRanks to the sort-based
+// ranks it replaced, across every pair of ordering shapes.
+func TestMergedRanksMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 2, 40, 700} {
+		as := orderingColumns(rng, n)
+		bs := orderingColumns(rng, max(n/2, 1))
+		for _, a := range as {
+			for _, b := range bs {
+				ra, rb := MergedRanks(a, b)
+				wa, wb := mergedRanksSort(a, b)
+				if !slices.Equal(ra, wa) || !slices.Equal(rb, wb) {
+					t.Fatalf("%s×%s n=%d: ranks %v %v, oracle %v %v", a.Name, b.Name, n, ra, rb, wa, wb)
+				}
+			}
+		}
+	}
 }
 
 func indexEqualCanonical(t *testing.T, label string, got, want *Index) {
@@ -102,8 +293,8 @@ func randomColumns(rng *rand.Rand, n int) []*dataset.Column {
 }
 
 // TestForColumnMatchesReference cross-checks the counting-sort string
-// path and the slices.SortFunc numeric path against the historical
-// implementation on random columns.
+// path and the radix numeric path against forColumnRef on random
+// columns.
 func TestForColumnMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 40; trial++ {
@@ -237,6 +428,41 @@ func benchColumn(kind string, n int) *dataset.Column {
 			v[i] = "v" + string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
 		}
 		return dataset.NewStringColumn("s", v)
+	}
+}
+
+// adultNumeric returns the numeric columns of the 20,000-row adult
+// table the root benchmarks ingest.
+func adultNumeric(b *testing.B) []*dataset.Column {
+	d, err := datagen.ByName("adult", 20000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cols []*dataset.Column
+	for _, c := range d.Rel.Columns {
+		if c.Type.Numeric() {
+			cols = append(cols, c)
+		}
+	}
+	return cols
+}
+
+// BenchmarkPLIBuildNumericAdult indexes adult's numeric columns from
+// the radix ordering; CI gates it at three times faster than
+// BenchmarkPLIBuildNumericSortAdult, the comparator oracle on the same
+// columns.
+func BenchmarkPLIBuildNumericAdult(b *testing.B) { benchNumericBuild(b, ForColumn) }
+
+func BenchmarkPLIBuildNumericSortAdult(b *testing.B) { benchNumericBuild(b, forNumericColumnSort) }
+
+func benchNumericBuild(b *testing.B, build func(*dataset.Column) *Index) {
+	cols := adultNumeric(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cols {
+			build(c)
+		}
 	}
 }
 

@@ -10,8 +10,6 @@ package pli
 
 import (
 	"runtime"
-	"slices"
-	"sort"
 
 	"adc/internal/dataset"
 	"adc/internal/par"
@@ -44,65 +42,37 @@ func ForColumn(c *dataset.Column) *Index {
 	return forStringColumn(c)
 }
 
-// forNumericColumn dense-ranks rows by value via a rank permutation
-// sorted with slices.SortFunc (the reflection-based sort.Slice was the
-// hottest call in cold index builds). Ties break by row index, so equal
-// values list their rows in ascending order deterministically.
+// forNumericColumn dense-ranks rows by value and carves the clusters
+// out of the radix ordering (Order): equal keys are adjacent, ties in
+// row order, and each NaN row, sorted first, is a cluster of its own.
 func forNumericColumn(c *dataset.Column) *Index {
 	n := c.Len()
 	idx := &Index{ClusterOf: make([]int32, n), Numeric: true}
-	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = c.Num(i)
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		va, vb := vals[a], vals[b]
-		switch {
-		case va < vb:
-			return -1
-		case va > vb:
-			return 1
+	keys, order := sortedKeys(c, identity(n))
+	for x := range keys {
+		if startsValue(keys, x) {
+			idx.NumClusters++
 		}
-		// Equal, or at least one NaN. NaNs order before every number
-		// (and by row among themselves) so the comparator stays a
-		// strict weak order — a naive tie-break here would interleave
-		// NaNs with numbers and split equal values across clusters.
-		if aNaN, bNaN := va != va, vb != vb; aNaN != bNaN {
-			if aNaN {
-				return -1
-			}
-			return 1
-		}
-		return int(a) - int(b)
-	})
-	// Rows with equal values are adjacent in order; carve the cluster
-	// membership lists out of one backing array.
-	buf := make([]int32, n)
-	copy(buf, order)
+	}
+	if n == 0 {
+		return idx
+	}
+	idx.Clusters = make([][]int32, idx.NumClusters)
+	idx.NumKeys = make([]float64, idx.NumClusters)
 	cluster := int32(-1)
 	start := 0
-	var prev float64
-	for k, row := range order {
-		if k == 0 || vals[row] != prev {
-			if k > 0 {
-				idx.Clusters[cluster] = buf[start:k:k]
+	for x, row := range order {
+		if startsValue(keys, x) {
+			if x > 0 {
+				idx.Clusters[cluster] = order[start:x:x]
 			}
 			cluster++
-			start = k
-			idx.Clusters = append(idx.Clusters, nil)
-			idx.NumKeys = append(idx.NumKeys, vals[row])
-			prev = vals[row]
+			start = x
+			idx.NumKeys[cluster] = c.Num(int(row))
 		}
 		idx.ClusterOf[row] = cluster
 	}
-	if n > 0 {
-		idx.Clusters[cluster] = buf[start:n:n]
-	}
-	idx.NumClusters = len(idx.Clusters)
+	idx.Clusters[cluster] = order[start:n:n]
 	return idx
 }
 
@@ -115,17 +85,10 @@ func forNumericColumn(c *dataset.Column) *Index {
 func forStringColumn(c *dataset.Column) *Index {
 	n := c.Len()
 	codes := c.Codes
-	// Verify dense first-occurrence numbering in one pass: every code
-	// is either already seen (< next) or exactly the next fresh id.
-	next := int32(0)
-	for _, code := range codes {
-		if code == next {
-			next++
-		} else if code < 0 || code > next {
-			return stringIndexSlow(c)
-		}
+	numClusters, ok := denseCodes(codes)
+	if !ok {
+		return stringIndexSlow(c)
 	}
-	numClusters := int(next)
 	idx := &Index{
 		ClusterOf:   make([]int32, n),
 		Clusters:    make([][]int32, numClusters),
@@ -152,6 +115,21 @@ func forStringColumn(c *dataset.Column) *Index {
 		starts[code]++
 	}
 	return idx
+}
+
+// denseCodes reports whether codes number their values densely in
+// first-occurrence order, every code either one already seen or the
+// next fresh one, and returns how many values they number.
+func denseCodes(codes []int32) (int, bool) {
+	next := int32(0)
+	for _, code := range codes {
+		if code == next {
+			next++
+		} else if code < 0 || code > next {
+			return 0, false
+		}
+	}
+	return int(next), true
 }
 
 // stringIndexSlow renumbers arbitrary codes densely in first-appearance
@@ -224,58 +202,33 @@ func (idx *Index) MemBytes() int64 {
 
 // MergedRanks dense-ranks two numeric columns within their merged value
 // domain, so that comparing row i of a against row j of b reduces to
-// comparing ra[i] with rb[j]. Both columns must be numeric.
+// comparing ra[i] with rb[j]. Both columns must be numeric. The ranks
+// come from one radix ordering of a's rows followed by b's.
 //
 // NaN occurrences follow the per-column index contract (ForColumn, as
 // pinned by TestForColumnNaN): every NaN ranks before every number and
-// each occurrence gets its own unique rank, so ra[i] == rb[j] never
-// holds when either side is NaN — matching Operator.EvalNum, under
-// which NaN equals nothing, itself included. (sort.SearchFloat64s
-// would instead send every NaN to the same out-of-range rank, making
-// all NaNs spuriously equal to each other.)
+// each occurrence gets its own unique rank, a's rows first, then b's,
+// so ra[i] == rb[j] never holds when either side is NaN — matching
+// Operator.EvalNum, under which NaN equals nothing, itself included.
+// Appending rows never reorders existing occurrences, so rank
+// comparisons between old rows are stable across appends — the
+// property the evidence delta path relies on.
 func MergedRanks(a, b *dataset.Column) (ra, rb []int32) {
-	vals := make([]float64, 0, a.Len()+b.Len())
-	nans := 0
-	for _, c := range []*dataset.Column{a, b} {
-		for i := 0; i < c.Len(); i++ {
-			if v := c.Num(i); v == v {
-				vals = append(vals, v)
-			} else {
-				nans++
-			}
+	na, nb := a.Len(), b.Len()
+	keys := make([]uint64, na+nb)
+	rows := identity(max(na, nb))
+	fillKeys(keys[:na], a, rows[:na])
+	fillKeys(keys[na:], b, rows[:nb])
+	keys, pos := radixSort(keys, identity(na+nb))
+	ranks := make([]int32, na+nb)
+	rank := int32(-1)
+	for x, p := range pos {
+		if startsValue(keys, x) {
+			rank++
 		}
+		ranks[p] = rank
 	}
-	sort.Float64s(vals)
-	distinct := vals[:0]
-	for i, v := range vals {
-		if i == 0 || v != vals[i-1] {
-			distinct = append(distinct, v)
-		}
-	}
-	// Ranks 0..nans-1 are the NaN occurrences (a's rows first, then
-	// b's, each unique); real values start at nans. Appending rows
-	// never reorders existing occurrences, so rank comparisons between
-	// old rows are stable across appends — the property the evidence
-	// delta path relies on.
-	nextNaN := int32(0)
-	base := int32(nans)
-	rank := func(v float64) int32 {
-		if v != v {
-			r := nextNaN
-			nextNaN++
-			return r
-		}
-		return base + int32(sort.SearchFloat64s(distinct, v))
-	}
-	ra = make([]int32, a.Len())
-	for i := range ra {
-		ra[i] = rank(a.Num(i))
-	}
-	rb = make([]int32, b.Len())
-	for i := range rb {
-		rb[i] = rank(b.Num(i))
-	}
-	return ra, rb
+	return ranks[:na:na], ranks[na:]
 }
 
 // MergedCodes assigns shared equality codes to two string columns so

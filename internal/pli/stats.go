@@ -83,15 +83,26 @@ func statsFromColumn(c *dataset.Column) ColStats {
 		}
 		return st
 	}
-	freq := make(map[int32]int, 64)
-	for _, code := range c.Codes {
-		freq[code]++
-	}
-	st.Distinct = len(freq)
-	for _, m := range freq {
-		if m > st.MaxCluster {
-			st.MaxCluster = m
+	// A dictionary column's codes are dense, so their counts fit an
+	// array; a hand-built column's arbitrary codes take a map.
+	var counts []int32
+	if d, ok := denseCodes(c.Codes); ok {
+		counts = make([]int32, d)
+		for _, code := range c.Codes {
+			counts[code]++
 		}
+	} else {
+		freq := make(map[int32]int32, 64)
+		for _, code := range c.Codes {
+			freq[code]++
+		}
+		for _, m := range freq {
+			counts = append(counts, m)
+		}
+	}
+	st.Distinct = len(counts)
+	for _, m := range counts {
+		st.MaxCluster = max(st.MaxCluster, int(m))
 		st.EqPairs += int64(m) * int64(m-1)
 	}
 	return st

@@ -1,6 +1,7 @@
 package pli
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -135,5 +136,30 @@ func TestHistForRandomAgreement(t *testing.T) {
 		if hc, hw := cold.HistFor(0), warm.HistFor(0); !reflect.DeepEqual(hc, hw) {
 			t.Fatalf("seed %d: cold %+v != warm %+v", seed, hc, hw)
 		}
+	}
+}
+
+// TestStringStatsMatchIndex: a dictionary column's statistics, counted
+// in an array over its dense codes, equal Index.Stats, and so do a
+// hand-built column's arbitrary codes, which take the map.
+func TestStringStatsMatchIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{0, 1, 2, 50, 3000} {
+		for _, domain := range []int{1, 3, 40, 5000} {
+			v := make([]string, n)
+			for i := range v {
+				v[i] = fmt.Sprint(rng.Intn(domain))
+			}
+			c := dataset.NewStringColumn("s", v)
+			if got, want := statsFromColumn(c), ForColumn(c).Stats(); got != want {
+				t.Fatalf("n=%d domain=%d: column stats %+v, index stats %+v", n, domain, got, want)
+			}
+		}
+	}
+	hand := &dataset.Column{Name: "h", Type: dataset.String, Strings: []string{"x", "y", "x", "z", "x"}}
+	hand.Codes = []int32{7, -2, 7, 1 << 30, 7}
+	want := ColStats{Rows: 5, Distinct: 3, MaxCluster: 3, EqPairs: 6}
+	if got := statsFromColumn(hand); got != want || ForColumn(hand).Stats() != want {
+		t.Fatalf("hand-built codes: column stats %+v, index stats %+v, want %+v", got, ForColumn(hand).Stats(), want)
 	}
 }

@@ -2,7 +2,6 @@ package violation
 
 import (
 	"cmp"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -10,6 +9,7 @@ import (
 
 	"adc/internal/dataset"
 	"adc/internal/par"
+	"adc/internal/pli"
 	"adc/internal/predicate"
 )
 
@@ -114,20 +114,7 @@ func (k keyCol) key(r int32) (uint64, bool) {
 	if v != v {
 		return 0, false
 	}
-	return orderKey(v), true
-}
-
-// orderKey maps a number other than NaN to a key that sorts as the
-// number does, −0 and +0 to one key.
-func orderKey(v float64) uint64 {
-	if v == 0 {
-		v = 0 // −0 and +0 are one value
-	}
-	b := math.Float64bits(v)
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | 1<<63
+	return pli.OrderKey(v), true
 }
 
 // prepareCountPlan returns the DC's count phase, or nil when the DC is
@@ -235,7 +222,7 @@ func (cp *countPlan) eachGroup(workers int, fn func(w, k int)) {
 }
 
 // classKey is a key of the row or sweep point at position pos of a
-// group: an equality key, or an order key (orderKey).
+// group: an equality key, or an order key (pli.OrderKey).
 type classKey struct {
 	key uint64
 	pos int32
@@ -319,7 +306,7 @@ func (cp *countPlan) buildPoints(k int, sorted []int32, c1, c2 *dataset.Column, 
 				r1[x]++
 			}
 		}
-		buf = append(buf, classKey{key: orderKey(v2), pos: int32(x)})
+		buf = append(buf, classKey{key: pli.OrderKey(v2), pos: int32(x)})
 		x++
 	}
 	if c2 == c1 {

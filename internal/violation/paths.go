@@ -317,17 +317,7 @@ func prepareGroupPlan(cache *pliCache, cross []compiledPred, sels []float64) *gr
 		sel *= sels[driver]
 		gp.driver = &d
 		gp.driverA = rel.Columns[d.a]
-		bv := rel.Columns[d.b]
-		sides := gp.right
-		gp.right = make([][]int32, len(sides))
-		gp.vals = make([][]float64, len(sides))
-		for k, g := range sides {
-			gp.right[k] = sortByValue(g, bv)
-			gp.vals[k] = make([]float64, len(gp.right[k]))
-			for x, r := range gp.right[k] {
-				gp.vals[k][x] = bv.Num(int(r))
-			}
-		}
+		gp.right, gp.vals = sortSides(gp.right, rel.Columns[d.b])
 	} else if gp.shape == ShapeRange {
 		gp.shape = ShapeScan
 	}
@@ -428,24 +418,48 @@ func (gp *groupPlan) pairBound(mask []bool) int64 {
 	return b
 }
 
-// sortByValue returns the rows of g whose value in c is not NaN (NaN
-// satisfies no order comparison), sorted by that value, ties in row
-// order: the order in which the grouped executor binary-searches a
-// group's right side and the count phase sweeps a group.
-func sortByValue(g []int32, c *dataset.Column) []int32 {
-	rows := make([]int32, 0, len(g))
-	for _, r := range g {
-		if v := c.Num(int(r)); v == v {
-			rows = append(rows, r)
+// sortSides returns the rows of each side whose value in c is not NaN
+// (NaN satisfies no order comparison), sorted by that value, ties in
+// row order, with those values: the order in which the grouped
+// executor binary-searches a group's right side and the count phase
+// sweeps a group. The sides must be disjoint; then one radix ordering
+// of all their rows (pli.Order), dealt out side by side, sorts every
+// side at once, in time linear in the rows for any number of sides.
+func sortSides(sides [][]int32, c *dataset.Column) ([][]int32, [][]float64) {
+	sideOf := make([]int32, c.Len())
+	for k, g := range sides {
+		for _, r := range g {
+			sideOf[r] = int32(k) + 1
 		}
 	}
-	slices.SortFunc(rows, func(a, b int32) int {
-		if o := cmp.Compare(c.Num(int(a)), c.Num(int(b))); o != 0 {
-			return o
+	// The rows go to the ordering ascending, so that it leaves ties in
+	// row order; ends[k+1] counts side k's rows, then becomes the end of
+	// its share of one backing array.
+	var rows []int32
+	ends := make([]int, len(sides)+1)
+	for r, k := range sideOf {
+		if k == 0 {
+			continue
 		}
-		return cmp.Compare(a, b)
-	})
-	return rows
+		if v := c.Num(r); v == v {
+			rows = append(rows, int32(r))
+			ends[k]++
+		}
+	}
+	sorted := pli.Order(c, rows)
+	right, vals := make([][]int32, len(sides)), make([][]float64, len(sides))
+	buf, vbuf := make([]int32, len(sorted)), make([]float64, len(sorted))
+	for k := range sides {
+		lo := ends[k]
+		ends[k+1] += lo
+		right[k], vals[k] = buf[lo:lo:ends[k+1]], vbuf[lo:lo:ends[k+1]]
+	}
+	for _, r := range sorted {
+		k := sideOf[r] - 1
+		right[k] = append(right[k], r)
+		vals[k] = append(vals[k], c.Num(int(r)))
+	}
+	return right, vals
 }
 
 // sameAttrGroups intersects the PLI clusters of the join columns: rows

@@ -1,8 +1,11 @@
 package violation
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"adc/internal/datagen"
@@ -169,6 +172,90 @@ func TestCountingEngages(t *testing.T) {
 			for _, res := range rep.Results {
 				if res.Plan.ActualPairs < res.Violations {
 					t.Errorf("%s: %s with %+v evaluated %d pairs for %d violations", name, res.Spec, opts, res.Plan.ActualPairs, res.Violations)
+				}
+			}
+		}
+	}
+}
+
+// sortByValue is a side's ordering as each group sorted it alone before
+// sortSides, kept as its oracle: the rows of g whose value in c is not
+// NaN, by a comparator sort on the value, ties in row order.
+func sortByValue(g []int32, c *dataset.Column) []int32 {
+	rows := make([]int32, 0, len(g))
+	for _, r := range g {
+		if v := c.Num(int(r)); v == v {
+			rows = append(rows, r)
+		}
+	}
+	slices.SortFunc(rows, func(a, b int32) int {
+		if o := cmp.Compare(c.Num(int(a)), c.Num(int(b))); o != 0 {
+			return o
+		}
+		return cmp.Compare(a, b)
+	})
+	return rows
+}
+
+// sideColumn is a driver column of n rows holding NaNs, both zero
+// signs, ±Inf and heavy duplicates.
+func sideColumn(rng *rand.Rand, n int) *dataset.Column {
+	pick := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, 2, 2.5, -7}
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = pick[rng.Intn(len(pick))]
+	}
+	return dataset.NewFloatColumn("d", v)
+}
+
+// TestSortSidesMatchesPerGroupSort pins the one-pass side ordering to
+// the per-group comparator sort on one giant group, on thousands of
+// 2-row groups that leave some rows out, and on sameAttrGroups' groups,
+// whose cascade lists them in map order.
+func TestSortSidesMatchesPerGroupSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const n = 6000
+	d := sideColumn(rng, n)
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	var pairs [][]int32
+	perm := rng.Perm(n)
+	for x := 0; x+1 < n-100; x += 2 {
+		a, b := int32(perm[x]), int32(perm[x+1])
+		pairs = append(pairs, []int32{min(a, b), max(a, b)})
+	}
+	keyA, keyB := make([]string, n), make([]int64, n)
+	for i := range keyA {
+		keyA[i] = string(rune('a' + rng.Intn(7)))
+		keyB[i] = int64(rng.Intn(40))
+	}
+	rel := dataset.MustNewRelation("sides", []*dataset.Column{
+		dataset.NewStringColumn("A", keyA), dataset.NewIntColumn("B", keyB), d,
+	})
+	cascade := sameAttrGroups(newPLICache(rel), []int{0, 1})
+
+	for _, tc := range []struct {
+		name  string
+		sides [][]int32
+	}{
+		{"one giant group", [][]int32{all}},
+		{"2-row groups", pairs},
+		{"cascade groups", cascade},
+		{"no groups", nil},
+	} {
+		right, vals := sortSides(tc.sides, d)
+		if len(right) != len(tc.sides) || len(vals) != len(tc.sides) {
+			t.Fatalf("%s: %d sides, %d value lists for %d groups", tc.name, len(right), len(vals), len(tc.sides))
+		}
+		for k, g := range tc.sides {
+			if want := sortByValue(g, d); !slices.Equal(right[k], want) {
+				t.Fatalf("%s: side %d = %v, oracle %v", tc.name, k, right[k], want)
+			}
+			for x, r := range right[k] {
+				if math.Float64bits(vals[k][x]) != math.Float64bits(d.Num(int(r))) {
+					t.Fatalf("%s: side %d value %d is %v, row %d holds %v", tc.name, k, x, vals[k][x], r, d.Num(int(r)))
 				}
 			}
 		}
