@@ -6,9 +6,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -93,12 +95,13 @@ func encodeSnapshot(t testing.TB, snap *Snapshot) []byte {
 	return buf.Bytes()
 }
 
-// assertSnapEqual checks the round-trip invariant: relation, indexes,
-// and metadata of got are reflect.DeepEqual-identical to want.
+// assertSnapEqual checks the round-trip invariant: got's relation holds
+// everything a snapshot stores of want's (relDiff), and its indexes and
+// metadata are reflect.DeepEqual-identical to want's.
 func assertSnapEqual(t *testing.T, label string, got, want *Snapshot) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Relation, want.Relation) {
-		t.Errorf("%s: relation differs after round trip", label)
+	if diff := relDiff(got.Relation, want.Relation); diff != "" {
+		t.Errorf("%s: relation differs after round trip: %s", label, diff)
 	}
 	if !reflect.DeepEqual(got.Indexes, want.Indexes) {
 		t.Errorf("%s: indexes differ after round trip", label)
@@ -106,6 +109,44 @@ func assertSnapEqual(t *testing.T, label string, got, want *Snapshot) {
 	if !reflect.DeepEqual(got.Meta, want.Meta) {
 		t.Errorf("%s: meta differs after round trip", label)
 	}
+}
+
+// relDiff describes the first difference between two relations in
+// what a snapshot stores: the relation's name and shape and, per
+// column, its name, type, values (floats by their bits), codes,
+// dictionary values in code order, interned flag, distinct count and
+// MemBytes; "" if there is none. It is not reflect.DeepEqual, which
+// would also compare the backing store a relation grown by AppendRows
+// shares with its other versions, and which no snapshot holds.
+func relDiff(got, want *dataset.Relation) string {
+	if got.Name != want.Name || got.NumRows() != want.NumRows() || got.NumColumns() != want.NumColumns() {
+		return fmt.Sprintf("relation %q has %d rows and %d columns, want %q with %d and %d",
+			got.Name, got.NumRows(), got.NumColumns(), want.Name, want.NumRows(), want.NumColumns())
+	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for j, w := range want.Columns {
+		g := got.Columns[j]
+		if g.Name != w.Name || g.Type != w.Type {
+			return fmt.Sprintf("column %d is %q (%v), want %q (%v)", j, g.Name, g.Type, w.Name, w.Type)
+		}
+		if !slices.Equal(g.Ints, w.Ints) || !slices.EqualFunc(g.Floats, w.Floats, sameBits) ||
+			!slices.Equal(g.Strings, w.Strings) || !slices.Equal(g.Codes, w.Codes) {
+			return fmt.Sprintf("column %q: values or codes differ", w.Name)
+		}
+		if w.Type == dataset.String {
+			gv, gi, gerr := g.DictSnapshot()
+			wv, wi, werr := w.DictSnapshot()
+			if gerr != nil || werr != nil || !slices.Equal(gv, wv) || gi != wi {
+				return fmt.Sprintf("column %q: dictionary (%q, interned %v, %v), want (%q, %v, %v)",
+					w.Name, gv, gi, gerr, wv, wi, werr)
+			}
+		}
+		if g.DistinctCount() != w.DistinctCount() || g.MemBytes() != w.MemBytes() {
+			return fmt.Sprintf("column %q: %d distinct values in %d bytes, want %d in %d",
+				w.Name, g.DistinctCount(), g.MemBytes(), w.DistinctCount(), w.MemBytes())
+		}
+	}
+	return ""
 }
 
 func TestRoundTripDatasets(t *testing.T) {
@@ -190,6 +231,97 @@ func TestRoundTripIngestedRelation(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	assertSnapEqual(t, "ingested", dec, snap)
+}
+
+// TestAppendToAttachedRelation appends twice to a relation whose
+// columns view an attached snapshot's read-only mapping, the second
+// time in place into the tail the first append made, with a value new
+// to every column each time. The file's bytes must not change, the
+// attached relation must still equal the one written, and attaching
+// again must give that relation too.
+func TestAppendToAttachedRelation(t *testing.T) {
+	snap, _ := warmSnapshot(t, "tax", 300, 2)
+	path := filepath.Join(t.TempDir(), "tax.adcs")
+	if err := WriteFile(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	att, err := Attach(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer att.Close()
+	want, rel := snap.Relation, att.Relation
+	for i := 0; i < 2; i++ {
+		rec := make([]string, want.NumColumns())
+		for j, c := range want.Columns {
+			rec[j] = c.ValueString(i)
+		}
+		fresh := make([]string, want.NumColumns())
+		for j := range fresh {
+			fresh[j] = strconv.Itoa(900000 + i)
+		}
+		recs := [][]string{rec, fresh}
+		if rel, err = rel.AppendRows(recs); err != nil {
+			t.Fatal(err)
+		}
+		if want, err = want.AppendRows(recs); err != nil {
+			t.Fatal(err)
+		}
+		if diff := relDiff(rel, want); diff != "" {
+			t.Fatalf("append %d: %s", i, diff)
+		}
+	}
+	if diff := relDiff(att.Relation, snap.Relation); diff != "" {
+		t.Fatalf("attached relation after the appends: %s", diff)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("appending to the attached relation changed the snapshot file")
+	}
+	again, err := Attach(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if diff := relDiff(again.Relation, snap.Relation); diff != "" {
+		t.Fatalf("re-attached relation: %s", diff)
+	}
+}
+
+// TestPayloadsSizedUpFront pins that encodeColumn and encodePLI size
+// each payload exactly, so no array write grows the buffer.
+func TestPayloadsSizedUpFront(t *testing.T) {
+	snaps := []*Snapshot{smallSnapshot(t)}
+	for _, name := range []string{"adult", "tax", "hospital"} {
+		snap, _ := warmSnapshot(t, name, 200, 4)
+		snaps = append(snaps, snap)
+	}
+	for _, snap := range snaps {
+		rel := snap.Relation
+		for j, c := range rel.Columns {
+			payload, err := encodeColumn(j, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(payload) != cap(payload) {
+				t.Errorf("%s column %q: payload of %d bytes in a buffer of %d", rel.Name, c.Name, len(payload), cap(payload))
+			}
+			payload, err = encodePLI(j, snap.Indexes[j], rel.NumRows())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(payload) != cap(payload) {
+				t.Errorf("%s index %d: payload of %d bytes in a buffer of %d", rel.Name, j, len(payload), cap(payload))
+			}
+		}
+	}
 }
 
 // TestGoldenFormatStable pins the on-disk bytes of format Version: the
@@ -642,8 +774,8 @@ func TestLegacyCodeMapSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(snap.Relation, want) {
-			t.Errorf("%s: relation differs from a rebuild", name)
+		if diff := relDiff(snap.Relation, want); diff != "" {
+			t.Errorf("%s: relation differs from a rebuild: %s", name, diff)
 		}
 		for j, c := range want.Columns {
 			if !reflect.DeepEqual(snap.Indexes[j], pli.ForColumn(c)) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"slices"
 
 	"adc/internal/dataset"
 	"adc/internal/pli"
@@ -15,10 +16,15 @@ import (
 )
 
 // enc builds one section payload. All layout decisions live in the
-// append methods so the reader can mirror them exactly.
+// append methods so the reader can mirror them exactly. A payload is
+// sized up front (newEnc), so the arrays are written into place.
 type enc struct {
 	b []byte
 }
+
+// newEnc returns an encoder whose buffer holds size bytes without
+// growing.
+func newEnc(size int) *enc { return &enc{b: make([]byte, 0, size)} }
 
 func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
@@ -39,24 +45,41 @@ func (e *enc) pad8() {
 	}
 }
 
+// words extends the payload by n bytes and returns them to be filled.
+func (e *enc) words(n int) []byte {
+	off := len(e.b)
+	e.b = slices.Grow(e.b, n)[:off+n]
+	return e.b[off:]
+}
+
 func (e *enc) int64s(v []int64) {
-	for _, x := range v {
-		e.u64(uint64(x))
+	w := e.words(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(w[8*i:], uint64(x))
 	}
 }
 
 func (e *enc) float64s(v []float64) {
-	for _, x := range v {
-		e.u64(math.Float64bits(x))
+	w := e.words(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(w[8*i:], math.Float64bits(x))
 	}
 }
 
 func (e *enc) int32s(v []int32) {
-	for _, x := range v {
-		e.u32(uint32(x))
+	w := e.words(4 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(w[4*i:], uint32(x))
 	}
 	e.pad8()
 }
+
+// strSize and int32sSize are the bytes str and int32s write.
+func strSize(s string) int { return 8 + align8(len(s)) }
+func int32sSize(n int) int { return align8(4 * n) }
+
+// align8 rounds n up to a multiple of 8, as pad8 pads.
+func align8(n int) int { return (n + 7) &^ 7 }
 
 // writeSection frames one payload: header (kind, reserved, length,
 // checksum), payload, zero padding to an 8-byte boundary.
@@ -146,7 +169,27 @@ func Write(w io.Writer, snap *Snapshot) error {
 // column is the interned flag, the dictionary size, per-row codes, the
 // dictionary offsets, and the value arena.
 func encodeColumn(j int, c *dataset.Column) ([]byte, error) {
-	var e enc
+	size := 16 + strSize(c.Name)
+	var values []string
+	var interned bool
+	switch c.Type {
+	case dataset.Int:
+		size += 8 * len(c.Ints)
+	case dataset.Float:
+		size += 8 * len(c.Floats)
+	case dataset.String:
+		var err error
+		if values, interned, err = c.DictSnapshot(); err != nil {
+			return nil, fmt.Errorf("colstore: %w", err)
+		}
+		size += 8 + int32sSize(len(c.Codes)) + 8*(len(values)+1)
+		for _, v := range values {
+			size += len(v)
+		}
+	default:
+		return nil, fmt.Errorf("colstore: column %q has unknown type %v", c.Name, c.Type)
+	}
+	e := newEnc(size)
 	e.u32(uint32(j))
 	e.u32(uint32(c.Type))
 	e.u64(uint64(c.Len()))
@@ -156,11 +199,7 @@ func encodeColumn(j int, c *dataset.Column) ([]byte, error) {
 		e.int64s(c.Ints)
 	case dataset.Float:
 		e.float64s(c.Floats)
-	case dataset.String:
-		values, interned, err := c.DictSnapshot()
-		if err != nil {
-			return nil, fmt.Errorf("colstore: %w", err)
-		}
+	default:
 		flag := uint32(0)
 		if interned {
 			flag = 1
@@ -177,8 +216,6 @@ func encodeColumn(j int, c *dataset.Column) ([]byte, error) {
 		for _, v := range values {
 			e.b = append(e.b, v...)
 		}
-	default:
-		return nil, fmt.Errorf("colstore: column %q has unknown type %v", c.Name, c.Type)
 	}
 	return e.b, nil
 }
@@ -201,7 +238,7 @@ func encodePLI(j int, idx *pli.Index, rows int) ([]byte, error) {
 	if idx.NumClusters > rows {
 		return nil, fmt.Errorf("colstore: index %d has %d clusters over %d rows", j, idx.NumClusters, rows)
 	}
-	var e enc
+	e := newEnc(32 + int32sSize(rows) + 8*len(idx.NumKeys))
 	e.u32(uint32(j))
 	flag := uint32(0)
 	if idx.Numeric {

@@ -3,10 +3,69 @@ package dataset
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
+
+// tail is the append-only backing store the versions of one column
+// lineage share: every row written so far. A version with n rows views
+// the first n; the version with rows rows is the newest, and an append
+// to it claims the tail and writes its rows after them, in place while
+// the arrays have room (append's growth leaves room for the next
+// ones). Every other append copies into a fresh tail of exactly its
+// rows. Exactly one of ints, floats, or codes with strs is in use.
+type tail struct {
+	mu   sync.Mutex
+	rows int // rows claimed; guarded by mu
+
+	// The arrays are written only by the append that claimed their
+	// rows, so they need no lock: no other version reads past its own
+	// length, and the next claim follows the publication of this one.
+	ints   []int64
+	floats []float64
+	codes  []int32
+	strs   []string
+}
+
+// claim reports whether the version with n rows is t's newest and, if
+// so, takes the k rows after it for its caller: of several appends to
+// one version, concurrent or not, exactly one wins. A nil tail (a
+// column never appended to) claims nothing.
+func (t *tail) claim(n, k int) bool {
+	if t == nil {
+		return false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.rows != n {
+		return false
+	}
+	t.rows = n + k
+	return true
+}
+
+// dictionary is a string column lineage's value dictionary: codes maps
+// a value to its code and values[code] is that value, so codes are
+// dense and in first-occurrence order. It only grows, under mu, which
+// lookups hold too. A version that owns v values (Column.values)
+// treats a code ≥ v as a later version's value, and inserts in place
+// only while its v values are the whole dictionary; otherwise it forks.
+type dictionary struct {
+	mu     sync.Mutex
+	codes  map[string]int32
+	values []string
+}
+
+// fork returns a fresh dictionary of the first len(values) entries of
+// d, the ones the version owning values sees. d.mu must be held.
+func (d *dictionary) fork(values []string) *dictionary {
+	codes := maps.Clone(d.codes)
+	for _, s := range d.values[len(values):] {
+		delete(codes, s)
+	}
+	return &dictionary{codes: codes, values: values}
+}
 
 // AppendRows returns a new relation consisting of r's rows followed by
 // the given records, each a string value per column in column order.
@@ -14,14 +73,17 @@ import (
 // them, then parsed against the existing column types — appending never
 // re-infers or widens a column, so "12x" into an Int column is an
 // error, not a silent conversion to String. The receiver is not
-// modified: column storage is copied, and each appended string is
-// looked up in the column's dictionary, so only appended values are
-// hashed. A value already in the dictionary keeps its code and its row
-// aliases the dictionary's string; the grown column shares the
-// dictionary when no value is new. New values take the next codes in
-// first-appearance order in a copy of the dictionary. Codes are thus
-// exactly those NewStringColumn assigns over all rows, and existing
-// rows keep theirs (incremental PLI extension depends on this).
+// modified. On the newest version of a column the appended rows, and
+// any new dictionary values, are written in place after the receiver's
+// (see tail); any other append copies the column once. Either way each
+// version's slices are cut to its own length, so its readers never see
+// another version's rows. Each appended string is looked up in the
+// column's dictionary, so only appended values are hashed; a known
+// value keeps its code and its row aliases the dictionary's string,
+// and a new one takes the next code in first-appearance order. Codes
+// are thus exactly those NewStringColumn assigns over all rows, and
+// existing rows keep theirs (incremental PLI extension depends on
+// this).
 func (r *Relation) AppendRows(records [][]string) (*Relation, error) {
 	if len(records) == 0 {
 		return r, nil
@@ -32,75 +94,155 @@ func (r *Relation) AppendRows(records [][]string) (*Relation, error) {
 				r.Name, k, len(rec), len(r.Columns))
 		}
 	}
-	cols := make([]*Column, len(r.Columns))
+	// Parse every column before any is written: a batch a later column
+	// rejects leaves every tail as it was, still appendable in place.
+	batches := make([]batch, len(r.Columns))
 	for j, c := range r.Columns {
-		grown, err := c.appendValues(records, j)
+		b, err := c.parse(records, j)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: relation %q: %w", r.Name, err)
 		}
-		cols[j] = grown
+		batches[j] = b
+	}
+	cols := make([]*Column, len(r.Columns))
+	for j, c := range r.Columns {
+		cols[j] = c.grow(batches[j], len(records))
 	}
 	return NewRelation(r.Name, cols)
 }
 
-func (c *Column) appendValues(records [][]string, j int) (*Column, error) {
-	n := c.Len()
+// batch is one column's part of an appended batch, parsed: the values
+// of a numeric column, the trimmed cells of a string column.
+type batch struct {
+	ints   []int64
+	floats []float64
+	strs   []string
+}
+
+// parse reads c's cells of the records, field j of each, against c's
+// type; it writes nothing.
+func (c *Column) parse(records [][]string, j int) (batch, error) {
+	var b batch
 	switch c.Type {
 	case Int:
-		v := make([]int64, n, n+len(records))
-		copy(v, c.Ints)
+		b.ints = make([]int64, len(records))
 		for k, rec := range records {
 			x, err := strconv.ParseInt(strings.TrimSpace(rec[j]), 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("appended row %d: %q is not an int for column %q", k, rec[j], c.Name)
+				return b, fmt.Errorf("appended row %d: %q is not an int for column %q", k, rec[j], c.Name)
 			}
-			v = append(v, x)
+			b.ints[k] = x
 		}
-		return NewIntColumn(c.Name, v), nil
 	case Float:
-		v := make([]float64, n, n+len(records))
-		copy(v, c.Floats)
+		b.floats = make([]float64, len(records))
 		for k, rec := range records {
 			x, err := strconv.ParseFloat(strings.TrimSpace(rec[j]), 64)
 			if err != nil {
-				return nil, fmt.Errorf("appended row %d: %q is not a float for column %q", k, rec[j], c.Name)
+				return b, fmt.Errorf("appended row %d: %q is not a float for column %q", k, rec[j], c.Name)
 			}
-			v = append(v, x)
+			b.floats[k] = x
 		}
-		return NewFloatColumn(c.Name, v), nil
 	default:
 		if c.dict == nil {
-			return nil, fmt.Errorf("column %q has no dictionary", c.Name)
+			return b, fmt.Errorf("column %q has no dictionary", c.Name)
 		}
-		strs := make([]string, n, n+len(records))
-		copy(strs, c.Strings)
-		codes := make([]int32, n, n+len(records))
-		copy(codes, c.Codes)
-		dict, values, added := c.dict, c.values, false
-		for _, rec := range records {
-			s := strings.TrimSpace(rec[j])
-			code, ok := dict[s]
-			if !ok {
-				if !added {
-					// c and its other descendants share dict and
-					// values: write only to copies.
-					dict, values, added = maps.Clone(dict), slices.Clip(values), true
-				}
-				code = int32(len(values))
-				dict[s] = code
-				values = append(values, s)
-			}
-			strs = append(strs, values[code])
-			codes = append(codes, code)
+		b.strs = make([]string, len(records))
+		for k, rec := range records {
+			b.strs[k] = strings.TrimSpace(rec[j])
 		}
+	}
+	return b, nil
+}
+
+// grow returns the version of c with the k rows of b after its own. It
+// writes them into c's tail when c is the tail's newest version, where
+// append's growth, when the tail is full, leaves room for the next
+// appends to be in place too. Otherwise (an older version, a sibling
+// that lost the claim, or a column's first append, which may view
+// caller memory or an mmap) it copies c's rows into a fresh tail of
+// exactly the grown length, as every append did before tails, so that
+// path costs what it did.
+func (c *Column) grow(b batch, k int) *Column {
+	n, m := c.Len(), c.Len()+k
+	g := &Column{Name: c.Name, Type: c.Type}
+	var codes []int32
+	if c.Type == String {
+		codes, g.dict, g.values = c.encode(b.strs)
 		// Every appended row aliases a dictionary string, so a batch
 		// of known values keeps an interned column interned. A batch
 		// that adds a value clears the mark, as NewStringColumn over
 		// the grown values does, so such a column snapshots to the
 		// same bytes as a rebuilt one.
-		return &Column{Name: c.Name, Type: String, Strings: strs, Codes: codes,
-			dict: dict, values: values, interned: c.interned && !added}, nil
+		g.interned = c.interned && len(g.values) == len(c.values)
+		g.strBytes, g.valueBytes = c.strBytes, c.valueBytes
+		for _, s := range b.strs {
+			g.strBytes += int64(len(s))
+		}
+		for _, s := range g.values[len(c.values):] {
+			g.valueBytes += int64(len(s))
+		}
 	}
+	t := c.tail
+	if !t.claim(n, k) {
+		t = &tail{rows: m}
+		switch c.Type {
+		case Int:
+			t.ints = clone(c.Ints, m)
+		case Float:
+			t.floats = clone(c.Floats, m)
+		default:
+			t.codes, t.strs = clone(c.Codes, m), clone(c.Strings, m)
+		}
+	}
+	g.tail = t
+	switch c.Type {
+	case Int:
+		t.ints = append(t.ints, b.ints...)
+		g.Ints = t.ints[:m:m]
+	case Float:
+		t.floats = append(t.floats, b.floats...)
+		g.Floats = t.floats[:m:m]
+	default:
+		t.codes = append(t.codes, codes...)
+		for _, code := range codes {
+			t.strs = append(t.strs, g.values[code])
+		}
+		g.Codes, g.Strings = t.codes[:m:m], t.strs[:m:m]
+	}
+	return g
+}
+
+// clone copies s into a fresh array of capacity m.
+func clone[T any](s []T, m int) []T {
+	out := make([]T, len(s), m)
+	copy(out, s)
+	return out
+}
+
+// encode returns the codes of the appended values in c's dictionary,
+// and the dictionary and values of the grown version. A value the
+// version already owns keeps its code; a new one takes the next code,
+// inserted in place while c's values are the whole dictionary and in a
+// fork of c's part of it otherwise.
+func (c *Column) encode(add []string) ([]int32, *dictionary, []string) {
+	d, values := c.dict, c.values
+	codes := make([]int32, len(add))
+	c.dict.mu.Lock()
+	defer c.dict.mu.Unlock()
+	for k, s := range add {
+		code, ok := d.codes[s]
+		if !ok || int(code) >= len(values) {
+			if len(d.values) != len(values) {
+				d = d.fork(values) // private until returned: no lock needed
+			}
+			code = int32(len(values))
+			d.codes[s] = code
+			d.values = append(d.values, s)
+			values = d.values[: code+1 : code+1]
+		}
+		codes[k] = code
+	}
+	return codes, d, values
 }
 
 // MemBytes estimates the heap footprint of the column: value storage,
@@ -109,6 +251,8 @@ func (c *Column) appendValues(records [][]string, j int) (*Column, error) {
 // columns (streaming ingest) count each distinct value's bytes once —
 // every row aliases a dictionary entry, so per-row accounting would
 // charge the session memory cap for bytes that were never allocated.
+// Spare capacity in a tail is not charged. The string totals are kept
+// by the constructors and appends, so this reads no row.
 func (c *Column) MemBytes() int64 {
 	switch c.Type {
 	case Int:
@@ -116,18 +260,17 @@ func (c *Column) MemBytes() int64 {
 	case Float:
 		return int64(len(c.Floats)) * 8
 	default:
-		b := int64(len(c.Codes)) * 4
+		b := int64(len(c.Codes))*4 + int64(len(c.Strings))*16 + c.valueBytes + int64(len(c.values))*24
 		if c.interned {
-			b += int64(len(c.Strings)) * 16 // headers only; bytes shared
-		} else {
+			return b
+		}
+		strBytes := c.strBytes
+		if c.dict == nil { // hand-built: no totals were kept
 			for _, s := range c.Strings {
-				b += int64(len(s)) + 16
+				strBytes += int64(len(s))
 			}
 		}
-		for _, s := range c.values {
-			b += int64(len(s)) + 24
-		}
-		return b
+		return b + strBytes
 	}
 }
 

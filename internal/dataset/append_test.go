@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -161,10 +162,13 @@ func TestAppendTrimsLikeCSV(t *testing.T) {
 }
 
 // TestAppendRowsConcurrentSiblings appends different batches to one
-// relation from several goroutines at once. The grown columns share
-// the receiver's dictionary until a batch adds a value, so under -race
-// this checks that no append writes to what the others read, and each
-// result must match NewStringColumn over its own values.
+// relation from eight goroutines at once, first to a relation never
+// appended to (every append copies) and then to one whose columns have
+// a tail it is the newest version of: there, for every column, exactly
+// one result must be written in place into that tail and the others
+// copy. Under -race this checks that no append writes to what the
+// others read, and each result must match NewStringColumn over its own
+// values.
 func TestAppendRowsConcurrentSiblings(t *testing.T) {
 	// Three distinct values leave the dictionary's values slice with
 	// spare capacity that a careless append would write into.
@@ -173,26 +177,143 @@ func TestAppendRowsConcurrentSiblings(t *testing.T) {
 		NewIntColumn("Zip", []int64{10, 20, 30}),
 		NewFloatColumn("Rate", []float64{1.5, 2.5, 3.5}),
 	})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			city := []string{"A", "B", fmt.Sprintf("new-%d", g%3)}
-			grown, err := rel.AppendRows([][]string{{city[g%3], "10", "1.5"}, {city[2], "20", "2.5"}})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			want := NewStringColumn("City", append(append([]string(nil), rel.Columns[0].Strings...), city[g%3], city[2]))
-			got := grown.Columns[0]
-			gv, _, _ := got.DictSnapshot()
-			wv, _, _ := want.DictSnapshot()
-			if !reflect.DeepEqual(got.Strings, want.Strings) || !reflect.DeepEqual(got.Codes, want.Codes) ||
-				!reflect.DeepEqual(gv, wv) || got.DistinctCount() != want.DistinctCount() {
-				t.Errorf("goroutine %d: got %q %v %q, want %q %v %q", g, got.Strings, got.Codes, gv, want.Strings, want.Codes, wv)
-			}
-		}(g)
+	// The first append copies into a tail of exactly its rows and the
+	// second grows it, so tip's tail has room after tip's rows.
+	tip, err := rel.AppendRows([][]string{{"D", "40", "4.5"}})
+	if err == nil {
+		tip, err = tip.AppendRows([][]string{{"E", "50", "5.5"}})
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(tip.Columns[1].tail.ints) == tip.NumRows() {
+		t.Fatal("test setup: tip's tail has no room")
+	}
+	for _, parent := range []*Relation{rel, tip} {
+		results := make([]*Relation, 8)
+		var wg sync.WaitGroup
+		for g := range results {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				city := []string{"A", "B", fmt.Sprintf("new-%d", g%3)}
+				grown, err := parent.AppendRows([][]string{{city[g%3], "10", "1.5"}, {city[2], "20", "2.5"}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[g] = grown
+				want := NewStringColumn("City", append(slices.Clone(parent.Columns[0].Strings), city[g%3], city[2]))
+				got := grown.Columns[0]
+				if !reflect.DeepEqual(got.Strings, want.Strings) || !reflect.DeepEqual(got.Codes, want.Codes) ||
+					!reflect.DeepEqual(got.values, want.values) || got.DistinctCount() != want.DistinctCount() {
+					t.Errorf("goroutine %d: got %q %v %q, want %q %v %q", g, got.Strings, got.Codes, got.values, want.Strings, want.Codes, want.values)
+				}
+				if !slices.Equal(grown.Columns[1].Ints, append(slices.Clone(parent.Columns[1].Ints), 10, 20)) ||
+					!slices.Equal(grown.Columns[2].Floats, append(slices.Clone(parent.Columns[2].Floats), 1.5, 2.5)) {
+					t.Errorf("goroutine %d: numbers %v %v", g, grown.Columns[1].Ints, grown.Columns[2].Floats)
+				}
+			}(g)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for j, c := range parent.Columns {
+			shared := 0
+			for _, res := range results {
+				if c.tail != nil && res.Columns[j].tail == c.tail {
+					shared++
+				}
+			}
+			want := 0
+			if parent == tip {
+				want = 1
+			}
+			if shared != want {
+				t.Errorf("%d-row parent, column %q: %d results share its tail, want %d", parent.NumRows(), c.Name, shared, want)
+			}
+		}
+	}
+}
+
+// TestAppendTipWhileOldVersionIsRead reads an old version from two
+// goroutines while the newest version, which shares the old one's
+// tail and dictionary, grows by 1,000 batches in place, every fourth
+// with a new string value. Under -race this checks that in-place
+// appends write only past every older version's rows; the old
+// version's values, codes and dictionary must not change.
+func TestAppendTipWhileOldVersionIsRead(t *testing.T) {
+	const n = 2000
+	cities, zips, rates := make([]string, n), make([]int64, n), make([]float64, n)
+	for i := range n {
+		cities[i], zips[i], rates[i] = fmt.Sprint("c", i%7), int64(i%11), float64(i%5)/2
+	}
+	base := MustNewRelation("r", []*Column{
+		NewStringColumn("City", cities),
+		NewIntColumn("Zip", zips),
+		NewFloatColumn("Rate", rates),
+	})
+	// The first append copies into a tail of exactly its rows, the
+	// second grows it: old's array has room for the appends after it.
+	old, err := base.AppendRows([][]string{{"C", "30", "3.5"}})
+	if err == nil {
+		old, err = old.AppendRows([][]string{{"D", "40", "4.5"}})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	city, zip, rate := old.Columns[0], old.Columns[1], old.Columns[2]
+	strs, codes, values := slices.Clone(city.Strings), slices.Clone(city.Codes), slices.Clone(city.values)
+	ints, floats := slices.Clone(zip.Ints), slices.Clone(rate.Floats)
+	unchanged := func() bool {
+		v, _, err := city.DictSnapshot()
+		return err == nil && slices.Equal(city.Strings, strs) && slices.Equal(city.Codes, codes) &&
+			slices.Equal(v, values) && city.DistinctCount() == len(values) &&
+			slices.Equal(zip.Ints, ints) && slices.Equal(rate.Floats, floats)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if !unchanged() {
+					t.Error("old version changed while the newest appended")
+					return
+				}
+			}
+		}()
+	}
+	tip := old
+	for i := 0; i < 1000; i++ {
+		s := "A"
+		if i%4 == 0 {
+			s = fmt.Sprintf("v%d", i)
+		}
+		if tip, err = tip.AppendRows([][]string{{s, "10", "1.5"}}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && unsafe.SliceData(tip.Columns[1].Ints) != unsafe.SliceData(zip.Ints) {
+			t.Fatal("the first append was not in place after the old version's rows")
+		}
+	}
+	close(done)
 	wg.Wait()
+	if !unchanged() {
+		t.Fatal("old version changed")
+	}
+	if tip.Columns[1].tail != zip.tail {
+		t.Fatal("the newest version's appends were not in place")
+	}
+	want := NewStringColumn("City", tip.Columns[0].Strings)
+	if got := tip.Columns[0]; !slices.Equal(got.Codes, want.Codes) || !slices.Equal(got.values, want.values) {
+		t.Fatal("newest version's codes or dictionary differ from NewStringColumn")
+	}
 }

@@ -96,21 +96,32 @@ var (
 )
 
 // FuzzAppendRows differentially fuzzes Relation.AppendRows against a
-// from-scratch oracle: after each of a chain of random batches, every
-// column must equal the one built by the constructors over the
+// from-scratch oracle. Every version any append returns must equal,
+// until the run ends, the columns the constructors build over its
 // concatenated (trimmed) values — NewStringColumn for the string
-// column — in values, codes, dictionary, distinct count and MemBytes.
-// A batch with a cell the column type rejects must fail and change
-// nothing. A twin relation whose string column starts interned must
-// match too, keep every row aliased to its dictionary string, and stay
-// interned until a batch adds a value. Each batch is also appended to
-// the receiver a second time in reverse order; that sibling must not
-// disturb the first result, which shares the receiver's dictionary.
+// column — in values, codes, dictionary, distinct count and MemBytes
+// (and MemBytes its walk). A batch with a cell the column type rejects
+// must fail and change nothing, so the version it was appended to
+// stays appendable in place. Two lines grow side by side from one base:
+// a plain one and a twin whose string column starts interned, which
+// must keep every row aliased to its dictionary string and stay
+// interned until a batch adds a value.
+//
+// Each step reads a batch-size byte whose higher bits pick the step:
+// 0 appends to both lines and then the same batch reversed, as a
+// sibling, to the plain line's receiver; 1 appends that sibling first,
+// so the main line loses the receiver's tail to it; 2 appends to a
+// version drawn from every one returned so far, usually an old one the
+// newest has moved past; 3 appends to both lines only. A model of the
+// tails (the rows each has claimed) predicts every append: in place
+// into the receiver's tail when the receiver is that tail's newest
+// version, else a copy into a fresh one.
 func FuzzAppendRows(f *testing.F) {
 	f.Add([]byte{3, 2, 3, 4, 5, 6, 7, 0, 1, 2, 2, 9, 8, 7, 1, 1, 1})
 	f.Add([]byte{0, 1, 0, 3, 10, 2, 2, 2, 4, 4, 4})
 	f.Add([]byte{2, 0, 0, 0, 1, 1, 1, 1, 6, 0, 0})
 	f.Add([]byte{4, 5, 4, 1, 3, 5, 2, 0, 0, 0, 7, 8, 9, 3, 1, 1, 5, 3, 6, 6, 1, 0, 0, 0})
+	f.Add([]byte{2, 2, 6, 3, 2, 6, 6, 5, 1, 1, 3, 10, 2, 2, 1, 9, 2, 13, 1, 1, 3, 14, 3, 3, 7, 7, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -138,15 +149,11 @@ func FuzzAppendRows(f *testing.F) {
 			y, _ := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
 			ints, floats, strs = append(ints, x), append(floats, y), append(strs, rec[2])
 		}
-		oracle := func() []*dataset.Column {
-			return []*dataset.Column{
-				dataset.NewIntColumn("i", slices.Clone(ints)),
-				dataset.NewFloatColumn("f", slices.Clone(floats)),
-				dataset.NewStringColumn("s", slices.Clone(strs)),
-			}
+		base := []*dataset.Column{
+			dataset.NewIntColumn("i", ints),
+			dataset.NewFloatColumn("f", floats),
+			dataset.NewStringColumn("s", strs),
 		}
-		base := oracle()
-		cur := dataset.MustNewRelation("r", base)
 		values, _, err := base[2].DictSnapshot()
 		if err != nil {
 			t.Fatal(err)
@@ -155,53 +162,134 @@ func FuzzAppendRows(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin := dataset.MustNewRelation("r", []*dataset.Column{base[0], base[1], internedCol})
-		interned := true
-		for len(data) > 0 {
-			recs := make([][]string, next()%4)
-			reject := false
-			for k := range recs {
-				recs[k] = cells()
-				_, ierr := strconv.ParseInt(strings.TrimSpace(recs[k][0]), 10, 64)
-				_, ferr := strconv.ParseFloat(strings.TrimSpace(recs[k][1]), 64)
-				reject = reject || ierr != nil || ferr != nil
+		root := fuzzVersion{ints: ints, floats: floats, strs: strs, tail: -1}
+		plain, twin := root, root
+		plain.rel = dataset.MustNewRelation("r", base)
+		twin.rel = dataset.MustNewRelation("r", []*dataset.Column{base[0], base[1], internedCol})
+		twin.interned = true
+		versions := []*fuzzVersion{&plain, &twin}
+		var tails []int // rows each model tail has claimed
+		cur := [2]*fuzzVersion{&plain, &twin}
+
+		// grow appends recs to v, checks the outcome against the model
+		// and the oracle, and records the new version.
+		grow := func(v *fuzzVersion, recs [][]string) *fuzzVersion {
+			got, err := v.rel.AppendRows(recs)
+			if len(recs) == 0 {
+				if got != v.rel || err != nil {
+					t.Fatalf("empty append = (%p, %v), want the receiver %p", got, err, v.rel)
+				}
+				return v
 			}
-			got, gotErr := cur.AppendRows(recs)
-			gotTwin, twinErr := twin.AppendRows(recs)
-			if reject {
-				if gotErr == nil || twinErr == nil {
+			if rejects(recs) {
+				if err == nil {
 					t.Fatalf("AppendRows(%q) accepted a cell its column rejects", recs)
 				}
-				continue
+				return v
 			}
-			if gotErr != nil || twinErr != nil {
-				t.Fatalf("AppendRows(%q): %v, twin: %v", recs, gotErr, twinErr)
+			if err != nil {
+				t.Fatalf("AppendRows(%q): %v", recs, err)
+			}
+			g := v.child(got, recs)
+			inPlace := v.tail >= 0 && tails[v.tail] == v.rel.NumRows()
+			if inPlace {
+				g.tail = v.tail
+			} else {
+				g.tail = len(tails)
+				tails = append(tails, 0)
+			}
+			tails[g.tail] = got.NumRows()
+			for j, c := range got.Columns {
+				if dataset.SharesTail(c, v.rel.Columns[j]) != inPlace {
+					t.Fatalf("append of %q to a %d-row version: column %q in place %v, want %v",
+						recs, v.rel.NumRows(), c.Name, !inPlace, inPlace)
+				}
+			}
+			g.check(t)
+			versions = append(versions, g)
+			return g
+		}
+		// Every version is checked, so the steps are capped to keep an
+		// execution's cost independent of the input's length.
+		for step := 0; step < 64 && len(data) > 0; step++ {
+			b := next()
+			recs := make([][]string, b%4)
+			for k := range recs {
+				recs[k] = cells()
 			}
 			reversed := slices.Clone(recs)
 			slices.Reverse(reversed)
-			if _, err := cur.AppendRows(reversed); err != nil {
-				t.Fatalf("sibling AppendRows(%q): %v", reversed, err)
+			switch op := b / 4 % 4; op {
+			case 0, 1, 3:
+				if op == 1 {
+					grow(cur[0], reversed)
+				}
+				prev := cur[0]
+				cur[0], cur[1] = grow(cur[0], recs), grow(cur[1], recs)
+				if op == 0 {
+					grow(prev, reversed)
+				}
+			case 2:
+				grow(versions[next()%len(versions)], recs)
 			}
-			distinct := base[2].DistinctCount()
-			for _, rec := range recs {
-				x, _ := strconv.ParseInt(strings.TrimSpace(rec[0]), 10, 64)
-				y, _ := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
-				ints, floats, strs = append(ints, x), append(floats, y), append(strs, strings.TrimSpace(rec[2]))
-			}
-			want := oracle()
-			interned = interned && want[2].DistinctCount() == distinct
-			base, cur, twin = want, got, gotTwin
-			checkAppended(t, cur.Columns, want, false)
-			checkAppended(t, twin.Columns, want, interned)
+		}
+		for _, v := range versions {
+			v.check(t)
 		}
 	})
 }
 
-// checkAppended compares appended columns with the oracle's. An
-// interned string column must alias every row to its dictionary string
-// and count string bytes once per distinct value instead of per row.
-func checkAppended(t *testing.T, got, want []*dataset.Column, interned bool) {
+// fuzzVersion is one relation FuzzAppendRows holds, with the oracle's
+// values for it, whether its string column must be interned, and the
+// model tail its columns were cut from (-1 before any append).
+type fuzzVersion struct {
+	rel      *dataset.Relation
+	ints     []int64
+	floats   []float64
+	strs     []string
+	interned bool
+	tail     int
+}
+
+// rejects reports whether a column's type rejects a cell of recs.
+func rejects(recs [][]string) bool {
+	for _, rec := range recs {
+		_, ierr := strconv.ParseInt(strings.TrimSpace(rec[0]), 10, 64)
+		_, ferr := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
+		if ierr != nil || ferr != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// child is v grown by recs into rel: the oracle's values extended by
+// the parsed, trimmed cells, interned while no cell is a new value.
+func (v *fuzzVersion) child(rel *dataset.Relation, recs [][]string) *fuzzVersion {
+	g := &fuzzVersion{rel: rel, ints: slices.Clone(v.ints), floats: slices.Clone(v.floats),
+		strs: slices.Clone(v.strs), interned: v.interned}
+	for _, rec := range recs {
+		x, _ := strconv.ParseInt(strings.TrimSpace(rec[0]), 10, 64)
+		y, _ := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
+		s := strings.TrimSpace(rec[2])
+		g.interned = g.interned && slices.Contains(g.strs, s)
+		g.ints, g.floats, g.strs = append(g.ints, x), append(g.floats, y), append(g.strs, s)
+	}
+	return g
+}
+
+// check compares v's relation with the columns the constructors build
+// over its values. An interned string column must alias every row to
+// its dictionary string and count string bytes once per distinct value
+// instead of per row.
+func (v *fuzzVersion) check(t *testing.T) {
 	t.Helper()
+	got := v.rel.Columns
+	want := []*dataset.Column{
+		dataset.NewIntColumn("i", v.ints),
+		dataset.NewFloatColumn("f", v.floats),
+		dataset.NewStringColumn("s", v.strs),
+	}
 	if !slices.Equal(got[0].Ints, want[0].Ints) {
 		t.Fatalf("ints %v, want %v", got[0].Ints, want[0].Ints)
 	}
@@ -216,14 +304,14 @@ func checkAppended(t *testing.T, got, want []*dataset.Column, interned bool) {
 	}
 	gv, gi, gerr := g.DictSnapshot()
 	wv, _, werr := w.DictSnapshot()
-	if gerr != nil || werr != nil || !slices.Equal(gv, wv) || gi != interned {
-		t.Fatalf("DictSnapshot = (%q, %v, %v), want (%q, %v, %v)", gv, gi, gerr, wv, interned, werr)
+	if gerr != nil || werr != nil || !slices.Equal(gv, wv) || gi != v.interned {
+		t.Fatalf("DictSnapshot = (%q, %v, %v), want (%q, %v, %v)", gv, gi, gerr, wv, v.interned, werr)
 	}
 	if g.DistinctCount() != w.DistinctCount() {
 		t.Fatalf("DistinctCount = %d, want %d", g.DistinctCount(), w.DistinctCount())
 	}
 	wantMem := w.MemBytes()
-	if interned {
+	if v.interned {
 		for i, s := range g.Strings {
 			if len(s) > 0 && unsafe.StringData(s) != unsafe.StringData(gv[g.Codes[i]]) {
 				t.Fatalf("row %d does not alias its dictionary string", i)
@@ -234,9 +322,12 @@ func checkAppended(t *testing.T, got, want []*dataset.Column, interned bool) {
 	if g.MemBytes() != wantMem {
 		t.Fatalf("MemBytes = %d, want %d", g.MemBytes(), wantMem)
 	}
-	for j := range got[:2] {
-		if got[j].MemBytes() != want[j].MemBytes() {
-			t.Fatalf("column %d MemBytes = %d, want %d", j, got[j].MemBytes(), want[j].MemBytes())
+	for j, c := range got {
+		if j < 2 && c.MemBytes() != want[j].MemBytes() {
+			t.Fatalf("column %d MemBytes = %d, want %d", j, c.MemBytes(), want[j].MemBytes())
+		}
+		if c.MemBytes() != dataset.MemBytesWalk(c) {
+			t.Fatalf("column %d MemBytes = %d, walk %d", j, c.MemBytes(), dataset.MemBytesWalk(c))
 		}
 	}
 }

@@ -414,10 +414,14 @@ func mergeStringCol(name string, chunks []*chunkData, j, rows int) *Column {
 		}
 	}
 	strs := make([]string, rows)
+	var strBytes int64
 	for i, cd := range codes {
 		strs[i] = values[cd]
+		strBytes += int64(len(strs[i]))
 	}
-	return &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, values: values, interned: true}
+	c := &Column{Name: name, Type: String, Strings: strs, Codes: codes, interned: true, strBytes: strBytes}
+	c.setDict(dict, values)
+	return c
 }
 
 // runTasks executes the tasks on up to workers goroutines and waits.

@@ -4,15 +4,12 @@ package dataset
 // The store serializes a string column as its dictionary (distinct
 // values in code order) plus per-row codes; these accessors expose that
 // decomposition and rebuild a Column from it without going through the
-// per-row re-encoding of NewStringColumn. Restored columns are
-// reflect.DeepEqual-identical to the originals, including the
-// unexported dictionary map and interned flag — the round-trip
-// invariant the colstore tests pin.
+// per-row re-encoding of NewStringColumn. A restored column holds the
+// original's values, codes, dictionary, interned flag and MemBytes —
+// the round-trip invariant the colstore tests pin. It has no append
+// tail: its first append copies it, so nothing writes into a mapping.
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // DictSnapshot returns the column's dictionary values in code order
 // (values[code] is the string encoded as code) and whether the column
@@ -27,7 +24,7 @@ func (c *Column) DictSnapshot() (values []string, interned bool, err error) {
 	if c.dict == nil {
 		return nil, false, fmt.Errorf("dataset: column %q has no dictionary", c.Name)
 	}
-	return slices.Clip(c.values), c.interned, nil
+	return c.values, c.interned, nil
 }
 
 // RestoreStringColumn rebuilds a dictionary-encoded string column from
@@ -48,6 +45,7 @@ func RestoreStringColumn(name string, values []string, codes []int32, interned b
 		dict[v] = int32(i)
 	}
 	strs := make([]string, len(codes))
+	var strBytes int64
 	next := int32(0)
 	for i, code := range codes {
 		switch {
@@ -61,9 +59,12 @@ func RestoreStringColumn(name string, values []string, codes []int32, interned b
 			next++
 		}
 		strs[i] = values[code]
+		strBytes += int64(len(strs[i]))
 	}
 	if int(next) != len(values) {
 		return nil, fmt.Errorf("dataset: column %q: rows use %d of %d dictionary values", name, next, len(values))
 	}
-	return &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, values: values, interned: interned}, nil
+	c := &Column{Name: name, Type: String, Strings: strs, Codes: codes, interned: interned, strBytes: strBytes}
+	c.setDict(dict, values)
+	return c, nil
 }

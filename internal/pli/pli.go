@@ -189,15 +189,10 @@ func BuildIndexes(cols []*dataset.Column, which []int, workers int) []*Index {
 
 // MemBytes estimates the heap footprint of the index, for cache
 // accounting: ClusterOf and the cluster entries at 4 bytes per row,
-// slice headers, and numeric keys.
+// slice headers, and numeric keys. The clusters partition the rows, so
+// their entries number len(ClusterOf).
 func (idx *Index) MemBytes() int64 {
-	b := int64(len(idx.ClusterOf)) * 4
-	b += int64(len(idx.Clusters)) * 24
-	for _, cl := range idx.Clusters {
-		b += int64(len(cl)) * 4
-	}
-	b += int64(len(idx.NumKeys)) * 8
-	return b
+	return int64(len(idx.ClusterOf))*8 + int64(len(idx.Clusters))*24 + int64(len(idx.NumKeys))*8
 }
 
 // MergedRanks dense-ranks two numeric columns within their merged value

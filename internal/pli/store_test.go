@@ -1,12 +1,14 @@
 package pli
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"adc/internal/datagen"
 	"adc/internal/dataset"
 )
 
@@ -200,5 +202,71 @@ func TestStoreConcurrentIndex(t *testing.T) {
 	wg.Wait()
 	if s.CachedColumns() != 2 {
 		t.Fatalf("CachedColumns = %d, want 2", s.CachedColumns())
+	}
+}
+
+// memBytesWalk is Index.MemBytes summed cluster by cluster, the oracle
+// for the closed form that counts the cluster entries as len(ClusterOf).
+func memBytesWalk(idx *Index) int64 {
+	b := int64(len(idx.ClusterOf)) * 4
+	b += int64(len(idx.Clusters)) * 24
+	for _, cl := range idx.Clusters {
+		b += int64(len(cl)) * 4
+	}
+	b += int64(len(idx.NumKeys)) * 8
+	return b
+}
+
+// TestIndexMemBytesMatchesWalk checks MemBytes against the walk on
+// every way an index is made: built (numerics with NaN and ±0, strings,
+// the renumbering fallback, an empty column) and patched by Extend.
+func TestIndexMemBytesMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cols := append(randomColumns(rng, 300), orderingColumns(rng, 300)...)
+	cols = append(cols,
+		&dataset.Column{Name: "hand", Type: dataset.String, Strings: []string{"x", "y", "x"}, Codes: []int32{7, 3, 7}},
+		dataset.NewIntColumn("empty", nil))
+	for _, c := range cols {
+		if idx := ForColumn(c); idx.MemBytes() != memBytesWalk(idx) {
+			t.Errorf("%s: MemBytes = %d, walk %d", c.Name, idx.MemBytes(), memBytesWalk(idx))
+		}
+	}
+	d, err := datagen.ByName("tax", 500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(d.Rel.Columns)
+	s.Warm(nil, 1)
+	// Rows 3 and 7 again (every index patches), then a row with a new
+	// value in every column.
+	var recs [][]string
+	for _, i := range []int{3, 7} {
+		rec := make([]string, d.Rel.NumColumns())
+		for j, c := range d.Rel.Columns {
+			rec[j] = c.ValueString(i)
+		}
+		recs = append(recs, rec)
+	}
+	fresh := make([]string, d.Rel.NumColumns())
+	for j := range fresh {
+		fresh[j] = "999999"
+	}
+	for _, batch := range [][][]string{recs, {fresh}} {
+		grown, err := d.Rel.AppendRows(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, patched, _ := s.Extend(grown.Columns, d.Rel.NumRows())
+		if patched == 0 {
+			t.Fatalf("no index patched by %q", batch)
+		}
+		for j := range grown.Columns {
+			if next.Cached(j) {
+				idx := next.Index(j)
+				if idx.MemBytes() != memBytesWalk(idx) {
+					t.Errorf("patched %s: MemBytes = %d, walk %d", grown.Columns[j].Name, idx.MemBytes(), memBytesWalk(idx))
+				}
+			}
+		}
 	}
 }

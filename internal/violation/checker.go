@@ -348,26 +348,10 @@ func (c *Checker) MemBytes() int64 {
 		b += int64(len(p.mask))
 		b += int64(len(p.singles)+len(p.cross)) * 64
 		if gp := p.grp.Load(); gp != nil {
-			b += int64(len(gp.offs)) * 8
-			sides := [][][]int32{gp.left}
-			if gp.driver != nil || gp.shape == ShapeCrossJoin {
-				sides = append(sides, gp.right) // not the left rows again
-			}
-			for _, side := range sides {
-				for _, g := range side {
-					b += int64(len(g))*4 + 24
-				}
-			}
-			for _, v := range gp.vals {
-				b += int64(len(v))*8 + 24
-			}
+			b += gp.memBytes
 		}
 		if cp := p.cnt.Load(); cp != nil {
-			// groups and offs are the grouped plan's, counted above.
-			for _, cls := range cp.classes {
-				b += int64(len(cls))*4 + 24
-			}
-			b += int64(len(cp.ptRows)+len(cp.ptR1)+len(cp.ptR2))*4 + int64(len(cp.ptOffs))*8
+			b += cp.memBytes
 		}
 	}
 	return b

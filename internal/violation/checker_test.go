@@ -1,11 +1,13 @@
 package violation
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"adc/internal/datagen"
 	"adc/internal/dataset"
 	"adc/internal/predicate"
 )
@@ -182,5 +184,91 @@ func TestCheckerAppendRowsError(t *testing.T) {
 	c := NewChecker(rel)
 	if _, _, _, err := c.AppendRows([][]string{{"CA", "not-a-zip", "65", "6"}}); err == nil {
 		t.Fatal("appending a non-int zip succeeded")
+	}
+}
+
+// memBytesWalk is Checker.MemBytes summed group by group at call time,
+// the oracle for the totals the plan builds keep.
+func memBytesWalk(c *Checker) int64 {
+	b := c.cache.store.MemBytes()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, p := range c.plans {
+		b += int64(len(p.mask))
+		b += int64(len(p.singles)+len(p.cross)) * 64
+		if gp := p.grp.Load(); gp != nil {
+			b += int64(len(gp.offs)) * 8
+			sides := [][][]int32{gp.left}
+			if gp.driver != nil || gp.shape == ShapeCrossJoin {
+				sides = append(sides, gp.right) // not the left rows again
+			}
+			for _, side := range sides {
+				for _, g := range side {
+					b += int64(len(g))*4 + 24
+				}
+			}
+			for _, v := range gp.vals {
+				b += int64(len(v))*8 + 24
+			}
+		}
+		if cp := p.cnt.Load(); cp != nil {
+			for _, cls := range cp.classes {
+				b += int64(len(cls))*4 + 24
+			}
+			b += int64(len(cp.ptRows)+len(cp.ptR1)+len(cp.ptR2))*4 + int64(len(cp.ptOffs))*8
+		}
+	}
+	return b
+}
+
+// TestCheckerMemBytesMatchesWalk checks MemBytes against the walk
+// after enumerated, counted and grouped checks of four datasets'
+// golden DCs (eqjoin, range and scan plans, ≠ classes and sweep
+// points) and of a crossjoin.
+func TestCheckerMemBytesMatchesWalk(t *testing.T) {
+	type tc struct {
+		rel   *dataset.Relation
+		specs []predicate.DCSpec
+	}
+	var cases []tc
+	for _, name := range []string{"tax", "hospital", "adult", "stock"} {
+		d, err := datagen.ByName(name, 300, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := datagen.AddNoise(d.Rel, datagen.Spread, 0.02, rand.New(rand.NewSource(4)))
+		cases = append(cases, tc{dirty, d.Golden})
+	}
+	cases = append(cases, tc{
+		dataset.MustNewRelation("xest", []*dataset.Column{
+			dataset.NewIntColumn("A", []int64{1, 2, 3, 4, 1, 2}),
+			dataset.NewIntColumn("B", []int64{2, 1, 9, 9, 2, 1}),
+			dataset.NewIntColumn("C", []int64{7, 7, 7, 7, 7, 7}),
+		}),
+		[]predicate.DCSpec{{
+			{A: "A", B: "B", Op: predicate.Eq, Cross: true},
+			{A: "C", B: "C", Op: predicate.Lt, Cross: true},
+		}},
+	})
+	for _, k := range cases {
+		c := NewChecker(k.rel)
+		for _, opts := range []Options{{}, {MaxPairs: 1}} {
+			if _, err := c.Check(k.specs, opts); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := c.MemBytes(), memBytesWalk(c); got != want {
+				t.Errorf("%s %+v: MemBytes = %d, walk %d", k.rel.Name, opts, got, want)
+			}
+		}
+		for _, spec := range k.specs {
+			p, err := c.plan(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.groupPlan(c.cache)
+		}
+		if got, want := c.MemBytes(), memBytesWalk(c); got != want {
+			t.Errorf("%s grouped: MemBytes = %d, walk %d", k.rel.Name, got, want)
+		}
 	}
 }

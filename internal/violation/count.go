@@ -90,6 +90,9 @@ type countPlan struct {
 	orderOps           []predicate.Operator
 	ptRows, ptR1, ptR2 []int32
 	ptOffs             []int
+	// memBytes is the plan's share of Checker.MemBytes (its groups and
+	// offs are the grouped plan's, counted there), summed once at build.
+	memBytes int64
 }
 
 // keyCol is one ≠ column's values as the refinement compares them:
@@ -191,6 +194,7 @@ func prepareCountPlan(cache *pliCache, p *dcPlan, workers int) *countPlan {
 			bufs[w] = cp.buildPoints(k, gp.right[k], orderCols[0], c2, bufs[w])
 		})
 	}
+	cp.memBytes = sideBytes(cp.classes) + int64(len(cp.ptRows)+len(cp.ptR1)+len(cp.ptR2))*4 + int64(len(cp.ptOffs))*8
 	return cp
 }
 

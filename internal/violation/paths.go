@@ -239,6 +239,9 @@ type groupPlan struct {
 	// the build: the grouping's selectivity times the driver's.
 	estPairs int64
 	joinCols []string
+	// memBytes is the plan's share of Checker.MemBytes, summed once at
+	// build.
+	memBytes int64
 }
 
 // prepareGroupPlan groups the DC's rows and sorts each group's right
@@ -322,7 +325,24 @@ func prepareGroupPlan(cache *pliCache, cross []compiledPred, sels []float64) *gr
 		gp.shape = ShapeScan
 	}
 	gp.estPairs = estPairs(sel, n)
+	gp.memBytes = int64(len(gp.offs))*8 + sideBytes(gp.left)
+	if gp.driver != nil || gp.shape == ShapeCrossJoin {
+		gp.memBytes += sideBytes(gp.right) // not the left rows again
+	}
+	for _, v := range gp.vals {
+		gp.memBytes += int64(len(v))*8 + 24
+	}
 	return gp
+}
+
+// sideBytes is the footprint of a plan's row lists: 4 bytes a row and
+// a slice header a group.
+func sideBytes(side [][]int32) int64 {
+	var b int64
+	for _, g := range side {
+		b += int64(len(g))*4 + 24
+	}
+	return b
 }
 
 // chunksPerWorker is how many chunks of left rows the executor cuts per
