@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,44 +46,23 @@ func (t *tail) claim(n, k int) bool {
 	return true
 }
 
-// dictionary is a string column lineage's value dictionary: codes maps
-// a value to its code and values[code] is that value, so codes are
-// dense and in first-occurrence order. It only grows, under mu, which
-// lookups hold too. A version that owns v values (Column.values)
-// treats a code ≥ v as a later version's value, and inserts in place
-// only while its v values are the whole dictionary; otherwise it forks.
-type dictionary struct {
-	mu     sync.Mutex
-	codes  map[string]int32
-	values []string
-}
-
-// fork returns a fresh dictionary of the first len(values) entries of
-// d, the ones the version owning values sees. d.mu must be held.
-func (d *dictionary) fork(values []string) *dictionary {
-	codes := maps.Clone(d.codes)
-	for _, s := range d.values[len(values):] {
-		delete(codes, s)
-	}
-	return &dictionary{codes: codes, values: values}
-}
-
 // AppendRows returns a new relation consisting of r's rows followed by
 // the given records, each a string value per column in column order.
 // Cells are trimmed of surrounding whitespace, as both CSV readers trim
 // them, then parsed against the existing column types — appending never
 // re-infers or widens a column, so "12x" into an Int column is an
 // error, not a silent conversion to String. The receiver is not
-// modified. On the newest version of a column the appended rows, and
-// any new dictionary values, are written in place after the receiver's
-// (see tail); any other append copies the column once. Either way each
-// version's slices are cut to its own length, so its readers never see
-// another version's rows. Each appended string is looked up in the
-// column's dictionary, so only appended values are hashed; a known
-// value keeps its code and its row aliases the dictionary's string,
-// and a new one takes the next code in first-appearance order. Codes
-// are thus exactly those NewStringColumn assigns over all rows, and
-// existing rows keep theirs (incremental PLI extension depends on
+// modified. On the newest version of a column the appended rows are
+// written in place after the receiver's (see tail); any other append
+// copies the column once. Either way each version's slices are cut to
+// its own length, so its readers never see another version's rows.
+// Each appended string is looked up in the column's dictionary, so
+// only appended values are hashed. A value already in the dictionary
+// keeps its code and its row aliases the dictionary's string; the grown
+// column shares the dictionary when no value is new. New values take
+// the next codes in first-appearance order in a copy of the dictionary.
+// Codes are thus exactly those NewStringColumn assigns over all rows,
+// and existing rows keep theirs (incremental PLI extension depends on
 // this).
 func (r *Relation) AppendRows(records [][]string) (*Relation, error) {
 	if len(records) == 0 {
@@ -160,26 +140,24 @@ func (c *Column) parse(records [][]string, j int) (batch, error) {
 // appends to be in place too. Otherwise (an older version, a sibling
 // that lost the claim, or a column's first append, which may view
 // caller memory or an mmap) it copies c's rows into a fresh tail of
-// exactly the grown length, as every append did before tails, so that
-// path costs what it did.
+// exactly the grown length, so that path costs one copy and leaves no
+// spare capacity.
 func (c *Column) grow(b batch, k int) *Column {
 	n, m := c.Len(), c.Len()+k
 	g := &Column{Name: c.Name, Type: c.Type}
 	var codes []int32
 	if c.Type == String {
-		codes, g.dict, g.values = c.encode(b.strs)
+		g.dict, g.values, g.valueBytes = c.dict, c.values, c.valueBytes
+		codes = g.encode(b.strs)
 		// Every appended row aliases a dictionary string, so a batch
 		// of known values keeps an interned column interned. A batch
 		// that adds a value clears the mark, as NewStringColumn over
 		// the grown values does, so such a column snapshots to the
 		// same bytes as a rebuilt one.
 		g.interned = c.interned && len(g.values) == len(c.values)
-		g.strBytes, g.valueBytes = c.strBytes, c.valueBytes
+		g.strBytes = c.strBytes
 		for _, s := range b.strs {
 			g.strBytes += int64(len(s))
-		}
-		for _, s := range g.values[len(c.values):] {
-			g.valueBytes += int64(len(s))
 		}
 	}
 	t := c.tail
@@ -220,29 +198,26 @@ func clone[T any](s []T, m int) []T {
 }
 
 // encode returns the codes of the appended values in c's dictionary,
-// and the dictionary and values of the grown version. A value the
-// version already owns keeps its code; a new one takes the next code,
-// inserted in place while c's values are the whole dictionary and in a
-// fork of c's part of it otherwise.
-func (c *Column) encode(add []string) ([]int32, *dictionary, []string) {
-	d, values := c.dict, c.values
+// which c shares with the version it grows from: the first new value
+// copies the dictionary, and it and later new values take the next
+// codes in the copy.
+func (c *Column) encode(add []string) []int32 {
 	codes := make([]int32, len(add))
-	c.dict.mu.Lock()
-	defer c.dict.mu.Unlock()
+	added := false
 	for k, s := range add {
-		code, ok := d.codes[s]
-		if !ok || int(code) >= len(values) {
-			if len(d.values) != len(values) {
-				d = d.fork(values) // private until returned: no lock needed
+		code, ok := c.dict[s]
+		if !ok {
+			if !added {
+				c.dict, c.values, added = maps.Clone(c.dict), slices.Clip(c.values), true
 			}
-			code = int32(len(values))
-			d.codes[s] = code
-			d.values = append(d.values, s)
-			values = d.values[: code+1 : code+1]
+			code = int32(len(c.values))
+			c.dict[s] = code
+			c.values = append(c.values, s)
+			c.valueBytes += int64(len(s))
 		}
 		codes[k] = code
 	}
-	return codes, d, values
+	return codes
 }
 
 // MemBytes estimates the heap footprint of the column: value storage,

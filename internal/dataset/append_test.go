@@ -237,12 +237,49 @@ func TestAppendRowsConcurrentSiblings(t *testing.T) {
 	}
 }
 
+// TestAppendedSlicesAreCut pins that every version's slices are cut to
+// its own length: a caller appending to an old version's slices gets
+// fresh arrays and cannot overwrite the rows a later version wrote in
+// place after them.
+func TestAppendedSlicesAreCut(t *testing.T) {
+	rel := MustNewRelation("r", []*Column{
+		NewStringColumn("City", []string{"A", "B"}),
+		NewIntColumn("Zip", []int64{10, 20}),
+		NewFloatColumn("Rate", []float64{1.5, 2.5}),
+	})
+	// The first append copies into a tail of exactly its rows, the
+	// second grows it: old's arrays have room after its rows.
+	old, err := rel.AppendRows([][]string{{"C", "30", "3.5"}})
+	if err == nil {
+		old, err = old.AppendRows([][]string{{"D", "40", "4.5"}})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	tip, err := old.AppendRows([][]string{{"A", "50", "5.5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tip.Columns[1].tail != old.Columns[1].tail {
+		t.Fatal("test setup: the append was not in place")
+	}
+	city, zip, rate := old.Columns[0], old.Columns[1], old.Columns[2]
+	_, _ = append(city.Strings, "x"), append(city.Codes, 9)
+	_, _ = append(zip.Ints, 99), append(rate.Floats, 9.5)
+	last := tip.NumRows() - 1
+	if got := tip.Columns[0]; got.Strings[last] != "A" || got.Codes[last] != 0 ||
+		tip.Columns[1].Ints[last] != 50 || tip.Columns[2].Floats[last] != 5.5 {
+		t.Fatalf("the newest row reads %q %d %d %v after appends to the old version's slices, want \"A\" 0 50 5.5",
+			got.Strings[last], got.Codes[last], tip.Columns[1].Ints[last], tip.Columns[2].Floats[last])
+	}
+}
+
 // TestAppendTipWhileOldVersionIsRead reads an old version from two
 // goroutines while the newest version, which shares the old one's
-// tail and dictionary, grows by 1,000 batches in place, every fourth
-// with a new string value. Under -race this checks that in-place
-// appends write only past every older version's rows; the old
-// version's values, codes and dictionary must not change.
+// tail, grows by 1,000 batches in place, every fourth with a new
+// string value. Under -race this checks that in-place appends write
+// only past every older version's rows; the old version's values,
+// codes and dictionary must not change.
 func TestAppendTipWhileOldVersionIsRead(t *testing.T) {
 	const n = 2000
 	cities, zips, rates := make([]string, n), make([]int64, n), make([]float64, n)

@@ -57,12 +57,12 @@ type Column struct {
 	Floats  []float64
 	Strings []string
 	Codes   []int32 // dictionary codes, String columns only
-	// dict is a String column lineage's dictionary (nil for a
-	// hand-built column), shared with the versions AppendRows grows
-	// from it, and values is this version's part of it, cut to its
-	// length: values[code] is the value of code, so codes are dense and
-	// in first-occurrence order.
-	dict   *dictionary
+	// dict and values are the dictionary both ways: dict maps a value
+	// to its code and values[code] is that value, so codes are dense
+	// and in first-occurrence order. Neither is written after the
+	// column is built; a column grown by AppendRows shares them until
+	// a batch adds a value.
+	dict   map[string]int32
 	values []string
 	// interned marks String columns whose Strings entries alias the
 	// dictionary (one string object per distinct value, built by the
@@ -97,30 +97,19 @@ func NewFloatColumn(name string, values []float64) *Column {
 }
 
 func (c *Column) buildDict() {
-	codes := make(map[string]int32)
-	values := []string{} // empty, not nil, like a decoded snapshot's
+	c.dict = make(map[string]int32)
+	c.values = []string{} // empty, not nil, like a decoded snapshot's
 	c.Codes = make([]int32, len(c.Strings))
 	for i, s := range c.Strings {
-		code, ok := codes[s]
+		code, ok := c.dict[s]
 		if !ok {
-			code = int32(len(values))
-			codes[s] = code
-			values = append(values, s)
+			code = int32(len(c.values))
+			c.dict[s] = code
+			c.values = append(c.values, s)
+			c.valueBytes += int64(len(s))
 		}
 		c.Codes[i] = code
 		c.strBytes += int64(len(s))
-	}
-	c.setDict(codes, values)
-}
-
-// setDict makes codes and values, a dictionary built over the column's
-// rows, the column's own, and totals the bytes of its values.
-func (c *Column) setDict(codes map[string]int32, values []string) {
-	values = values[:len(values):len(values)] // a caller's spare capacity is not ours
-	c.dict = &dictionary{codes: codes, values: values}
-	c.values = values
-	for _, v := range values {
-		c.valueBytes += int64(len(v))
 	}
 }
 
@@ -211,7 +200,7 @@ func (c *Column) DistinctCount() int {
 		}
 		return len(m)
 	default:
-		return len(c.values)
+		return len(c.dict)
 	}
 }
 

@@ -395,6 +395,7 @@ func finalizeChunkCol(ch *chunkData, j, width int, mode int8, ints []int64, floa
 func mergeStringCol(name string, chunks []*chunkData, j, rows int) *Column {
 	dict := make(map[string]int32)
 	var values []string
+	var valueBytes int64
 	codes := make([]int32, rows)
 	for _, ch := range chunks {
 		cc := &ch.cols[j]
@@ -405,6 +406,7 @@ func mergeStringCol(name string, chunks []*chunkData, j, rows int) *Column {
 				g = int32(len(values))
 				dict[v] = g
 				values = append(values, v)
+				valueBytes += int64(len(v))
 			}
 			remap[s] = g
 		}
@@ -419,9 +421,8 @@ func mergeStringCol(name string, chunks []*chunkData, j, rows int) *Column {
 		strs[i] = values[cd]
 		strBytes += int64(len(strs[i]))
 	}
-	c := &Column{Name: name, Type: String, Strings: strs, Codes: codes, interned: true, strBytes: strBytes}
-	c.setDict(dict, values)
-	return c
+	return &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, values: values,
+		interned: true, strBytes: strBytes, valueBytes: valueBytes}
 }
 
 // runTasks executes the tasks on up to workers goroutines and waits.

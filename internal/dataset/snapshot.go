@@ -9,7 +9,10 @@ package dataset
 // the round-trip invariant the colstore tests pin. It has no append
 // tail: its first append copies it, so nothing writes into a mapping.
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DictSnapshot returns the column's dictionary values in code order
 // (values[code] is the string encoded as code) and whether the column
@@ -24,7 +27,7 @@ func (c *Column) DictSnapshot() (values []string, interned bool, err error) {
 	if c.dict == nil {
 		return nil, false, fmt.Errorf("dataset: column %q has no dictionary", c.Name)
 	}
-	return c.values, c.interned, nil
+	return slices.Clip(c.values), c.interned, nil
 }
 
 // RestoreStringColumn rebuilds a dictionary-encoded string column from
@@ -38,11 +41,13 @@ func (c *Column) DictSnapshot() (values []string, interned bool, err error) {
 // (package pli).
 func RestoreStringColumn(name string, values []string, codes []int32, interned bool) (*Column, error) {
 	dict := make(map[string]int32, len(values))
+	var valueBytes int64
 	for i, v := range values {
 		if _, dup := dict[v]; dup {
 			return nil, fmt.Errorf("dataset: column %q: duplicate dictionary value %q", name, v)
 		}
 		dict[v] = int32(i)
+		valueBytes += int64(len(v))
 	}
 	strs := make([]string, len(codes))
 	var strBytes int64
@@ -64,7 +69,6 @@ func RestoreStringColumn(name string, values []string, codes []int32, interned b
 	if int(next) != len(values) {
 		return nil, fmt.Errorf("dataset: column %q: rows use %d of %d dictionary values", name, next, len(values))
 	}
-	c := &Column{Name: name, Type: String, Strings: strs, Codes: codes, interned: interned, strBytes: strBytes}
-	c.setDict(dict, values)
-	return c, nil
+	return &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, values: values,
+		interned: interned, strBytes: strBytes, valueBytes: valueBytes}, nil
 }
