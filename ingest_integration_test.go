@@ -21,10 +21,10 @@ import (
 
 func TestParallelIngestMatchesSerial(t *testing.T) {
 	variants := []dataset.IngestOptions{
-		{Workers: 2, ChunkRows: 16},
-		{Workers: 2, ChunkRows: 100},
-		{Workers: 8, ChunkRows: 7},
-		{Workers: 8, ChunkRows: 4096},
+		{Workers: 2, ChunkBytes: 16},
+		{Workers: 2, ChunkBytes: 100},
+		{Workers: 8, ChunkBytes: 7},
+		{Workers: 8, ChunkBytes: 4096},
 	}
 	for _, name := range []string{"adult", "tax", "hospital"} {
 		t.Run(name, func(t *testing.T) {
@@ -39,14 +39,14 @@ func TestParallelIngestMatchesSerial(t *testing.T) {
 			raw := buf.Bytes()
 
 			serial, err := dataset.ReadCSVOptions(bytes.NewReader(raw), name, true,
-				dataset.IngestOptions{Workers: 1, ChunkRows: 64})
+				dataset.IngestOptions{Workers: 1, ChunkBytes: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
 			serialIdx := pli.BuildIndexes(serial.Columns, nil, 1)
 
 			for _, opt := range variants {
-				label := fmt.Sprintf("workers=%d,chunk=%d", opt.Workers, opt.ChunkRows)
+				label := fmt.Sprintf("workers=%d,chunk=%d", opt.Workers, opt.ChunkBytes)
 				par, err := dataset.ReadCSVOptions(bytes.NewReader(raw), name, true, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)

@@ -17,11 +17,14 @@ import (
 // string is an ordinary value).
 //
 // ReadCSV streams: it runs the chunk-parallel reader of ReadCSVOptions
-// with default options (GOMAXPROCS workers) and never materializes the
-// file as [][]string. The parsed relation is bit-identical to the
-// historical buffered implementation (up to ReadCSVOptions' 2 GiB
-// per-row arena limit, the one input class the buffered reader could
-// in principle accept and this one rejects).
+// with default options (GOMAXPROCS workers). The reader only cuts the
+// input into chunks at record boundaries as it arrives; the workers
+// split fields, with the grammar encoding/csv applies (comma, strict
+// quotes, any number of fields), and parse each chunk in one pass. The
+// parsed relation, and the error for malformed input, are those of the
+// buffered encoding/csv implementation (up to ReadCSVOptions' 2 GiB
+// per-record limit, the one input class the buffered reader could in
+// principle accept and this one rejects).
 func ReadCSV(rd io.Reader, name string, header bool) (*Relation, error) {
 	return ReadCSVOptions(rd, name, header, IngestOptions{})
 }
@@ -85,6 +88,17 @@ func ReadCSVFile(path string, header bool) (*Relation, error) {
 	}
 	base = strings.TrimSuffix(base, ".csv")
 	return ReadCSV(f, base, header)
+}
+
+// syntaxError is the error encoding/csv's Reader returns for the same
+// malformed input, so the streaming reader's syntax errors read, and
+// unwrap with errors.As, exactly as the oracle's do.
+func syntaxError(startLine, line, col int, bareQuote bool) error {
+	err := csv.ErrQuote
+	if bareQuote {
+		err = csv.ErrBareQuote
+	}
+	return &csv.ParseError{StartLine: startLine, Line: line, Column: col, Err: err}
 }
 
 func inferColumn(name string, raw []string) *Column {

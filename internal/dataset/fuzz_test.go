@@ -1,6 +1,8 @@
 package dataset_test
 
 import (
+	"encoding/csv"
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -16,11 +18,14 @@ import (
 // reader against the buffered csv.ReadAll oracle: on every input —
 // ragged rows, empty cells, type-flip columns, CRLF, quotes, whatever
 // the fuzzer invents — both must agree on accept/reject, and on accept
-// the parsed relations must match cell for cell. Error equality is
-// deliberately accept/reject only: the buffered reader reads the whole
-// file before validating row widths, so when an input has both a CSV
-// syntax error and an earlier width error the two paths legitimately
-// report different (correct) failures.
+// the parsed relations must match cell for cell. On reject both must
+// report the same text, with one exception: the buffered reader reads
+// the whole file before validating row widths, so when an input has a
+// width error before its first CSV syntax error the streaming reader
+// reports the width error (the first error in input order) and the
+// oracle the syntax error. So a syntax error (*csv.ParseError) from the
+// streaming reader, and any error the oracle reports that is not one,
+// must match the oracle's text exactly.
 func FuzzReadCSVStream(f *testing.F) {
 	seeds := []string{
 		"a,b\n1,2\n3,4\n",
@@ -43,10 +48,10 @@ func FuzzReadCSVStream(f *testing.F) {
 		f.Add(s, true, uint8(3), uint8(7))
 		f.Add(s, false, uint8(1), uint8(1))
 	}
-	f.Fuzz(func(t *testing.T, in string, header bool, workers, chunkRows uint8) {
+	f.Fuzz(func(t *testing.T, in string, header bool, workers, chunkBytes uint8) {
 		opt := dataset.IngestOptions{
-			Workers:   int(workers%8) + 1,
-			ChunkRows: int(chunkRows%16) + 1,
+			Workers:    int(workers%8) + 1,
+			ChunkBytes: int(chunkBytes%64) + 1,
 		}
 		want, wantErr := dataset.ReadCSVBuffered(strings.NewReader(in), "f", header)
 		got, gotErr := dataset.ReadCSVOptions(strings.NewReader(in), "f", header, opt)
@@ -54,6 +59,10 @@ func FuzzReadCSVStream(f *testing.F) {
 			t.Fatalf("accept/reject mismatch (%+v): buffered err=%v, streaming err=%v", opt, wantErr, gotErr)
 		}
 		if wantErr != nil {
+			var pe *csv.ParseError
+			if (errors.As(gotErr, &pe) || !errors.As(wantErr, &pe)) && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("error mismatch (%+v):\n buffered:  %v\n streaming: %v", opt, wantErr, gotErr)
+			}
 			return
 		}
 		if got.NumRows() != want.NumRows() || got.NumColumns() != want.NumColumns() {

@@ -2,26 +2,30 @@ package dataset_test
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"adc/internal/dataset"
 )
 
 // ingestVariants is the worker × chunk-size grid the differential tests
-// sweep: the serial path, small chunks that force many shard-dictionary
-// merges, chunk sizes that do not divide the row count, and more
-// workers than chunks.
+// sweep: the serial path, chunks of a few bytes that cut at nearly every
+// record (and inside quoted cells, which the cut must step over), sizes
+// that cut mid-record, and more workers than chunks.
 var ingestVariants = []dataset.IngestOptions{
-	{Workers: 1, ChunkRows: 1},
-	{Workers: 1, ChunkRows: 7},
-	{Workers: 2, ChunkRows: 3},
-	{Workers: 2, ChunkRows: 64},
-	{Workers: 8, ChunkRows: 5},
-	{Workers: 8, ChunkRows: 1024},
+	{Workers: 1, ChunkBytes: 1},
+	{Workers: 1, ChunkBytes: 7},
+	{Workers: 2, ChunkBytes: 3},
+	{Workers: 2, ChunkBytes: 64},
+	{Workers: 8, ChunkBytes: 5},
+	{Workers: 8, ChunkBytes: 1024},
 	{}, // defaults: GOMAXPROCS workers
 }
 
@@ -118,7 +122,7 @@ func TestIngestMatchesBuffered(t *testing.T) {
 			}
 			var first *dataset.Relation
 			for _, opt := range ingestVariants {
-				label := fmt.Sprintf("workers=%d,chunk=%d", opt.Workers, opt.ChunkRows)
+				label := fmt.Sprintf("workers=%d,chunk=%d", opt.Workers, opt.ChunkBytes)
 				got, err := dataset.ReadCSVOptions(strings.NewReader(in), "d", header, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -142,13 +146,22 @@ func TestIngestMatchesBuffered(t *testing.T) {
 }
 
 // TestIngestRandomized fuzzes shapes cheaply at test time: random
-// column kinds, random type-flip rows, random empties.
+// column kinds, random type-flip rows, random empties, quoted cells
+// (holding a comma, a doubled quote, "\n" or "\r\n"), untrimmed and
+// quoted header names, blank lines, CRLF line ends and a missing final
+// newline, read at random chunk sizes.
 func TestIngestRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	kinds := []string{"int", "float", "str", "mixed"}
-	for trial := 0; trial < 25; trial++ {
+	kinds := []string{"int", "float", "str", "mixed", "quoted"}
+	quotedVals := []string{"s,1", `a""b`, "line\nbreak", "crlf\r\nbreak", `"`, "", " pad "}
+	quote := func(v string) string { return `"` + strings.ReplaceAll(v, `"`, `""`) + `"` }
+	for trial := 0; trial < 40; trial++ {
 		cols := 1 + rng.Intn(5)
 		rows := 1 + rng.Intn(200)
+		eol := "\n"
+		if rng.Intn(3) == 0 {
+			eol = "\r\n"
+		}
 		var sb strings.Builder
 		kind := make([]string, cols)
 		for j := 0; j < cols; j++ {
@@ -156,40 +169,60 @@ func TestIngestRandomized(t *testing.T) {
 			if j > 0 {
 				sb.WriteByte(',')
 			}
-			fmt.Fprintf(&sb, "col%d", j)
+			switch rng.Intn(8) {
+			case 0:
+				fmt.Fprintf(&sb, " col%d ", j) // header cells stay untrimmed
+			case 1:
+				sb.WriteString(quote(fmt.Sprintf("col,%d\n", j)))
+			default:
+				fmt.Fprintf(&sb, "col%d", j)
+			}
 		}
-		sb.WriteByte('\n')
+		sb.WriteString(eol)
 		for i := 0; i < rows; i++ {
+			for rng.Intn(20) == 0 {
+				sb.WriteString(eol) // blank lines are no rows
+			}
 			for j := 0; j < cols; j++ {
 				if j > 0 {
 					sb.WriteByte(',')
 				}
+				var cell string
 				switch k := kind[j]; {
 				case rng.Intn(50) == 0:
 					// occasional empty or spacey cell
-					sb.WriteString([]string{"", "  ", "\t"}[rng.Intn(3)])
+					cell = []string{"", "  ", "\t"}[rng.Intn(3)]
 				case k == "int":
-					fmt.Fprintf(&sb, "%d", rng.Intn(1000)-500)
+					cell = fmt.Sprintf("%d", rng.Intn(1000)-500)
 				case k == "float":
-					fmt.Fprintf(&sb, "%g", (rng.Float64()-0.5)*1e6)
+					cell = fmt.Sprintf("%g", (rng.Float64()-0.5)*1e6)
 				case k == "str":
-					fmt.Fprintf(&sb, "s%d", rng.Intn(20))
+					cell = fmt.Sprintf("s%d", rng.Intn(20))
+				case k == "quoted":
+					cell = quote(quotedVals[rng.Intn(len(quotedVals))])
 				default: // mixed: int-looking with occasional flips
 					if rng.Intn(10) == 0 {
-						fmt.Fprintf(&sb, "x%d", rng.Intn(5))
+						cell = fmt.Sprintf("x%d", rng.Intn(5))
 					} else {
-						fmt.Fprintf(&sb, "%d", rng.Intn(100))
+						cell = fmt.Sprintf("%d", rng.Intn(100))
 					}
 				}
+				if k := kind[j]; k != "quoted" && rng.Intn(10) == 0 {
+					cell = quote(cell) // quoting does not change a cell's value
+				}
+				sb.WriteString(cell)
 			}
-			sb.WriteByte('\n')
+			sb.WriteString(eol)
 		}
 		in := sb.String()
+		if trial%4 == 3 {
+			in = strings.TrimSuffix(in, eol) // no final newline
+		}
 		want, err := dataset.ReadCSVBuffered(strings.NewReader(in), "r", true)
 		if err != nil {
 			t.Fatalf("trial %d oracle: %v", trial, err)
 		}
-		opt := dataset.IngestOptions{Workers: 1 + rng.Intn(8), ChunkRows: 1 + rng.Intn(64)}
+		opt := dataset.IngestOptions{Workers: 1 + rng.Intn(8), ChunkBytes: 1 + rng.Intn(64)}
 		got, err := dataset.ReadCSVOptions(strings.NewReader(in), "r", true, opt)
 		if err != nil {
 			t.Fatalf("trial %d (%+v): %v", trial, opt, err)
@@ -228,6 +261,132 @@ func TestIngestWidthErrors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIngestFirstErrorInInputOrder pins which error wins when an input
+// has several: the first in input order, at every chunking. An earlier
+// chunk's width or syntax error beats a later chunk's error and a read
+// error after it, and a syntax error in a record that a read error cuts
+// short beats the read error, as with encoding/csv's Reader.
+func TestIngestFirstErrorInInputOrder(t *testing.T) {
+	errBoom := errors.New("boom")
+	var rows strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&rows, "%d,\"v\n%d\"\n", i, i)
+	}
+	body := rows.String()
+	widthErr := `dataset: CSV for "d": row 2 has 1 fields, want 2`
+	cases := map[string]struct {
+		in      string
+		readErr bool   // the reader fails after in
+		want    string // "" wants the oracle's error
+	}{
+		"width before syntax":    {"a,b\n1,x\n3\n" + body + "4,\"x", false, widthErr},
+		"width before read":      {"a,b\n1,x\n3\n" + body, true, widthErr},
+		"syntax before width":    {"a,b\n1,x\"y\n" + body + "5\n", false, ""},
+		"quote before width":     {"a,b\n\"1\"x,2\n" + body + "5\n", false, ""},
+		"eof inside quotes":      {"a,b\n" + body + "1,\"x\n\n", false, ""},
+		"read after rows":        {"a,b\n" + body, true, `dataset: reading CSV for "d": boom`},
+		"read cuts a record":     {"a,b\n" + body + "3,\"x", true, `dataset: reading CSV for "d": boom`},
+		"syntax in a cut record": {"a,b\n" + body + "\"x\"y", true, ""},
+		"read in the header":     {"a,\"b", true, `dataset: reading CSV for "d": boom`},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			read := func() io.Reader {
+				if tc.readErr {
+					return io.MultiReader(strings.NewReader(tc.in), iotest.ErrReader(errBoom))
+				}
+				return strings.NewReader(tc.in)
+			}
+			want := tc.want
+			if want == "" {
+				_, err := dataset.ReadCSVBuffered(read(), "d", true)
+				var pe *csv.ParseError
+				if !errors.As(err, &pe) {
+					t.Fatalf("oracle error %v is no syntax error", err)
+				}
+				want = err.Error()
+			}
+			for _, opt := range append(ingestVariants, dataset.IngestOptions{Workers: 2, ChunkBytes: 40}) {
+				_, err := dataset.ReadCSVOptions(read(), "d", true, opt)
+				if err == nil || err.Error() != want {
+					t.Fatalf("%+v: error %v, want %s", opt, err, want)
+				}
+				if tc.readErr && strings.HasSuffix(want, "boom") && !errors.Is(err, errBoom) {
+					t.Fatalf("%+v: %v does not wrap the read error", opt, err)
+				}
+			}
+		})
+	}
+}
+
+// stallReader returns its data, then reads that return nothing, with
+// no error, forever.
+type stallReader struct{ data string }
+
+func (s *stallReader) Read(p []byte) (int, error) {
+	n := copy(p, s.data)
+	s.data = s.data[n:]
+	return n, nil
+}
+
+// TestIngestStalledReader checks that a reader that stops making
+// progress fails as it does through the oracle's bufio.Reader, with
+// io.ErrNoProgress, instead of being read forever.
+func TestIngestStalledReader(t *testing.T) {
+	in := "a,b\n1,2\n3,4\n"
+	_, wantErr := dataset.ReadCSVBuffered(&stallReader{in}, "d", true)
+	_, err := dataset.ReadCSVOptions(&stallReader{in}, "d", true, dataset.IngestOptions{Workers: 2, ChunkBytes: 4})
+	if !errors.Is(err, io.ErrNoProgress) || wantErr == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("error %v, want %v", err, wantErr)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestIngestStopsReadingAtError checks that reading stays incremental:
+// once a chunk fails, the reader stops a few chunks past the error
+// rather than at the end of the input. A bare quote flips the quote
+// count for the rest of the input, so there the reader's own syntax
+// check must stop it; a width error leaves the cuts intact, so there
+// the failing worker must, which one worker makes deterministic.
+func TestIngestStopsReadingAtError(t *testing.T) {
+	for _, tc := range []struct {
+		name, head string
+		workers    []int
+	}{
+		{"bare quote", "a,b\n1,x\"y\n", []int{1, 2, 8}},
+		{"width", "a,b\n1\n", []int{1}},
+	} {
+		var sb strings.Builder
+		sb.WriteString(tc.head)
+		for sb.Len() < 1<<20 {
+			sb.WriteString("1,2\n")
+		}
+		_, want := dataset.ReadCSVBuffered(strings.NewReader(tc.head+"3,4\n"), "d", true)
+		for _, workers := range tc.workers {
+			cr := &countingReader{r: strings.NewReader(sb.String())}
+			_, err := dataset.ReadCSVOptions(cr, "d", true, dataset.IngestOptions{Workers: workers, ChunkBytes: 4096})
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("%s, workers=%d: error %v, want %v", tc.name, workers, err, want)
+			}
+			if cr.n > 1<<18 {
+				t.Fatalf("%s, workers=%d: read %d of %d bytes after an error in the first chunk",
+					tc.name, workers, cr.n, sb.Len())
+			}
+		}
 	}
 }
 
@@ -298,7 +457,7 @@ func TestWriteReadRoundTripLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	back, err := dataset.ReadCSVOptions(bytes.NewReader(buf.Bytes()), "big", true,
-		dataset.IngestOptions{Workers: 4, ChunkRows: 333})
+		dataset.IngestOptions{Workers: 4, ChunkBytes: 333})
 	if err != nil {
 		t.Fatal(err)
 	}

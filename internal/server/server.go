@@ -319,10 +319,13 @@ func viewOf(sess *session) datasetView {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// A text/csv body streams straight through the chunk-parallel
-	// reader — the request is parsed as it arrives, and the server
-	// never buffers the CSV (the JSON form below necessarily does,
-	// since the CSV rides inside a JSON string). Name and header come
-	// from query parameters: POST /datasets?name=tax&header=true.
+	// reader: it reads the body in blocks and hands each chunk of whole
+	// records to a parse worker while the rest is still arriving, so
+	// the CSV is never held as one string (the JSON form below
+	// necessarily is, since the CSV rides inside a JSON string), and
+	// the chunks keep the body's bytes only until the relation is
+	// built. Name and header come from query parameters:
+	// POST /datasets?name=tax&header=true.
 	if mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err == nil && mt == "text/csv" {
 		name := r.URL.Query().Get("name")
 		if name == "" {
