@@ -25,12 +25,21 @@ func OpenAttachments() int64 { return openAttachments.Load() }
 // rather than a full heap materialization. The returned snapshot's
 // Close releases the mapping; see Snapshot.Close for the lifetime
 // contract. On platforms without mmap support this degrades to Load.
-func Attach(path string) (*Snapshot, error) {
+func Attach(path string) (*Snapshot, error) { return AttachWithRoom(path, 0) }
+
+// AttachWithRoom is Attach for a relation that room rows are about to
+// be appended to, such as a restore's log replay: with room > 0 the
+// columns own copies of their values and codes, made once from the
+// mapping with capacity for room more rows, so appends that add up to
+// room rows to the newest version write in place instead of copying
+// every column. Dictionary strings and indexes still view the mapping.
+// With room 0 it is Attach.
+func AttachWithRoom(path string, room int) (*Snapshot, error) {
 	data, closer, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := Decode(data)
+	snap, err := decode(data, room)
 	if err != nil {
 		if closer != nil {
 			closer() //nolint:errcheck // the decode error wins

@@ -7,6 +7,9 @@
 // given instead of copying them: Load hands it the file read into a
 // heap buffer, Attach a read-only mapping of the file, so re-attaching
 // a session costs page faults instead of CSV parsing and index builds.
+// AttachWithRoom, for a relation about to be appended to, instead
+// copies the column values and codes once into arrays with room for
+// the appended rows.
 //
 // # File format (version 2)
 //

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"adc/internal/datagen"
 	"adc/internal/dataset"
@@ -53,7 +54,7 @@ func smallSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
 	city, err := dataset.RestoreStringColumn("city",
 		[]string{"ann arbor", "boston", "chicago"},
-		[]int32{0, 1, 2, 1, 0, 2, 1, 0}, true)
+		[]int32{0, 1, 2, 1, 0, 2, 1, 0}, true, 0)
 	if err != nil {
 		t.Fatalf("interned column: %v", err)
 	}
@@ -292,6 +293,92 @@ func TestAppendToAttachedRelation(t *testing.T) {
 	defer again.Close()
 	if diff := relDiff(again.Relation, snap.Relation); diff != "" {
 		t.Fatalf("re-attached relation: %s", diff)
+	}
+}
+
+// TestAttachWithRoom attaches a snapshot with room for 0 to 6 rows and
+// appends 4 rows to it in two batches, the second with a value new to
+// every column, as a restore's log replay appends. Every version must
+// hold what the written relation grown by the same batches holds
+// (relDiff) and make the same bytes through Write; with room, the
+// attached columns own arrays the batches write into in place while
+// the room lasts; and neither the attached version nor the file may
+// change.
+func TestAttachWithRoom(t *testing.T) {
+	snap, _ := warmSnapshot(t, "tax", 300, 2)
+	path := filepath.Join(t.TempDir(), "tax.adcs")
+	if err := WriteFile(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(i int) []string {
+		rec := make([]string, snap.Relation.NumColumns())
+		for j, c := range snap.Relation.Columns {
+			rec[j] = c.ValueString(i)
+		}
+		return rec
+	}
+	fresh := make([]string, snap.Relation.NumColumns())
+	for j := range fresh {
+		fresh[j] = "900001"
+	}
+	batches := [][][]string{{row(0), row(7)}, {fresh, row(3)}}
+	for _, room := range []int{0, 3, 4, 6} {
+		att, err := AttachWithRoom(path, room)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, want, added := att.Relation, snap.Relation, 0
+		for k, b := range batches {
+			next, err := rel.AppendRows(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, err = want.AppendRows(b); err != nil {
+				t.Fatal(err)
+			}
+			added += len(b)
+			if diff := relDiff(next, want); diff != "" {
+				t.Fatalf("room %d, batch %d: %s", room, k, diff)
+			}
+			if !bytes.Equal(encodeSnapshot(t, &Snapshot{Relation: next}), encodeSnapshot(t, &Snapshot{Relation: want})) {
+				t.Fatalf("room %d, batch %d: Write makes different bytes", room, k)
+			}
+			for j, c := range next.Columns {
+				if inPlace := slices.Equal(arrays(c), arrays(rel.Columns[j])); inPlace != (room > 0 && added <= room) {
+					t.Errorf("room %d, batch %d: column %q written in place %v", room, k, c.Name, inPlace)
+				}
+			}
+			rel = next
+		}
+		if diff := relDiff(att.Relation, snap.Relation); diff != "" {
+			t.Fatalf("room %d: attached relation after the appends: %s", room, diff)
+		}
+		if err := att.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("appending to relations attached with room changed the snapshot file")
+	}
+}
+
+// arrays returns the addresses of the arrays c's values are in.
+func arrays(c *dataset.Column) []unsafe.Pointer {
+	switch c.Type {
+	case dataset.Int:
+		return []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(c.Ints))}
+	case dataset.Float:
+		return []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(c.Floats))}
+	default:
+		return []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(c.Codes)), unsafe.Pointer(unsafe.SliceData(c.Strings))}
 	}
 }
 

@@ -98,8 +98,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 }
 
 // FuzzSnapshotDecode throws raw bytes at the decoder: it must never
-// panic or over-allocate, and whatever it accepts must re-encode and
-// decode to the same snapshot.
+// panic or over-allocate, whatever it accepts must re-encode and
+// decode to the same snapshot, and decoding with room for appended
+// rows must accept the same inputs and hold the same relation.
 func FuzzSnapshotDecode(f *testing.F) {
 	if data, err := os.ReadFile(goldenPath); err == nil {
 		f.Add(data)
@@ -117,8 +118,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(data)
+		roomy, rerr := decode(data, 3)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("Decode error %v, with room %v", err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		if diff := relDiff(roomy.Relation, snap.Relation); diff != "" {
+			t.Fatalf("decoded with room: %s", diff)
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, snap); err != nil {

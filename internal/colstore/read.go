@@ -166,7 +166,14 @@ func aligned(b []byte, n uintptr) bool { return uintptr(unsafe.Pointer(&b[0]))%n
 // arrays alias data, so data must stay unmodified while the snapshot
 // is in use. Load passes a heap buffer and Attach a read-only file
 // mapping.
-func Decode(data []byte) (*Snapshot, error) {
+func Decode(data []byte) (*Snapshot, error) { return decode(data, 0) }
+
+// decode is Decode with room for room rows to be appended to the
+// relation: with room > 0 every column copies its values and codes out
+// of data once, into arrays with that much spare capacity, which it
+// owns and its appends write into in place (dataset.Column.WithRoom).
+// Dictionary strings and indexes view data either way.
+func decode(data []byte, room int) (*Snapshot, error) {
 	if len(data) < fileHeaderLen {
 		return nil, corruptf("file shorter than the %d-byte header", fileHeaderLen)
 	}
@@ -254,7 +261,7 @@ func Decode(data []byte) (*Snapshot, error) {
 			}
 			haveMeta = true
 		case secColumn:
-			j, c, err := decodeColumn(payload, rows)
+			j, c, err := decodeColumn(payload, rows, room)
 			if err != nil {
 				return nil, err
 			}
@@ -302,8 +309,8 @@ func Decode(data []byte) (*Snapshot, error) {
 	return snap, nil
 }
 
-// decodeColumn mirrors encodeColumn.
-func decodeColumn(payload []byte, rows int) (int, *dataset.Column, error) {
+// decodeColumn mirrors encodeColumn, with room as in decode.
+func decodeColumn(payload []byte, rows, room int) (int, *dataset.Column, error) {
 	d := &dec{b: payload}
 	j, err := d.u32()
 	if err != nil {
@@ -333,7 +340,7 @@ func decodeColumn(payload []byte, rows int) (int, *dataset.Column, error) {
 		if d.remaining() != 0 {
 			return 0, nil, corruptf("column %q has %d trailing bytes", name, d.remaining())
 		}
-		return int(j), dataset.NewIntColumn(name, v), nil
+		return int(j), dataset.NewIntColumn(name, v).WithRoom(room), nil
 	case dataset.Float:
 		v, err := d.float64s(rows)
 		if err != nil {
@@ -342,7 +349,7 @@ func decodeColumn(payload []byte, rows int) (int, *dataset.Column, error) {
 		if d.remaining() != 0 {
 			return 0, nil, corruptf("column %q has %d trailing bytes", name, d.remaining())
 		}
-		return int(j), dataset.NewFloatColumn(name, v), nil
+		return int(j), dataset.NewFloatColumn(name, v).WithRoom(room), nil
 	case dataset.String:
 		internedFlag, err := d.u32()
 		if err != nil {
@@ -386,7 +393,7 @@ func decodeColumn(payload []byte, rows int) (int, *dataset.Column, error) {
 			}
 			values[i] = bstr(arena[lo:hi])
 		}
-		c, err := dataset.RestoreStringColumn(name, values, codes, internedFlag == 1)
+		c, err := dataset.RestoreStringColumn(name, values, codes, internedFlag == 1, room)
 		if err != nil {
 			return 0, nil, corruptf("%v", err)
 		}

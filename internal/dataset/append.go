@@ -15,7 +15,10 @@ import (
 // to it claims the tail and writes its rows after them, in place while
 // the arrays have room (append's growth leaves room for the next
 // ones). Every other append copies into a fresh tail of exactly its
-// rows. Exactly one of ints, floats, or codes with strs is in use.
+// rows. A column whose arrays it owns is born the first version of a
+// tail (withTail): ingest's columns, and a restore's columns decoded
+// with room for the rows its log will add (WithRoom). Exactly one of
+// ints, floats, or codes with strs is in use.
 type tail struct {
 	mu   sync.Mutex
 	rows int // rows claimed; guarded by mu
@@ -138,8 +141,8 @@ func (c *Column) parse(records [][]string, j int) (batch, error) {
 // writes them into c's tail when c is the tail's newest version, where
 // append's growth, when the tail is full, leaves room for the next
 // appends to be in place too. Otherwise (an older version, a sibling
-// that lost the claim, or a column's first append, which may view
-// caller memory or an mmap) it copies c's rows into a fresh tail of
+// that lost the claim, or a column with no tail, whose slices may be
+// the caller's or view an mmap) it copies c's rows into a fresh tail of
 // exactly the grown length, so that path costs one copy and leaves no
 // spare capacity.
 func (c *Column) grow(b batch, k int) *Column {
@@ -195,6 +198,27 @@ func clone[T any](s []T, m int) []T {
 	out := make([]T, len(s), m)
 	copy(out, s)
 	return out
+}
+
+// withTail makes c, which must own its arrays, the first version of a
+// tail over them that claims its rows, so that its first append writes
+// after them instead of copying c: in place while the arrays' capacity
+// lasts, regrowing them once when it does not. c's own slices are cut
+// to its rows, as every version's are.
+func (c *Column) withTail() *Column {
+	n := c.Len()
+	t := &tail{rows: n}
+	switch c.Type {
+	case Int:
+		t.ints, c.Ints = c.Ints, c.Ints[:n:n]
+	case Float:
+		t.floats, c.Floats = c.Floats, c.Floats[:n:n]
+	default:
+		t.codes, c.Codes = c.Codes, c.Codes[:n:n]
+		t.strs, c.Strings = c.Strings, c.Strings[:n:n]
+	}
+	c.tail = t
+	return c
 }
 
 // encode returns the codes of the appended values in c's dictionary,

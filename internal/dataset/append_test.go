@@ -163,10 +163,10 @@ func TestAppendTrimsLikeCSV(t *testing.T) {
 
 // TestAppendRowsConcurrentSiblings appends different batches to one
 // relation from eight goroutines at once, first to a relation never
-// appended to (every append copies) and then to one whose columns have
-// a tail it is the newest version of: there, for every column, exactly
-// one result must be written in place into that tail and the others
-// copy. Under -race this checks that no append writes to what the
+// appended to (every append copies) and then to ones whose columns
+// have a tail they are the newest version of, an appended relation and
+// one decoded with room: there, for every column, exactly one result
+// must be written in place into that tail and the others copy. Under -race this checks that no append writes to what the
 // others read, and each result must match NewStringColumn over its own
 // values.
 func TestAppendRowsConcurrentSiblings(t *testing.T) {
@@ -189,7 +189,12 @@ func TestAppendRowsConcurrentSiblings(t *testing.T) {
 	if cap(tip.Columns[1].tail.ints) == tip.NumRows() {
 		t.Fatal("test setup: tip's tail has no room")
 	}
-	for _, parent := range []*Relation{rel, tip} {
+	city, err := RestoreStringColumn("City", []string{"A", "B", "C"}, []int32{0, 1, 2}, false, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roomy := MustNewRelation("r", []*Column{city, rel.Columns[1].WithRoom(4), rel.Columns[2].WithRoom(4)})
+	for _, parent := range []*Relation{rel, tip, roomy} {
 		results := make([]*Relation, 8)
 		var wg sync.WaitGroup
 		for g := range results {
@@ -227,7 +232,7 @@ func TestAppendRowsConcurrentSiblings(t *testing.T) {
 				}
 			}
 			want := 0
-			if parent == tip {
+			if parent != rel {
 				want = 1
 			}
 			if shared != want {
@@ -271,6 +276,36 @@ func TestAppendedSlicesAreCut(t *testing.T) {
 		tip.Columns[1].Ints[last] != 50 || tip.Columns[2].Floats[last] != 5.5 {
 		t.Fatalf("the newest row reads %q %d %d %v after appends to the old version's slices, want \"A\" 0 50 5.5",
 			got.Strings[last], got.Codes[last], tip.Columns[1].Ints[last], tip.Columns[2].Floats[last])
+	}
+}
+
+// TestRoomSlicesAreCut is TestAppendedSlicesAreCut for columns decoded
+// with room: their own slices must end at their rows, so appending to
+// them cannot overwrite the rows an in-place append wrote into the
+// room.
+func TestRoomSlicesAreCut(t *testing.T) {
+	city, err := RestoreStringColumn("City", []string{"A", "B"}, []int32{0, 1, 0}, false, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zip := NewIntColumn("Zip", []int64{10, 20, 30}).WithRoom(4)
+	rate := NewFloatColumn("Rate", []float64{1.5, 2.5, 3.5}).WithRoom(4)
+	rel := MustNewRelation("r", []*Column{city, zip, rate})
+	tip, err := rel.AppendRows([][]string{{"B", "50", "5.5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, c := range rel.Columns {
+		if !slices.Equal(Arrays(tip.Columns[j]), Arrays(c)) {
+			t.Fatalf("test setup: column %q was not appended in place", c.Name)
+		}
+	}
+	_, _ = append(city.Strings, "x"), append(city.Codes, 9)
+	_, _ = append(zip.Ints, 99), append(rate.Floats, 9.5)
+	if got := tip.Columns[0]; got.Strings[3] != "B" || got.Codes[3] != 1 ||
+		tip.Columns[1].Ints[3] != 50 || tip.Columns[2].Floats[3] != 5.5 {
+		t.Fatalf("the appended row reads %q %d %d %v after appends to the restored version's slices, want \"B\" 1 50 5.5",
+			got.Strings[3], got.Codes[3], tip.Columns[1].Ints[3], tip.Columns[2].Floats[3])
 	}
 }
 
@@ -352,5 +387,47 @@ func TestAppendTipWhileOldVersionIsRead(t *testing.T) {
 	want := NewStringColumn("City", tip.Columns[0].Strings)
 	if got := tip.Columns[0]; !slices.Equal(got.Codes, want.Codes) || !slices.Equal(got.values, want.values) {
 		t.Fatal("newest version's codes or dictionary differ from NewStringColumn")
+	}
+}
+
+// TestReadCSVColumnsAppendInPlace pins that ingest's columns are born
+// with an append tail: the first append to a ReadCSV relation claims
+// it, so the column is copied at most once (when append regrows its
+// full arrays) instead of first into a fresh tail, and the second
+// append writes in place after the first one's rows.
+func TestReadCSVColumnsAppendInPlace(t *testing.T) {
+	rel, err := ReadCSV(strings.NewReader("City,Zip,Rate\nA,10,1.5\nB,20,2.5\nA,30,3.5\n"), "r", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := rel.AppendRows([][]string{{"B", "40", "4.5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := first.AppendRows([][]string{{"C", "50", "5.5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, c := range rel.Columns {
+		f, s := first.Columns[j], second.Columns[j]
+		if c.tail == nil || f.tail != c.tail {
+			t.Errorf("column %q: the first append copied the column instead of claiming its tail", c.Name)
+		}
+		if s.tail != f.tail || !slices.Equal(Arrays(s), Arrays(f)) {
+			t.Errorf("column %q: the second append was not in place", c.Name)
+		}
+	}
+	want := MustNewRelation("r", []*Column{
+		NewStringColumn("City", []string{"A", "B", "A", "B", "C"}),
+		NewIntColumn("Zip", []int64{10, 20, 30, 40, 50}),
+		NewFloatColumn("Rate", []float64{1.5, 2.5, 3.5, 4.5, 5.5}),
+	})
+	for j, w := range want.Columns {
+		g := second.Columns[j]
+		if !slices.Equal(g.Strings, w.Strings) || !slices.Equal(g.Codes, w.Codes) ||
+			!slices.Equal(g.Ints, w.Ints) || !slices.Equal(g.Floats, w.Floats) {
+			t.Errorf("column %q: got %q %v %v %v, want %q %v %v %v", w.Name,
+				g.Strings, g.Codes, g.Ints, g.Floats, w.Strings, w.Codes, w.Ints, w.Floats)
+		}
 	}
 }

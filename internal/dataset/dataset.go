@@ -73,9 +73,12 @@ type Column struct {
 	// strBytes and valueBytes total the bytes of Strings and of values,
 	// kept by every constructor and append so MemBytes reads no row.
 	strBytes, valueBytes int64
-	// tail is the backing store this version's slices are cut from,
-	// nil until the column's first append: a constructor's slices may
-	// be the caller's or view an mmap, and are never written.
+	// tail is the backing store this version's slices are cut from. It
+	// is nil for a column over slices it does not own, which are never
+	// written: the constructors' (the caller's) and a snapshot's decoded
+	// without room (views of its buffer); the first append copies such
+	// a column. Ingest, a restore with room and every append give their
+	// columns one.
 	tail *tail
 }
 

@@ -1,5 +1,7 @@
 package dataset
 
+import "unsafe"
+
 // Test-only exports: the buffered csv.ReadAll reader is the correctness
 // oracle the streaming reader is differentially tested against.
 var ReadCSVBuffered = readCSVBuffered
@@ -7,6 +9,19 @@ var ReadCSVBuffered = readCSVBuffered
 // SharesTail reports whether two columns are versions cut from one
 // append tail, so that an append wrote one in place after the other.
 func SharesTail(a, b *Column) bool { return a.tail != nil && a.tail == b.tail }
+
+// Arrays returns the addresses of the arrays c's values are in, so a
+// test can tell an append that wrote in place from one that copied.
+func Arrays(c *Column) []unsafe.Pointer {
+	switch c.Type {
+	case Int:
+		return []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(c.Ints))}
+	case Float:
+		return []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(c.Floats))}
+	default:
+		return []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(c.Codes)), unsafe.Pointer(unsafe.SliceData(c.Strings))}
+	}
+}
 
 // MemBytesWalk is Column.MemBytes summed row by row and value by value,
 // the oracle for the byte totals constructors and appends keep.

@@ -116,15 +116,23 @@ var (
 // must keep every row aliased to its dictionary string and stay
 // interned until a batch adds a value.
 //
-// Each step reads a batch-size byte whose higher bits pick the step:
+// The first byte gives the base's row count; if its high bit is set,
+// the next byte gives a room of 0–7 rows, and each line's base columns
+// are decoded as a snapshot restore decodes them with room for a log
+// (WithRoom, RestoreStringColumn): with room 0 they view the base's
+// slices, otherwise each line's columns own arrays with that much
+// spare capacity in a tail of their own. Each step reads a batch-size
+// byte whose higher bits pick the step:
 // 0 appends to both lines and then the same batch reversed, as a
 // sibling, to the plain line's receiver; 1 appends that sibling first,
 // so the main line loses the receiver's tail to it; 2 appends to a
 // version drawn from every one returned so far, usually an old one the
 // newest has moved past; 3 appends to both lines only. A model of the
-// tails (the rows each has claimed) predicts every append: in place
-// into the receiver's tail when the receiver is that tail's newest
-// version, else a copy into a fresh one.
+// tails (the rows each has claimed, and the capacity of those whose
+// arrays have not regrown since it was known) predicts every append:
+// in place into the receiver's tail when the receiver is that tail's
+// newest version, into the receiver's very arrays while the capacity
+// lasts, else a copy into a fresh one.
 func FuzzAppendRows(f *testing.F) {
 	f.Add([]byte{3, 2, 3, 4, 5, 6, 7, 0, 1, 2, 2, 9, 8, 7, 1, 1, 1})
 	f.Add([]byte{0, 1, 0, 3, 10, 2, 2, 2, 4, 4, 4})
@@ -152,7 +160,12 @@ func FuzzAppendRows(f *testing.F) {
 		var ints []int64
 		var floats []float64
 		var strs []string
-		for n := next() % 6; n > 0; n-- {
+		first := next()
+		room := -1
+		if first >= 0x80 {
+			room = next() % 8
+		}
+		for n := first % 6; n > 0; n-- {
 			rec := cells()
 			x, _ := strconv.ParseInt(strings.TrimSpace(rec[0]), 10, 64)
 			y, _ := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
@@ -167,17 +180,31 @@ func FuzzAppendRows(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		internedCol, err := dataset.RestoreStringColumn("s", values, base[2].Codes, true)
-		if err != nil {
-			t.Fatal(err)
+		// line returns one line's base columns: base itself, or decoded
+		// with room.
+		line := func(interned bool) []*dataset.Column {
+			if room < 0 && !interned {
+				return base
+			}
+			r := max(room, 0)
+			s, err := dataset.RestoreStringColumn("s", values, base[2].Codes, interned, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*dataset.Column{base[0].WithRoom(r), base[1].WithRoom(r), s}
 		}
 		root := fuzzVersion{ints: ints, floats: floats, strs: strs, tail: -1}
 		plain, twin := root, root
-		plain.rel = dataset.MustNewRelation("r", base)
-		twin.rel = dataset.MustNewRelation("r", []*dataset.Column{base[0], base[1], internedCol})
+		plain.rel = dataset.MustNewRelation("r", line(false))
+		twin.rel = dataset.MustNewRelation("r", line(true))
 		twin.interned = true
 		versions := []*fuzzVersion{&plain, &twin}
-		var tails []int // rows each model tail has claimed
+		var tails []fuzzTail
+		if room > 0 {
+			n := len(ints)
+			plain.tail, twin.tail = 0, 1
+			tails = []fuzzTail{{rows: n, cap: n + room}, {rows: n, cap: n + room}}
+		}
 		cur := [2]*fuzzVersion{&plain, &twin}
 
 		// grow appends recs to v, checks the outcome against the model
@@ -200,18 +227,27 @@ func FuzzAppendRows(f *testing.F) {
 				t.Fatalf("AppendRows(%q): %v", recs, err)
 			}
 			g := v.child(got, recs)
-			inPlace := v.tail >= 0 && tails[v.tail] == v.rel.NumRows()
+			m := got.NumRows()
+			inPlace := v.tail >= 0 && tails[v.tail].rows == v.rel.NumRows()
+			sameArrays := inPlace && m <= tails[v.tail].cap
 			if inPlace {
 				g.tail = v.tail
+				if !sameArrays {
+					tails[g.tail].cap = -1 // append regrew the arrays
+				}
 			} else {
 				g.tail = len(tails)
-				tails = append(tails, 0)
+				tails = append(tails, fuzzTail{cap: m})
 			}
-			tails[g.tail] = got.NumRows()
+			tails[g.tail].rows = m
 			for j, c := range got.Columns {
 				if dataset.SharesTail(c, v.rel.Columns[j]) != inPlace {
 					t.Fatalf("append of %q to a %d-row version: column %q in place %v, want %v",
 						recs, v.rel.NumRows(), c.Name, !inPlace, inPlace)
+				}
+				if sameArrays && !slices.Equal(dataset.Arrays(c), dataset.Arrays(v.rel.Columns[j])) {
+					t.Fatalf("append of %q to a %d-row version: column %q left arrays with room for it",
+						recs, v.rel.NumRows(), c.Name)
 				}
 			}
 			g.check(t)
@@ -246,6 +282,13 @@ func FuzzAppendRows(f *testing.F) {
 			v.check(t)
 		}
 	})
+}
+
+// fuzzTail is FuzzAppendRows's model of an append tail: the rows it
+// has claimed and the capacity of its arrays, or -1 once an append has
+// regrown them.
+type fuzzTail struct {
+	rows, cap int
 }
 
 // fuzzVersion is one relation FuzzAppendRows holds, with the oracle's

@@ -656,7 +656,8 @@ func (cc *colChunk) encode(b []byte) {
 // column's type from the chunk modes, materialize values in parallel at
 // (chunk × column) granularity, then merge string shard dictionaries
 // per column in chunk order so codes land in global first-occurrence
-// order.
+// order. The columns own their arrays, so each is born with an append
+// tail (withTail) and the first append writes after its rows.
 func assembleColumns(name string, names []string, chunks []*chunk, rows, workers int) (*Relation, error) {
 	width := len(names)
 	modes := make([]int8, width)
@@ -698,9 +699,9 @@ func assembleColumns(name string, names []string, chunks []*chunk, rows, workers
 	for j := 0; j < width; j++ {
 		switch modes[j] {
 		case chunkInt:
-			cols[j] = NewIntColumn(names[j], ints[j])
+			cols[j] = NewIntColumn(names[j], ints[j]).withTail()
 		case chunkFloat:
-			cols[j] = NewFloatColumn(names[j], floats[j])
+			cols[j] = NewFloatColumn(names[j], floats[j]).withTail()
 		default:
 			tasks = append(tasks, func() {
 				cols[j] = mergeStringCol(names[j], chunks, j, rows)
@@ -770,8 +771,9 @@ func mergeStringCol(name string, chunks []*chunk, j, rows int) *Column {
 		strs[i] = values[cd]
 		strBytes += int64(len(strs[i]))
 	}
-	return &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, values: values,
+	c := &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, values: values,
 		interned: true, strBytes: strBytes, valueBytes: valueBytes}
+	return c.withTail()
 }
 
 // runTasks executes the tasks on up to workers goroutines and waits.

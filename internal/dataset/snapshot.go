@@ -6,8 +6,13 @@ package dataset
 // decomposition and rebuild a Column from it without going through the
 // per-row re-encoding of NewStringColumn. A restored column holds the
 // original's values, codes, dictionary, interned flag and MemBytes —
-// the round-trip invariant the colstore tests pin. It has no append
-// tail: its first append copies it, so nothing writes into a mapping.
+// the round-trip invariant the colstore tests pin. A restore that
+// replays no log decodes with no room: its columns view the snapshot's
+// buffer and have no append tail, so their first append copies them
+// and nothing writes into a mapping. A restore with logged rows to
+// replay decodes with room for them: its columns copy their arrays out
+// of the buffer once, at that capacity, into a tail that claims the
+// snapshot's rows, so the replay writes in place.
 
 import (
 	"fmt"
@@ -38,8 +43,11 @@ func (c *Column) DictSnapshot() (values []string, interned bool, err error) {
 // values densely in first-occurrence order, as every other constructor
 // does: each row holds a code already seen or the next unused one, and
 // every value is used. A string index's cluster IDs are then the codes
-// (package pli).
-func RestoreStringColumn(name string, values []string, codes []int32, interned bool) (*Column, error) {
+// (package pli). With room 0 the column views codes and has no tail;
+// otherwise it copies codes and fills its per-row strings once, at the
+// capacity of room more rows, and is born the first version of a tail
+// over them (see WithRoom).
+func RestoreStringColumn(name string, values []string, codes []int32, interned bool, room int) (*Column, error) {
 	dict := make(map[string]int32, len(values))
 	var valueBytes int64
 	for i, v := range values {
@@ -49,7 +57,10 @@ func RestoreStringColumn(name string, values []string, codes []int32, interned b
 		dict[v] = int32(i)
 		valueBytes += int64(len(v))
 	}
-	strs := make([]string, len(codes))
+	if room > 0 {
+		codes = clone(codes, len(codes)+room)
+	}
+	strs := make([]string, len(codes), len(codes)+room)
 	var strBytes int64
 	next := int32(0)
 	for i, code := range codes {
@@ -69,6 +80,32 @@ func RestoreStringColumn(name string, values []string, codes []int32, interned b
 	if int(next) != len(values) {
 		return nil, fmt.Errorf("dataset: column %q: rows use %d of %d dictionary values", name, next, len(values))
 	}
-	return &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, values: values,
-		interned: interned, strBytes: strBytes, valueBytes: valueBytes}, nil
+	c := &Column{Name: name, Type: String, Strings: strs, Codes: codes, dict: dict, values: values,
+		interned: interned, strBytes: strBytes, valueBytes: valueBytes}
+	if room > 0 {
+		c.withTail()
+	}
+	return c, nil
+}
+
+// WithRoom returns c as a column that owns its arrays, with capacity
+// for room more rows, and is the first version of a tail that claims
+// its rows: appends to it and then to each newest version write in
+// place until they have added room rows. c may view a snapshot's
+// mapping: its arrays are copied out once and never written. With room
+// 0 WithRoom returns c itself.
+func (c *Column) WithRoom(room int) *Column {
+	if room == 0 {
+		return c
+	}
+	g, m := *c, c.Len()+room
+	switch c.Type {
+	case Int:
+		g.Ints = clone(c.Ints, m)
+	case Float:
+		g.Floats = clone(c.Floats, m)
+	default:
+		g.Codes, g.Strings = clone(c.Codes, m), clone(c.Strings, m)
+	}
+	return g.withTail()
 }

@@ -1,18 +1,15 @@
 package pli
 
-import (
-	"sort"
-
-	"adc/internal/dataset"
-)
+import "adc/internal/dataset"
 
 // ColStats summarizes one column's value distribution for selectivity
 // estimation — the statistics the violation-query planner orders
 // predicates by. The numbers agree exactly between the two ways of
 // producing them: derived from a built Index (Index.Stats) or computed
-// in one O(n) pass over the column without building an index
-// (Store.StatsFor on a cold column), so planning never forces an index
-// build just to read a cluster count.
+// from the column without building an index (Store.StatsFor on a cold
+// column: a radix ordering of a numeric column, a count of a string
+// column's codes), so planning never forces an index build just to
+// read a cluster count.
 type ColStats struct {
 	// Rows is the column length.
 	Rows int
@@ -56,33 +53,10 @@ func (idx *Index) Stats() ColStats {
 	return st
 }
 
-// statsFromColumn computes the same statistics as Index.Stats in one
-// pass over the raw column, without sorting or materializing clusters.
-func statsFromColumn(c *dataset.Column) ColStats {
+// codeStats computes a string column's statistics as Index.Stats
+// derives them from its index, by counting its codes.
+func codeStats(c *dataset.Column) ColStats {
 	st := ColStats{Rows: c.Len()}
-	if c.Type.Numeric() {
-		freq := make(map[float64]int, 64)
-		for i := 0; i < st.Rows; i++ {
-			v := c.Num(i)
-			if v != v {
-				st.NaNRows++ // NaN map keys are unreachable; count aside
-				continue
-			}
-			freq[v]++
-		}
-		// Each NaN row is its own singleton cluster in the index.
-		st.Distinct = len(freq) + st.NaNRows
-		if st.NaNRows > 0 {
-			st.MaxCluster = 1
-		}
-		for _, m := range freq {
-			if m > st.MaxCluster {
-				st.MaxCluster = m
-			}
-			st.EqPairs += int64(m) * int64(m-1)
-		}
-		return st
-	}
 	// A dictionary column's codes are dense, so their counts fit an
 	// array; a hand-built column's arbitrary codes take a map.
 	var counts []int32
@@ -108,38 +82,87 @@ func statsFromColumn(c *dataset.Column) ColStats {
 	return st
 }
 
-// StatsFor returns the column's statistics, derived from the cached
-// index when one is built and computed directly from the column
-// otherwise — it never triggers an index build. Results are cached, so
-// repeated planning against one store pays the O(n) pass at most once
-// per column.
-func (s *Store) StatsFor(col int) ColStats {
+// numericSummary computes a numeric column's statistics and value
+// histogram, exactly as Index.Stats and Index.Hist derive them from
+// its index, from the radix ordering the index is carved from
+// (sortedKeys): each run of equal keys is a cluster, whose histogram
+// key is the value of its first row, as the index keys it (so −0 and
+// +0 share a run keyed by the first of them), and each NaN row, sorted
+// first, is a singleton left out of the histogram.
+func numericSummary(c *dataset.Column) (ColStats, ColHist) {
+	n := c.Len()
+	st := ColStats{Rows: n}
+	keys, order := sortedKeys(c, identity(n))
+	for x := range keys {
+		if startsValue(keys, x) {
+			st.Distinct++
+		}
+	}
+	for st.NaNRows < n && keys[st.NaNRows] == nanKey {
+		st.NaNRows++
+	}
+	st.MaxCluster = min(st.NaNRows, 1)
+	h := ColHist{Keys: make([]float64, 0, st.Distinct-st.NaNRows), Counts: make([]int32, 0, st.Distinct-st.NaNRows)}
+	for x := st.NaNRows; x < n; {
+		y := x + 1
+		for y < n && keys[y] == keys[x] {
+			y++
+		}
+		m := y - x
+		st.MaxCluster = max(st.MaxCluster, m)
+		st.EqPairs += int64(m) * int64(m-1)
+		h.Keys = append(h.Keys, c.Num(int(order[x])))
+		h.Counts = append(h.Counts, int32(m))
+		x = y
+	}
+	return st, h
+}
+
+// summary is one column's statistics and histogram, cached together.
+type summary struct {
+	stats ColStats
+	hist  ColHist
+}
+
+// summaryFor returns the column's statistics and histogram, derived
+// from the cached index when one is built and computed from the column
+// otherwise (a numeric column's both from one ordering) — it never
+// triggers an index build. The result is cached, so repeated planning
+// against one store pays the column pass at most once per column.
+func (s *Store) summaryFor(col int) *summary {
 	s.mu.RLock()
-	if s.stats != nil && s.stats[col] != nil {
-		st := *s.stats[col]
+	if s.sums != nil && s.sums[col] != nil {
+		sum := s.sums[col]
 		s.mu.RUnlock()
-		return st
+		return sum
 	}
 	idx := s.idx[col]
 	c := s.cols[col]
 	s.mu.RUnlock()
 
-	var st ColStats
-	if idx != nil {
-		st = idx.Stats()
-	} else {
-		st = statsFromColumn(c)
+	sum := &summary{}
+	switch {
+	case idx != nil:
+		sum.stats, sum.hist = idx.Stats(), idx.Hist()
+	case c.Type.Numeric():
+		sum.stats, sum.hist = numericSummary(c)
+	default:
+		sum.stats = codeStats(c)
 	}
 	s.mu.Lock()
-	if s.stats == nil {
-		s.stats = make([]*ColStats, len(s.cols))
+	if s.sums == nil {
+		s.sums = make([]*summary, len(s.cols))
 	}
-	if s.stats[col] == nil {
-		s.stats[col] = &st
+	if s.sums[col] == nil {
+		s.sums[col] = sum
 	}
+	sum = s.sums[col]
 	s.mu.Unlock()
-	return st
+	return sum
 }
+
+// StatsFor returns the column's statistics (see summaryFor).
+func (s *Store) StatsFor(col int) ColStats { return s.summaryFor(col).stats }
 
 // ColHist is a numeric column's sorted value histogram: Keys holds the
 // distinct non-NaN values ascending and Counts the matching cluster
@@ -169,63 +192,5 @@ func (idx *Index) Hist() ColHist {
 	return h
 }
 
-// histFromColumn computes the same histogram as Index.Hist without an
-// index: one counting pass plus a sort of the distinct values.
-func histFromColumn(c *dataset.Column) ColHist {
-	if !c.Type.Numeric() {
-		return ColHist{}
-	}
-	// ±0 collapse into one map entry (map lookup uses ==), matching the
-	// index's single ±0 cluster; NaN rows are skipped, as Index.Hist
-	// skips the NaN clusters.
-	freq := make(map[float64]int32, 64)
-	n := c.Len()
-	for i := 0; i < n; i++ {
-		v := c.Num(i)
-		if v != v {
-			continue
-		}
-		freq[v]++
-	}
-	h := ColHist{Keys: make([]float64, 0, len(freq)), Counts: make([]int32, 0, len(freq))}
-	for v := range freq {
-		h.Keys = append(h.Keys, v)
-	}
-	sort.Float64s(h.Keys)
-	for _, v := range h.Keys {
-		h.Counts = append(h.Counts, freq[v])
-	}
-	return h
-}
-
-// HistFor returns the column's value histogram, derived from the cached
-// index when one is built and computed directly from the column
-// otherwise — like StatsFor, it never triggers an index build, and the
-// result is cached per column.
-func (s *Store) HistFor(col int) ColHist {
-	s.mu.RLock()
-	if s.hist != nil && s.hist[col] != nil {
-		h := *s.hist[col]
-		s.mu.RUnlock()
-		return h
-	}
-	idx := s.idx[col]
-	c := s.cols[col]
-	s.mu.RUnlock()
-
-	var h ColHist
-	if idx != nil {
-		h = idx.Hist()
-	} else {
-		h = histFromColumn(c)
-	}
-	s.mu.Lock()
-	if s.hist == nil {
-		s.hist = make([]*ColHist, len(s.cols))
-	}
-	if s.hist[col] == nil {
-		s.hist[col] = &h
-	}
-	s.mu.Unlock()
-	return h
-}
+// HistFor returns the column's value histogram (see summaryFor).
+func (s *Store) HistFor(col int) ColHist { return s.summaryFor(col).hist }

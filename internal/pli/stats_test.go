@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"adc/internal/dataset"
@@ -57,28 +58,65 @@ func TestStatsForCached(t *testing.T) {
 	}
 }
 
+// TestQuickStatsPaths: a numeric column's statistics and histogram,
+// computed from one radix ordering of its rows, equal exactly what
+// Index.Stats and Index.Hist derive from its index, on Float columns
+// with NaN, both zeros and duplicates (a histogram key is its cluster's
+// first row's value, so −0 and +0 are told apart by bits) and on Int
+// columns with values beyond ±2^53, which both sides key by their
+// float64 image.
 func TestQuickStatsPaths(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	cols := []*dataset.Column{
+		dataset.NewFloatColumn("empty", nil),
+		dataset.NewFloatColumn("nan", []float64{nan, nan}),
+		dataset.NewFloatColumn("zeros", []float64{negZero, 0, nan, 0, negZero}),
+		dataset.NewIntColumn("wide", []int64{1<<53 + 1, 1 << 53, math.MaxInt64, math.MaxInt64 - 1}),
+	}
+	wide := []int64{1 << 53, 1<<53 + 1, 1<<53 + 2, -(1 << 53) - 1, -(1 << 53), math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, 0, -1}
+	for seed := int64(0); seed < 80; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(50)
-		fv := make([]float64, n)
-		for i := range fv {
-			switch r.Intn(6) {
-			case 0:
-				fv[i] = math.NaN()
-			case 1:
-				fv[i] = math.Copysign(0, -1)
-			default:
-				fv[i] = float64(r.Intn(6))
+		n := r.Intn(50)
+		if seed%2 == 0 {
+			fv := make([]float64, n)
+			for i := range fv {
+				switch r.Intn(7) {
+				case 0:
+					fv[i] = nan
+				case 1:
+					fv[i] = negZero
+				case 2:
+					fv[i] = 0
+				default:
+					fv[i] = float64(r.Intn(6)) - 2
+				}
 			}
-		}
-		c := dataset.NewFloatColumn("f", fv)
-		fromCol := statsFromColumn(c)
-		fromIdx := ForColumn(c).Stats()
-		if fromCol != fromIdx {
-			t.Fatalf("seed %d: column stats %+v != index stats %+v", seed, fromCol, fromIdx)
+			cols = append(cols, dataset.NewFloatColumn(fmt.Sprint("f", seed), fv))
+		} else {
+			iv := make([]int64, n)
+			for i := range iv {
+				iv[i] = wide[r.Intn(len(wide))]
+			}
+			cols = append(cols, dataset.NewIntColumn(fmt.Sprint("i", seed), iv))
 		}
 	}
+	for _, c := range cols {
+		gotStats, gotHist := numericSummary(c)
+		idx := ForColumn(c)
+		if want := idx.Stats(); gotStats != want {
+			t.Fatalf("%s: column stats %+v != index stats %+v", c.Name, gotStats, want)
+		}
+		if want := idx.Hist(); !sameHist(gotHist, want) {
+			t.Fatalf("%s: column hist %+v != index hist %+v", c.Name, gotHist, want)
+		}
+	}
+}
+
+// sameHist reports whether two histograms hold the same keys, bit for
+// bit, and the same counts.
+func sameHist(a, b ColHist) bool {
+	return slices.EqualFunc(a.Keys, b.Keys, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) &&
+		slices.Equal(a.Counts, b.Counts)
 }
 
 // TestHistForAgreesWithIndex: like StatsFor, the value histogram must
@@ -151,7 +189,7 @@ func TestStringStatsMatchIndex(t *testing.T) {
 				v[i] = fmt.Sprint(rng.Intn(domain))
 			}
 			c := dataset.NewStringColumn("s", v)
-			if got, want := statsFromColumn(c), ForColumn(c).Stats(); got != want {
+			if got, want := codeStats(c), ForColumn(c).Stats(); got != want {
 				t.Fatalf("n=%d domain=%d: column stats %+v, index stats %+v", n, domain, got, want)
 			}
 		}
@@ -159,7 +197,7 @@ func TestStringStatsMatchIndex(t *testing.T) {
 	hand := &dataset.Column{Name: "h", Type: dataset.String, Strings: []string{"x", "y", "x", "z", "x"}}
 	hand.Codes = []int32{7, -2, 7, 1 << 30, 7}
 	want := ColStats{Rows: 5, Distinct: 3, MaxCluster: 3, EqPairs: 6}
-	if got := statsFromColumn(hand); got != want || ForColumn(hand).Stats() != want {
+	if got := codeStats(hand); got != want || ForColumn(hand).Stats() != want {
 		t.Fatalf("hand-built codes: column stats %+v, index stats %+v, want %+v", got, ForColumn(hand).Stats(), want)
 	}
 }

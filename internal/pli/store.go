@@ -15,11 +15,10 @@ import (
 // construction entirely. All methods are safe for concurrent use; the
 // returned Indexes are immutable and may be read without locking.
 type Store struct {
-	mu    sync.RWMutex
-	cols  []*dataset.Column
-	idx   []*Index
-	stats []*ColStats // per-column, lazily filled by StatsFor
-	hist  []*ColHist  // per-column, lazily filled by HistFor
+	mu   sync.RWMutex
+	cols []*dataset.Column
+	idx  []*Index
+	sums []*summary // per-column, lazily filled by StatsFor and HistFor
 
 	hits, misses atomic.Int64
 }

@@ -151,40 +151,54 @@ func (st *storage) save(sess *session) error {
 	return nil
 }
 
-// restore revives a spilled session from its snapshot plus WAL: the
-// snapshot is mmap-attached (column data and indexes page in on first
-// touch), the index store is restored with every PLI the snapshot
-// carries, the checker adopts it, and any acked append batches logged
-// after the snapshot replay on top. The mapping is owned by the
-// session and released when its last reference drops (evict, DELETE).
+// restore revives a spilled session from its snapshot plus WAL. The
+// WAL is opened first (salvaging its valid prefix, truncating any torn
+// tail), so the snapshot can be attached with room for every logged
+// row: its columns then own arrays the replay writes into in place,
+// instead of viewing the mapping and being copied by the replay's
+// append. The index store is restored with every PLI the snapshot
+// carries, the checker adopts it, and the batches the snapshot does
+// not already cover (see replayRun) replay on top as one append. A WAL
+// that cannot be opened degrades the session rather than failing the
+// restore — the snapshot alone is still a consistent (if older) state,
+// attached with no room. The mapping is owned by the session and
+// released when its last reference drops (evict, DELETE).
 func (st *storage) restore(id string) (*session, error) {
 	start := time.Now()
-	snap, err := colstore.Attach(st.path(id))
+	l, rep, err := wal.Open(st.fsys, st.walPath(id), wal.Options{NoSync: st.walNoSync})
 	if err != nil {
+		st.noteWALError(err)
+		rep = &wal.Replay{}
+	}
+	// Every batch's rows bound the replay's: batches the snapshot
+	// already covers leave spare room.
+	room := 0
+	for _, b := range rep.Batches {
+		room += len(b.Rows)
+	}
+	var snap *colstore.Snapshot
+	fail := func(err error) (*session, error) {
+		if snap != nil {
+			snap.Close() //nolint:errcheck // the restore error wins
+		}
+		if l != nil {
+			l.Close() //nolint:errcheck // the restore error wins
+		}
 		return nil, err
+	}
+	if snap, err = colstore.AttachWithRoom(st.path(id), room); err != nil {
+		return fail(err)
 	}
 	store, err := pli.RestoreStore(snap.Relation.Columns, snap.Indexes)
 	if err != nil {
-		snap.Close() //nolint:errcheck // the restore error wins
-		return nil, err
+		return fail(err)
 	}
 	checker, err := adc.NewCheckerWithStore(snap.Relation, store)
 	if err != nil {
-		snap.Close() //nolint:errcheck // the restore error wins
-		return nil, err
+		return fail(err)
 	}
-	// Open the WAL (salvaging its valid prefix, truncating any torn
-	// tail) and replay the batches the snapshot does not already cover
-	// (see replayRun) as one append. A WAL that cannot be opened
-	// degrades the session rather than failing the restore — the
-	// snapshot alone is still a consistent (if older) state.
-	var sessWAL *wal.Log
 	applied := int64(0)
-	l, rep, werr := wal.Open(st.fsys, st.walPath(id), wal.Options{NoSync: st.walNoSync})
-	if werr != nil {
-		st.noteWALError(werr)
-	} else {
-		sessWAL = l
+	if l != nil {
 		checker, applied = st.replay(id, checker, replayRun(rep.Batches, snap.Relation.NumRows()))
 		st.mu.Lock()
 		st.walReplayed += applied
@@ -204,12 +218,12 @@ func (st *storage) restore(id string) (*session, error) {
 		mine:    adc.NewMineCache(),
 		appends: snap.Meta.Appends + applied,
 		evHist:  hist.New(),
-		wal:     sessWAL,
+		wal:     l,
 		store:   st,
 		snap:    snap,
 	}
 	sess.refs.Store(1) // the registry's reference
-	if sessWAL == nil {
+	if l == nil {
 		sess.degraded.Store(true)
 	}
 	st.mu.Lock()
