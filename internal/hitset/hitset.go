@@ -14,11 +14,17 @@
 // removing an element is a few word-wise passes over ⌈sets/64⌉ words.
 //
 // What no move changes lives in one read-only index per enumeration
-// (index.go), shared by every worker: occ, built by 64×64 bit-matrix
-// transposes of the sets; the multiplicities as bit planes, so the f1
-// weight of a bitset (Section 5's bookkeeping) is a few popcounts per
-// word instead of a sum over its set bits; and, for f2 and greedy f3,
-// the vios maps flattened once.
+// (index.go), shared by every worker. It holds the enumeration's own
+// order of the distinct sets, heaviest first: one stable counting pass
+// by the bit length of each multiplicity, so the bounded branch choice
+// picks among the heaviest uncovered sets. Over that order it builds
+// occ, by 64×64 bit-matrix transposes of the sets; the multiplicities
+// as bit planes, so the f1 weight of a bitset (Section 5's bookkeeping)
+// is a few popcounts per word instead of a sum over its set bits, with
+// each word holding only the planes its largest count needs; and, for
+// f2 and greedy f3, the vios maps flattened once. The caller's evidence
+// set is never modified; only the order in which covers are emitted
+// depends on the index's order.
 //
 // ADCEnum runs either as the classic sequential recursion or, with
 // Options.Workers, as a parallel enumeration: a worker that is about to
@@ -104,7 +110,7 @@ func EnumerateADC(ev *evidence.Set, opts Options, emit func(hs bitset.Bits)) Sta
 		}
 	}
 	if workers <= 1 {
-		st := newState(ev, opts, newIndex(ev, opts.Func))
+		st := newState(newIndex(ev, opts.Func), opts)
 		st.emit = emit
 		st.adcEnum()
 		return st.stats
@@ -117,7 +123,7 @@ func EnumerateADC(ev *evidence.Set, opts Options, emit func(hs bitset.Bits)) Sta
 // minimal valid DC's complement set). The bitset passed to emit is
 // reused; clone it to retain.
 func EnumerateMinimal(ev *evidence.Set, opts Options, emit func(hs bitset.Bits)) Stats {
-	st := newState(ev, opts, newIndex(ev, opts.Func))
+	st := newState(newIndex(ev, opts.Func), opts)
 	st.emit = emit
 	st.mmcs()
 	return st.stats
@@ -134,10 +140,10 @@ func EnumerateMinimal(ev *evidence.Set, opts Options, emit func(hs bitset.Bits))
 // lines require.
 //
 // Every branch decision below is a pure function of the node:
-// chooseUncov scans U in index order, and crit checks, losses and canHit
-// flips depend only on which bits are set, never on a worker's scratch
-// space. A copy of a node (see clone) therefore enumerates exactly the
-// subtree the original would have.
+// chooseUncov scans U in the index's order, and crit checks, losses and
+// canHit flips depend only on which bits are set, never on a worker's
+// scratch space. A copy of a node (see clone) therefore enumerates
+// exactly the subtree the original would have.
 type node struct {
 	uncov       bitset.Bits // U: sets hit by no element of S
 	once        bitset.Bits // O: sets hit by exactly one element of S
@@ -173,14 +179,16 @@ func (n *node) clone() *node {
 // scratch space that evaluates and undoes moves on it.
 type state struct {
 	node
+	// ev and sets are the index's view of the evidence set, in its
+	// order of the distinct sets.
 	ev    *evidence.Set
+	sets  []bitset.Bits
 	opts  Options
 	emit  func(bitset.Bits)
 	stats Stats
 	// pool, when set, is the parallel run this worker belongs to.
 	pool *pool
 
-	sets []bitset.Bits
 	// ix is the enumeration's read-only index, shared by every worker of
 	// a parallel run.
 	ix *index
@@ -205,14 +213,14 @@ type state struct {
 	flipped []int
 }
 
-func newState(ev *evidence.Set, opts Options, ix *index) *state {
+func newState(ix *index, opts Options) *state {
 	return &state{
 		node:    *ix.root.clone(),
 		ix:      ix,
-		ev:      ev,
+		ev:      ix.ev,
+		sets:    ix.ev.Sets,
 		opts:    opts,
-		sets:    ev.Sets,
-		scratch: bitset.New(len(ev.Sets)),
+		scratch: bitset.New(len(ix.ev.Sets)),
 		eval:    ix.eval.fork(),
 	}
 }
@@ -341,8 +349,10 @@ const chooseScanLimit = 64
 // with the max (or min) intersection with cand among a bounded scan.
 // Returns -1 if none qualifies.
 //
-// The scan walks U in set-index order with ties going to the lowest
-// index, so the choice is a pure function of the node: a copied node
+// The scan walks U in the index's order of the distinct sets, heaviest
+// multiplicity first, so the bounded prefix it examines holds the
+// heaviest uncovered sets; ties go to the earliest set in that order.
+// The choice is therefore a pure function of the node: a copied node
 // grows the same subtree on any worker, and TestSearchTreePinned can pin
 // the tree (the enumeration itself only needs *some* rule).
 func (st *state) chooseUncov(restrict bool) int {
@@ -451,7 +461,8 @@ func (st *state) loss(extra bitset.Bits) float64 {
 	}
 	// Generic path: LossOf canonicalizes the order, so a custom Func
 	// sees inputs independent of the traversal history and serial and
-	// parallel runs cannot diverge.
+	// parallel runs cannot diverge. The indexes are into the index's
+	// view of the evidence set, which the evaluator hands the Func.
 	st.merged = st.merged[:0]
 	add := func(k int) { st.merged = append(st.merged, k) }
 	st.uncov.ForEach(add)

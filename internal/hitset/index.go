@@ -11,16 +11,28 @@ import (
 // index is the read-only side of one enumeration: everything the search
 // needs from the evidence set that no move changes. It is built once per
 // enumeration and shared by every worker of a parallel run.
+//
+// The index holds its own view of the evidence, ev: the caller's
+// distinct sets, counts and vios in descending bit length of each
+// count. Every bitset over the distinct sets (occ, U, O, canHit, the
+// undo logs) is over this order, so chooseUncov's bounded scan of U
+// meets the heaviest sets first, and a word of the multiplicity planes
+// holds sets of similar weight: the many sets that occur once share
+// words that need one plane.
 type index struct {
+	// ev is the enumeration's view of the evidence set (see orderByWeight).
+	ev *evidence.Set
 	// occ[e] is the set of distinct evidence sets containing element e.
 	occ []bitset.Bits
 	// planes bit-slices the multiplicities (O'Neil and Quass, "Improved
-	// Query Performance with Variant Indexes", SIGMOD 1997):
-	// planes[i*nPlanes+j] holds bit j of the counts of sets 64i..64i+63,
-	// so the weight of the sets a word w of a bitset selects is
-	// Σ_j popcount(w & plane_j) << j, and no set is visited one by one.
-	planes  []uint64
-	nPlanes int
+	// Query Performance with Variant Indexes", SIGMOD 1997): word i of a
+	// bitset over the distinct sets has the planes planes[off[i]:off[i+1]],
+	// whose plane j holds bit j of the counts of sets 64i..64i+63, so the
+	// weight of the sets a word w selects is Σ_j popcount(w & plane_j) << j,
+	// and no set is visited one by one. A word has as many planes as its
+	// largest count's bit length.
+	planes []uint64
+	off    []int
 	// eval holds the flattened vios maps of the tuple-based functions;
 	// each worker forks it for its own scratch space.
 	eval *Evaluator
@@ -30,8 +42,9 @@ type index struct {
 }
 
 func newIndex(ev *evidence.Set, f approx.Func) *index {
-	ix := &index{occ: buildOcc(ev), eval: NewEvaluator(ev, f)}
-	ix.planes, ix.nPlanes = buildPlanes(ev.Counts)
+	ev = orderByWeight(ev)
+	ix := &index{ev: ev, occ: buildOcc(ev), eval: NewEvaluator(ev, f)}
+	ix.planes, ix.off = buildPlanes(ev.Counts)
 	n, universe := len(ev.Sets), len(ix.occ)
 	r := &ix.root
 	r.uncov, r.once, r.canHit = bitset.New(n), bitset.New(n), bitset.New(n)
@@ -57,6 +70,39 @@ func newIndex(ev *evidence.Set, f approx.Func) *index {
 		}
 	}
 	return ix
+}
+
+// orderByWeight returns a copy of ev whose distinct sets, counts and
+// vios run in descending bit length of each count, ties in ev's order.
+// It is one stable counting pass over the 65 bit lengths: a negative
+// count reads as its two's complement and goes first, a zero count
+// last. The copy shares the sets' words and the vios maps with ev;
+// every other field is ev's.
+func orderByWeight(ev *evidence.Set) *evidence.Set {
+	var next [65]int
+	for _, c := range ev.Counts {
+		next[bits.Len64(uint64(c))]++
+	}
+	pos := 0
+	for l := len(next) - 1; l >= 0; l-- {
+		pos, next[l] = pos+next[l], pos
+	}
+	o := *ev
+	o.Sets = make([]bitset.Bits, len(ev.Sets))
+	o.Counts = make([]int64, len(ev.Counts))
+	if ev.Vios != nil {
+		o.Vios = make([]map[int32]int64, len(ev.Vios))
+	}
+	for k, c := range ev.Counts {
+		l := bits.Len64(uint64(c))
+		i := next[l]
+		next[l]++
+		o.Sets[i], o.Counts[i] = ev.Sets[k], c
+		if ev.Vios != nil {
+			o.Vios[i] = ev.Vios[k]
+		}
+	}
+	return &o
 }
 
 func universeSize(ev *evidence.Set) int {
@@ -120,22 +166,29 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// buildPlanes bit-slices counts into interleaved planes, as many as the
-// longest count needs. A negative count reads as its two's complement,
-// which takes all 64 planes, so weights wrap exactly as an int64 sum.
-func buildPlanes(counts []int64) ([]uint64, int) {
-	np := 0
-	for _, c := range counts {
-		np = max(np, bits.Len64(uint64(c)))
+// buildPlanes bit-slices counts into interleaved planes, word by word:
+// the planes of word i are planes[off[i]:off[i+1]], as many as the
+// longest count among sets 64i..64i+63 needs, so a word of zero counts
+// has none. A negative count reads as its two's complement, which takes
+// all 64 planes, so weights wrap exactly as an int64 sum.
+func buildPlanes(counts []int64) (planes []uint64, off []int) {
+	nw := bitset.WordsFor(len(counts))
+	off = make([]int, nw+1)
+	for i := 0; i < nw; i++ {
+		np := 0
+		for _, c := range counts[i*64 : min(len(counts), i*64+64)] {
+			np = max(np, bits.Len64(uint64(c)))
+		}
+		off[i+1] = off[i] + np
 	}
-	planes := make([]uint64, bitset.WordsFor(len(counts))*np)
+	planes = make([]uint64, off[nw])
 	for k, c := range counts {
-		p := planes[k/64*np:]
+		p := planes[off[k/64]:]
 		for u := uint64(c); u != 0; u &= u - 1 {
 			p[bits.TrailingZeros64(u)] |= 1 << (k % 64)
 		}
 	}
-	return planes, np
+	return planes, off
 }
 
 // weightOf sums the multiplicities of the sets in b.
@@ -156,7 +209,7 @@ func (ix *index) weightOf(b bitset.Bits) int64 {
 // to a guarded variable shift that keeps the sum out of a register.
 func (ix *index) wordWeight(i int, w uint64) uint64 {
 	var sum uint64
-	p := ix.planes[i*ix.nPlanes : (i+1)*ix.nPlanes]
+	p := ix.planes[ix.off[i]:ix.off[i+1]]
 	for j := len(p) - 1; j >= 0; j-- {
 		sum = sum<<1 + uint64(bits.OnesCount64(w&p[j]))
 	}

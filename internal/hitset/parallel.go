@@ -3,7 +3,8 @@ package hitset
 // Parallel ADCEnum: one worker starts at the root of Figure 4's search
 // tree. Each worker owns a state (a node plus its scratch space: undo
 // logs, the loss evaluator's workspace), and all share the enumeration's
-// index read-only: occ, the multiplicity planes and the flattened vios.
+// index read-only: its order of the distinct sets, occ, the multiplicity
+// planes and the flattened vios.
 // A worker about to descend into a child while another worker waits on
 // an empty queue queues a copy of the child node instead and moves on to
 // the child's next sibling; the waiting worker adopts the copy and runs
@@ -79,7 +80,7 @@ func enumerateADCParallel(ev *evidence.Set, opts Options, workers int, emit func
 	ix := newIndex(ev, opts.Func)
 	states := make([]*state, workers)
 	for w := range states {
-		states[w] = newState(ev, opts, ix)
+		states[w] = newState(ix, opts)
 		states[w].emit = serialEmit
 		states[w].pool = p
 	}

@@ -48,11 +48,12 @@ func gateEvidence(t *testing.T) *evidence.Set {
 // digest fixes the emitted covers. The bookkeeping may get cheaper, but
 // any change that reshapes the tree (a different chooseUncov pick, a
 // different crit check outcome) fails here rather than only moving a
-// timing.
+// timing. The tree is the one over the index's order of the distinct
+// sets (heaviest first), which chooseUncov scans.
 func TestSearchTreePinned(t *testing.T) {
 	ev := gateEvidence(t)
 
-	wantADC := hitset.Stats{Calls: 27875, Outputs: 666, LossEvals: 33603}
+	wantADC := hitset.Stats{Calls: 22738, Outputs: 666, LossEvals: 27825}
 	wantADCDigest := coverDigest{n: 666, sum: 0x5c649afc7592ae22, xor: 0xb9d5d982e5950c72}
 	for _, workers := range []int{1, 2} {
 		var d coverDigest
@@ -67,7 +68,7 @@ func TestSearchTreePinned(t *testing.T) {
 		}
 	}
 
-	wantMMCS := hitset.Stats{Calls: 22811, Outputs: 1052}
+	wantMMCS := hitset.Stats{Calls: 21465, Outputs: 1052}
 	wantMMCSDigest := coverDigest{n: 1052, sum: 0x1a14b846acc70d93, xor: 0x5ac9ceea49b2d7ff}
 	var d coverDigest
 	st := hitset.EnumerateMinimal(ev, hitset.Options{MaxPredicates: 3}, d.add)

@@ -112,7 +112,7 @@ func TestBookkeepingInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 200; trial++ {
 		ev, universe := randomStateInstance(r)
-		st := newState(ev, Options{Func: approx.F2{}}, newIndex(ev, approx.F2{}))
+		st := newState(newIndex(ev, approx.F2{}), Options{Func: approx.F2{}})
 		if !st.eval.fastTuple {
 			t.Fatal("instance lacks vios: the per-tuple counts go unchecked")
 		}
